@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -106,8 +105,8 @@ class WeightVector:
     """Sparse complex weights on residues coprime to q.
 
     Keys are reduced mod q and must be units; exact-zero values are dropped
-    so the stored support is the true support.  Treat instances as
-    immutable.
+    so the stored support is the true support.  The norms are computed once,
+    at construction.  Treat instances as immutable.
     """
 
     modulus: Modulus
@@ -127,6 +126,7 @@ class WeightVector:
             if a != 0:
                 clean[r] = clean.get(r, 0j) + a
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_norm_values", _norms(clean.values()))
 
     @property
     def support_size(self) -> int:
@@ -134,15 +134,15 @@ class WeightVector:
 
     @property
     def norm1(self) -> float:
-        return _norms(self.entries.values())[0]
+        return self._norm_values[0]
 
     @property
     def norm2(self) -> float:
-        return _norms(self.entries.values())[1]
+        return self._norm_values[1]
 
     @property
     def norm_inf(self) -> float:
-        return _norms(self.entries.values())[2]
+        return self._norm_values[2]
 
     def support(self) -> np.ndarray:
         return np.array(sorted(self.entries), dtype=np.int64)
@@ -164,7 +164,7 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CharWeightVector:
-    """Sparse complex weights on primitive characters mod q."""
+    """Sparse complex weights on primitive characters mod q; norms as in WeightVector."""
 
     modulus: Modulus
     entries: dict[DirichletCharacter, complex] = field(default_factory=dict)
@@ -185,6 +185,7 @@ class CharWeightVector:
             if w != 0:
                 clean[chi] = clean.get(chi, 0j) + w
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_norm_values", _norms(clean.values()))
 
     @property
     def support_size(self) -> int:
@@ -192,15 +193,15 @@ class CharWeightVector:
 
     @property
     def norm1(self) -> float:
-        return _norms(self.entries.values())[0]
+        return self._norm_values[0]
 
     @property
     def norm2(self) -> float:
-        return _norms(self.entries.values())[1]
+        return self._norm_values[1]
 
     @property
     def norm_inf(self) -> float:
-        return _norms(self.entries.values())[2]
+        return self._norm_values[2]
 
 
 WEIGHT_KINDS = ("const", "pm1", "unit", "zero")
@@ -366,26 +367,36 @@ def _inner_exp_sums(q: int, targets: np.ndarray, ms: np.ndarray, alphas: np.ndar
     return out
 
 
-def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
-    """sum over units x of f((x^-1)^k) * gamma_x with direct inner sums."""
-    mod = _check_shared_modulus(A, J)
-    q = mod.q
-    xs = unit_residues(mod)
-    inv = inverse_table(mod)
+def _transformed_values(A: WeightVector, inv_power: int = 1) -> np.ndarray:
+    """f((x^-1)^k) for every unit x, aligned with unit_residues(q), by direct inner sums."""
+    mod = A.modulus
+    inv = inverse_table(mod)[unit_residues(mod)]
     if inv_power == 1:
-        targets = inv[xs]
+        targets = inv
     else:
-        targets = np.array([pow(int(t), inv_power, q) for t in inv[xs]], dtype=np.int64)
-    ms = A.support()
-    alphas = A.coefficients()
-    f_vals = _inner_exp_sums(q, targets, ms, alphas)
+        targets = np.array([pow(int(t), inv_power, mod.q) for t in inv], dtype=np.int64)
+    return _inner_exp_sums(mod.q, targets, A.support(), A.coefficients())
+
+
+def _fast_values(A: WeightVector) -> np.ndarray:
+    """f(x^-1) for every unit x, with the inner sums done by one length-q DFT."""
+    mod = A.modulus
+    dense = np.zeros(mod.q, dtype=np.complex128)
+    dense[A.support()] = A.coefficients()
+    f_all = mod.q * np.fft.ifft(dense)  # f_all[t] = sum_m alpha_m e_q(m t)
+    return f_all[inverse_table(mod)[unit_residues(mod)]]
+
+
+def _outer_sum(J: Interval, f_vals: np.ndarray, entry_err: float) -> SumResult:
+    """sum over units x of f_vals * gamma_x, with the inner rounding propagated.
+
+    ``f_vals`` is aligned with unit_residues(q) and each entry carries at
+    most ``entry_err``; each gamma value carries GAMMA_EVAL_ERR * eps * N.
+    """
     gam = _gamma_over_units(J)
     outer = _sum_terms(f_vals * gam)
-    # propagate inner rounding: each f value carries (M + 4) eps * ||A||_1,
-    # each gamma value GAMMA_EVAL_ERR * eps * N
-    l1A = A.norm1
     err_inner = float(
-        (ms.size + 4) * MACHINE_EPS * l1A * np.sum(np.abs(gam))
+        entry_err * np.sum(np.abs(gam))
         + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(f_vals))
     )
     return SumResult(
@@ -395,35 +406,20 @@ def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
     )
 
 
-def _fast_sum(A: WeightVector, J: Interval) -> SumResult:
-    """Transformed route with the inner sums done by one length-q DFT."""
-    mod = _check_shared_modulus(A, J)
-    q = mod.q
-    xs = unit_residues(mod)
-    inv = inverse_table(mod)
-    dense = np.zeros(q, dtype=np.complex128)
-    ms = A.support()
-    dense[ms] = A.coefficients()
-    f_all = q * np.fft.ifft(dense)  # f_all[t] = sum_m alpha_m e_q(m t)
-    gam = _gamma_over_units(J)
-    f_vals = f_all[inv[xs]]
-    outer = _sum_terms(f_vals * gam)
-    l1A = A.norm1
-    fft_entry_err = (4.0 * math.log2(max(q, 2)) + 8.0) * MACHINE_EPS * l1A
-    err_inner = float(
-        fft_entry_err * np.sum(np.abs(gam))
-        + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(f_vals))
-    )
-    return SumResult(
-        value=outer.value,
-        error_bound=outer.error_bound + err_inner,
-        terms=outer.terms,
-    )
+def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
+    """Transformed route: each direct inner sum carries (M + 4) eps * ||A||_1."""
+    entry_err = (A.support_size + 4) * MACHINE_EPS * A.norm1
+    return _outer_sum(J, _transformed_values(A, inv_power), entry_err)
 
 
-def _naive_kloosterman(A: WeightVector, J: Interval) -> SumResult:
-    mod = _check_shared_modulus(A, J)
-    cost = A.support_size * J.N * mod.phi
+def _naive_double_sum(weights, J: Interval, scalar, key=None) -> SumResult:
+    """Literal double sum of w * scalar(q, k, n) over supp(weights) x J.
+
+    ``scalar`` is :func:`kloosterman` or :func:`gauss`; the support is
+    walked in ``sorted(..., key=key)`` order.  Exists purely as an oracle.
+    """
+    mod = _check_shared_modulus(weights, J)
+    cost = weights.support_size * J.N * mod.phi
     if cost > NAIVE_COST_CAP:
         raise ResourceLimit(
             f"naive double sum cost M*N*phi = {cost} exceeds cap {NAIVE_COST_CAP}"
@@ -432,13 +428,13 @@ def _naive_kloosterman(A: WeightVector, J: Interval) -> SumResult:
     err = 0.0
     l1 = 0.0
     count = 0
-    for m in sorted(A.entries):
-        a = A.entries[m]
+    for k in sorted(weights.entries, key=key):
+        w = weights.entries[k]
         for n in J.values():
-            k = kloosterman(mod, m, n)
-            term = a * k.value
+            s = scalar(mod, k, n)
+            term = w * s.value
             total += term
-            err += abs(a) * k.error_bound
+            err += abs(w) * s.error_bound
             l1 += abs(term)
             count += 1
     return SumResult(
@@ -452,14 +448,15 @@ def bilinear_kloosterman(A: WeightVector, J: Interval, method: str = "fast") -> 
     """Weighted double sum of Kloosterman values over supp(A) x J."""
     if method not in _KLOOSTERMAN_METHODS:
         raise ValueError(f"method must be one of {_KLOOSTERMAN_METHODS}, got {method!r}")
-    _check_shared_modulus(A, J)
+    mod = _check_shared_modulus(A, J)
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
-        return _naive_kloosterman(A, J)
+        return _naive_double_sum(A, J, kloosterman)
     if method == "transformed":
         return _transformed_sum(A, J, inv_power=1)
-    return _fast_sum(A, J)
+    fft_entry_err = (4.0 * math.log2(max(mod.q, 2)) + 8.0) * MACHINE_EPS * A.norm1
+    return _outer_sum(J, _fast_values(A), fft_entry_err)
 
 
 def bilinear_generalized(A: WeightVector, J: Interval, k: int) -> SumResult:
@@ -475,33 +472,6 @@ def bilinear_generalized(A: WeightVector, J: Interval, k: int) -> SumResult:
     return _transformed_sum(A, J, inv_power=k)
 
 
-def _naive_gauss(W: CharWeightVector, J: Interval) -> SumResult:
-    mod = _check_shared_modulus(W, J)
-    cost = W.support_size * J.N * mod.phi
-    if cost > NAIVE_COST_CAP:
-        raise ResourceLimit(
-            f"naive double sum cost M*N*phi = {cost} exceeds cap {NAIVE_COST_CAP}"
-        )
-    total = 0j
-    err = 0.0
-    l1 = 0.0
-    count = 0
-    for chi in sorted(W.entries, key=lambda c: c.exponents):
-        w = W.entries[chi]
-        for n in J.values():
-            g = gauss(mod, chi, n)
-            term = w * g.value
-            total += term
-            err += abs(w) * g.error_bound
-            l1 += abs(term)
-            count += 1
-    return SumResult(
-        value=total,
-        error_bound=err + (count + 4) * MACHINE_EPS * l1,
-        terms=count,
-    )
-
-
 def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed") -> SumResult:
     """Weighted double sum of Gauss sums over supp(W) x J.
 
@@ -515,23 +485,12 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
     if W.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
-        return _naive_gauss(W, J)
+        return _naive_double_sum(W, J, gauss, key=lambda c: c.exponents)
     combined = np.zeros(mod.q, dtype=np.complex128)
     for chi in sorted(W.entries, key=lambda c: c.exponents):
         combined += W.entries[chi] * char_values(chi)
-    xs = unit_residues(mod)
-    gam = _gamma_over_units(J)
-    c_vals = combined[xs]
-    outer = _sum_terms(c_vals * gam)
-    err_inner = float(
-        (W.support_size + 4) * MACHINE_EPS * W.norm1 * np.sum(np.abs(gam))
-        + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(c_vals))
-    )
-    return SumResult(
-        value=outer.value,
-        error_bound=outer.error_bound + err_inner,
-        terms=outer.terms,
-    )
+    entry_err = (W.support_size + 4) * MACHINE_EPS * W.norm1
+    return _outer_sum(J, combined[unit_residues(mod)], entry_err)
 
 
 # ---------------------------------------------------------------------------
@@ -616,56 +575,34 @@ def moment_check(
 def dyadic_decomposition(
     A: WeightVector, J: Interval
 ) -> tuple[list[DyadicSet], list[complex], complex, bool]:
-    """Per-scale partial sums of the transformed route plus an exact check.
+    """Per-scale partial sums of the transformed route plus a coverage check.
 
-    The transformed summands f(x^-1) * gamma_x are computed once; each unit
-    is routed to its dyadic set by representative, and both the per-set
-    partials and the total are accumulated in exact rational arithmetic over
-    those float summands.  Reassembly (sum of partials == total) is then an
-    exact identity, not a floating-point coincidence; the returned flag
-    reports it.
+    The transformed summands f(x^-1) * gamma_x are computed once and each
+    unit is routed to its dyadic set by representative.  Partials and total
+    are compensated sums (math.fsum), correctly rounded from the exact sums
+    of those float summands.  The exact partials add up to the exact total
+    precisely when every unit lies in exactly one set; the returned flag
+    reports that coverage.
 
-    Returns (sets, partial_sums, total, exact_equal).
+    Returns (sets, partial_sums, total, covered).
     """
     mod = _check_shared_modulus(A, J)
     q = mod.q
     xs = unit_residues(mod)
-    inv = inverse_table(mod)
-    ms = A.support()
-    alphas = A.coefficients()
-    if ms.size:
-        f_vals = _inner_exp_sums(q, inv[xs], ms, alphas)
-    else:
-        f_vals = np.zeros(xs.shape, dtype=np.complex128)
-    gam = _gamma_over_units(J)
-    terms = f_vals * gam
+    terms = _transformed_values(A) * _gamma_over_units(J)
 
     sets = dyadic_partition(mod, J.N)
-    by_member: dict[int, int] = {}
+    owner = np.full(q, -1, dtype=np.int64)
+    hits = np.zeros(q, dtype=np.int64)
     for idx, ds in enumerate(sets):
-        for x in ds.members:
-            by_member[x % q] = idx
+        members = np.array(ds.members, dtype=np.int64) % q
+        owner[members] = idx
+        np.add.at(hits, members, 1)
+    covered = bool(np.all(hits[xs] == 1))
+    owner = owner[xs]
 
-    partial_re = [Fraction(0)] * len(sets)
-    partial_im = [Fraction(0)] * len(sets)
-    total_re, total_im = Fraction(0), Fraction(0)
-    covered = 0
-    for x, t in zip(xs, terms):
-        idx = by_member.get(int(x))
-        re, im = Fraction(float(t.real)), Fraction(float(t.imag))
-        total_re += re
-        total_im += im
-        if idx is not None:
-            partial_re[idx] += re
-            partial_im[idx] += im
-            covered += 1
-    exact = (
-        covered == xs.size
-        and sum(partial_re, Fraction(0)) == total_re
-        and sum(partial_im, Fraction(0)) == total_im
-    )
-    partials = [
-        complex(float(pr), float(pi)) for pr, pi in zip(partial_re, partial_im)
-    ]
-    total = complex(float(total_re), float(total_im))
-    return sets, partials, total, exact
+    def fsum(t: np.ndarray) -> complex:
+        return complex(math.fsum(t.real), math.fsum(t.imag))
+
+    partials = [fsum(terms[owner == idx]) for idx in range(len(sets))]
+    return sets, partials, fsum(terms), covered

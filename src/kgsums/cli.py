@@ -70,7 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=0, help="interval offset")
     p.add_argument("--weights", choices=("const", "pm1", "unit"), default="const")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", default="fast", help="comma-separated evaluation methods")
+    p.add_argument(
+        "--method",
+        default=None,
+        help="comma-separated evaluation methods (default: the family's route)",
+    )
     p.add_argument("--k", type=int, default=1, help="inverse-power kernel exponent")
     p.add_argument("--family", choices=("kloosterman", "gauss"), default="kloosterman")
     p.add_argument("--out", default=None, help="write records as CSV")
@@ -130,10 +134,14 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_bilinear(args) -> int:
-    methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
+    methods = tuple(m.strip() for m in (args.method or "").split(",") if m.strip())
     if args.k != 1:
         if args.family != "kloosterman":
             raise DomainRestriction("--k applies to the kloosterman family only")
+        if set(methods) - {"transformed"}:
+            raise DomainRestriction(
+                f"--k {args.k} has only the transformed route, got --method {args.method}"
+            )
         mod = Modulus.of(args.q)
         weights = build_weight_vector(mod, args.M, args.weights, args.seed)
         J = Interval.of(mod, args.L, args.N)

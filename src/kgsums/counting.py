@@ -3,8 +3,8 @@
 Counts the 2r-tuples from {x <= K : gcd(x, q) = 1} whose r-fold inverse
 sums (or r-fold products) agree mod q, plus the integer-equation analogues
 over [1, K] without a modulus.  All arithmetic is exact: the fold tables
-hold machine integers while provably below the int64 overflow line and fall
-back to Python big-int dictionaries otherwise; final tallies are Python
+hold machine integers while provably below the int64 overflow line and
+Python ints in object-dtype arrays otherwise; final tallies are Python
 ints.  Exhaustive tuple enumeration is kept alongside every folded route as
 an independent oracle.
 """
@@ -59,60 +59,24 @@ def _admissible(q: Modulus, K: int) -> list[int]:
     return [x for x in range(1, K + 1) if math.gcd(x, q.q) == 1]
 
 
-def _fold_additive(q: int, base: list[int], r: int) -> list[int]:
-    """Counts of r-fold sums of ``base`` residues mod q, exact."""
-    if max(len(base), 1) ** r < _INT64_SAFE:
-        v = np.zeros(q, dtype=np.int64)
-        for s in base:
-            v[s % q] += 1
-        acc = v.copy()
-        for _ in range(r - 1):
-            nxt = np.zeros(q, dtype=np.int64)
-            for s in base:
-                nxt += np.roll(acc, s % q)
-            acc = nxt
-        return [int(c) for c in acc]
-    acc_d: dict[int, int] = {}
-    for s in base:
-        acc_d[s % q] = acc_d.get(s % q, 0) + 1
-    start = dict(acc_d)
-    for _ in range(r - 1):
-        nxt_d: dict[int, int] = {}
-        for t, c in acc_d.items():
-            for s in start:
-                u = (t + s) % q
-                nxt_d[u] = nxt_d.get(u, 0) + c * start[s]
-        acc_d = nxt_d
-    return [acc_d.get(t, 0) for t in range(q)]
+def _fold(q: int, base: list[int], r: int, move) -> list[int]:
+    """Counts of r-fold sums or products of ``base`` residues mod q, exact.
 
-
-def _fold_multiplicative(q: int, base: list[int], r: int) -> list[int]:
-    """Counts of r-fold products of ``base`` residues mod q, exact."""
-    idx = np.arange(q, dtype=np.int64)
-    if max(len(base), 1) ** r < _INT64_SAFE:
-        v = np.zeros(q, dtype=np.int64)
-        for s in base:
-            v[s % q] += 1
-        acc = v.copy()
-        for _ in range(r - 1):
-            nxt = np.zeros(q, dtype=np.int64)
-            for s in base:
-                # s is a unit, so multiplication by s permutes residues
-                nxt[idx * (s % q) % q] += acc
-            acc = nxt
-        return [int(c) for c in acc]
-    acc_d: dict[int, int] = {}
+    ``move(acc, s)`` returns the count vector shifted by the residue s: a
+    rotation for sums, the unit permutation t -> t*s for products.  Counts
+    are at most len(base)**r, so they are int64 below the overflow line and
+    Python ints in an object array above it.
+    """
+    dtype = np.int64 if max(len(base), 1) ** r < _INT64_SAFE else object
+    acc = np.zeros(q, dtype=dtype)
     for s in base:
-        acc_d[s % q] = acc_d.get(s % q, 0) + 1
-    start = dict(acc_d)
+        acc[s] += 1
     for _ in range(r - 1):
-        nxt_d: dict[int, int] = {}
-        for t, c in acc_d.items():
-            for s in start:
-                u = t * s % q
-                nxt_d[u] = nxt_d.get(u, 0) + c * start[s]
-        acc_d = nxt_d
-    return [acc_d.get(t, 0) for t in range(q)]
+        nxt = np.zeros(q, dtype=dtype)
+        for s in base:
+            nxt += move(acc, s)
+        acc = nxt
+    return [int(c) for c in acc]
 
 
 def _check_convolution_caps(q: Modulus, r: int) -> None:
@@ -123,8 +87,9 @@ def _check_convolution_caps(q: Modulus, r: int) -> None:
         )
 
 
-def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, additive: bool) -> int:
-    """Literal 2r-tuple enumeration: fold r-tuples directly, compare all pairs."""
+def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc) -> int:
+    """Literal 2r-tuple enumeration: fold r-tuples with ``op`` (np.add or
+    np.multiply) mod q directly, compare all pairs."""
     n = int(vals.size)
     if n**(2 * r) > EXHAUSTIVE_TUPLE_CAP:
         raise ResourceLimit(
@@ -133,10 +98,7 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, additive: bool) -> 
         )
     folded = vals.copy()
     for _ in range(r - 1):
-        if additive:
-            folded = (folded[:, None] + vals[None, :]).reshape(-1) % q
-        else:
-            folded = (folded[:, None] * vals[None, :]).reshape(-1) % q
+        folded = op.outer(folded, vals).reshape(-1) % q
     total = 0
     chunk = max(1, 10**7 // max(folded.size, 1))
     for start in range(0, folded.size, chunk):
@@ -149,9 +111,7 @@ def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold inverse sums of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
-    inv = inverse_table(mod)
-    residues = [int(inv[x]) for x in base]
-    counts = _fold_additive(mod.q, residues, r) if base else [0] * mod.q
+    counts = _fold(mod.q, inverse_table(mod)[base].tolist(), r, np.roll)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=len(base))
 
 
@@ -159,49 +119,68 @@ def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
-    counts = _fold_multiplicative(mod.q, base, r) if base else [0] * mod.q
+    idx = np.arange(mod.q, dtype=np.int64)
+
+    def multiply(acc: np.ndarray, s: int) -> np.ndarray:
+        # s is a unit, so multiplication by s permutes the residues
+        moved = np.empty_like(acc)
+        moved[idx * s % mod.q] = acc
+        return moved
+
+    counts = _fold(mod.q, base, r, multiply)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=len(base))
+
+
+def _congruence_count(q: "Modulus | int", K: int, r: int, method: str, reciprocal: bool) -> int:
+    """Pairs of r-tuples of admissible x <= K whose inverse sums
+    (``reciprocal``) or products agree mod q."""
+    mod = Modulus.of(q)
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    base = _admissible(mod, K)
+    if method == "convolution":
+        _check_convolution_caps(mod, r)
+        table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
+        return sum(c * c for c in table.counts)
+    if method == "exhaustive":
+        if not base:
+            return 0
+        if reciprocal:
+            return _exhaustive_pair_count(inverse_table(mod)[base], mod.q, r, np.add)
+        return _exhaustive_pair_count(np.array(base, dtype=np.int64), mod.q, r, np.multiply)
+    raise ValueError(f"method must be 'convolution' or 'exhaustive', got {method!r}")
 
 
 def jr_congruence(q: "Modulus | int", K: int, r: int, method: str = "convolution") -> int:
     """Solutions of 1/x_1 + .. + 1/x_r = 1/x_{r+1} + .. + 1/x_{2r} mod q
     with 1 <= x_i <= K and gcd(x_i, q) = 1 (inverses require coprimality).
     """
-    mod = Modulus.of(q)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    base = _admissible(mod, K)
-    if method == "convolution":
-        _check_convolution_caps(mod, r)
-        table = reciprocal_table(mod, K, r)
-        return sum(c * c for c in table.counts)
-    if method == "exhaustive":
-        if not base:
-            return 0
-        inv = inverse_table(mod)
-        vals = np.array([int(inv[x]) for x in base], dtype=np.int64)
-        return _exhaustive_pair_count(vals, mod.q, r, additive=True)
-    raise ValueError(f"method must be 'convolution' or 'exhaustive', got {method!r}")
+    return _congruence_count(q, K, r, method, reciprocal=True)
 
 
 def rr_congruence(q: "Modulus | int", K: int, r: int, method: str = "convolution") -> int:
     """Solutions of x_1 * .. * x_r = x_{r+1} * .. * x_{2r} mod q with
     1 <= x_i <= K and gcd(x_i, q) = 1.
     """
-    mod = Modulus.of(q)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    base = _admissible(mod, K)
-    if method == "convolution":
-        _check_convolution_caps(mod, r)
-        table = product_table(mod, K, r)
-        return sum(c * c for c in table.counts)
-    if method == "exhaustive":
-        if not base:
-            return 0
-        vals = np.array(base, dtype=np.int64)
-        return _exhaustive_pair_count(vals, mod.q, r, additive=False)
-    raise ValueError(f"method must be 'convolution' or 'exhaustive', got {method!r}")
+    return _congruence_count(q, K, r, method, reciprocal=False)
+
+
+def _equation_count(vals: list[int], r: int, op: np.ufunc, wide: bool) -> int:
+    """Sum of squared multiplicities of the r-fold sums or products of vals.
+
+    The r-tuples are enumerated in int64, or as Python ints in an object
+    array when ``wide`` (a tighter cap: big ints are wide).
+    """
+    if wide and len(vals) ** r > EQUATION_TUPLE_CAP // 10:
+        raise ResourceLimit(
+            f"big-integer equation path capped at K^r <= {EQUATION_TUPLE_CAP // 10}"
+        )
+    arr = np.array(vals, dtype=object if wide else np.int64)
+    folded = arr
+    for _ in range(r - 1):
+        folded = op.outer(folded, arr).reshape(-1)
+    _, counts = np.unique(folded, return_counts=True)
+    return sum(int(c) * int(c) for c in counts)
 
 
 def jr_equation(K: int, r: int) -> int:
@@ -216,27 +195,7 @@ def jr_equation(K: int, r: int) -> int:
         raise ResourceLimit(f"K^r = {K ** r} exceeds cap {EQUATION_TUPLE_CAP}")
     L = math.lcm(*range(1, K + 1))
     scaled = [L // x for x in range(1, K + 1)]
-    if r * L < _INT64_SAFE:
-        vals = np.array(scaled, dtype=np.int64)
-        folded = vals.copy()
-        for _ in range(r - 1):
-            folded = (folded[:, None] + vals[None, :]).reshape(-1)
-        _, counts = np.unique(folded, return_counts=True)
-        return int(sum(int(c) * int(c) for c in counts))
-    # big-integer fold via dict accumulation (tighter cap: big ints are wide)
-    if K**r > EQUATION_TUPLE_CAP // 10:
-        raise ResourceLimit(
-            f"big-integer equation path capped at K^r <= {EQUATION_TUPLE_CAP // 10}"
-        )
-    acc: dict[int, int] = {0: 1}
-    for _ in range(r):
-        nxt: dict[int, int] = {}
-        for s, c in acc.items():
-            for w in scaled:
-                t = s + w
-                nxt[t] = nxt.get(t, 0) + c
-        acc = nxt
-    return sum(c * c for c in acc.values())
+    return _equation_count(scaled, r, np.add, wide=r * L >= _INT64_SAFE)
 
 
 def rr_equation(K: int, r: int) -> int:
@@ -245,26 +204,7 @@ def rr_equation(K: int, r: int) -> int:
         raise ValueError("K and r must be >= 1")
     if K**r > EQUATION_TUPLE_CAP:
         raise ResourceLimit(f"K^r = {K ** r} exceeds cap {EQUATION_TUPLE_CAP}")
-    if K**r < _INT64_SAFE:
-        vals = np.arange(1, K + 1, dtype=np.int64)
-        folded = vals.copy()
-        for _ in range(r - 1):
-            folded = (folded[:, None] * vals[None, :]).reshape(-1)
-        _, counts = np.unique(folded, return_counts=True)
-        return int(sum(int(c) * int(c) for c in counts))
-    if K**r > EQUATION_TUPLE_CAP // 10:
-        raise ResourceLimit(
-            f"big-integer equation path capped at K^r <= {EQUATION_TUPLE_CAP // 10}"
-        )
-    acc: dict[int, int] = {1: 1}
-    for _ in range(r):
-        nxt: dict[int, int] = {}
-        for s, c in acc.items():
-            for x in range(1, K + 1):
-                t = s * x
-                nxt[t] = nxt.get(t, 0) + c
-        acc = nxt
-    return sum(c * c for c in acc.values())
+    return _equation_count(list(range(1, K + 1)), r, np.multiply, wide=K**r >= _INT64_SAFE)
 
 
 def dyadic_average(

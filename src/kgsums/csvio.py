@@ -145,7 +145,7 @@ def default_plan() -> RunPlan:
             "L": 0,
             "weights": "const",
             "seed": 1,
-            "method": "fast",
+            "method": None,  # the family's route
             "k": 1,
             "family": "kloosterman",
             "out": None,

@@ -291,11 +291,12 @@ def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
 
 @lru_cache(maxsize=2048)
 def char_values(chi: DirichletCharacter) -> np.ndarray:
-    """chi(x) for x = 0..q-1 as a complex vector (0 at non-units)."""
+    """chi(x) for x = 0..q-1 as a read-only complex vector (0 at non-units)."""
     tables = _char_tables(chi.modulus)
     t = tables.angle_numerators(chi.exponents)
     vals = np.exp(2j * np.pi * t / tables.order_lcm)
     vals[~tables.mask] = 0.0
+    vals.flags.writeable = False  # cached: every caller shares this array
     return vals
 
 

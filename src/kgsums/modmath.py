@@ -257,21 +257,23 @@ def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             inv[x] = pow(int(x), -1, q)
     units = idx[mask]
     tables = (units, inv, mask)
+    for arr in tables:
+        arr.flags.writeable = False  # shared by every caller
     with _lock:
         _unit_table_cache.setdefault(q, tables)
     return tables
 
 
 def unit_residues(q: "Modulus | int") -> np.ndarray:
-    """Units of Z_q^* in [1, q), ascending (int64 array; do not mutate)."""
+    """Units of Z_q^* in [1, q), ascending (read-only int64 array)."""
     return _unit_tables(Modulus.of(q).q)[0]
 
 
 def inverse_table(q: "Modulus | int") -> np.ndarray:
-    """Array inv of length q with inv[x] = x^-1 mod q for units, else 0."""
+    """Read-only array inv of length q with inv[x] = x^-1 mod q for units, else 0."""
     return _unit_tables(Modulus.of(q).q)[1]
 
 
 def unit_mask(q: "Modulus | int") -> np.ndarray:
-    """Boolean array over [0, q) marking residues coprime to q."""
+    """Read-only boolean array over [0, q) marking residues coprime to q."""
     return _unit_tables(Modulus.of(q).q)[2]

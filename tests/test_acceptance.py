@@ -248,13 +248,13 @@ def test_criterion_07_gamma_and_dyadic():
             )
             assert seen == units, f"q={q}, N={N}"
 
-    # reassembly of per-scale partial sums is exactly the full sum
+    # per-scale partial sums cover every unit exactly once, so they reassemble
     for q, M, N in ((47, 7, 11), (120, 16, 59), (499, 31, 250)):
         mod = Modulus.of(q)
         keys = [int(u) for u in unit_residues(mod)[:M]]
         w = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 77))))
-        _, partials, total, exact = dyadic_decomposition(w, Interval.of(mod, 0, N))
-        assert exact
+        _, partials, total, covered = dyadic_decomposition(w, Interval.of(mod, 0, N))
+        assert covered
     print("\nACCEPTANCE 07 gamma and dyadic suite: PASS (bound, partition, reassembly)")
 
 

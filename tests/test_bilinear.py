@@ -468,9 +468,9 @@ def test_dyadic_reassembly_exact():
         keys = [int(u) for u in units[:M]]
         w = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 11))))
         J = Interval.of(mod, 0, N)
-        sets, partials, total, exact = dyadic_decomposition(w, J)
-        assert exact  # reassembly is an exact rational identity
+        sets, partials, total, covered = dyadic_decomposition(w, J)
+        assert covered  # every unit lies in exactly one set, so partials reassemble
         assert len(partials) == len(sets)
-        # and the exact total matches the float transformed path within budget
+        # and the correctly rounded total matches the transformed path within budget
         ref = bilinear_kloosterman(w, J, "transformed")
         assert abs(total - ref.value) <= ref.error_bound + 1e-9

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgsums.counting as counting
 from kgsums import (
     ResourceLimit,
     SplitMix64,
@@ -143,6 +144,37 @@ def test_diagonal_lower_bounds(q, K, r):
     assert rr >= kp**r
     if r == 2:
         assert j >= 2 * kp * kp - kp  # swapped diagonal pairs all solve
+
+
+def test_wide_paths_match_int64_and_oracle(monkeypatch):
+    # lowering the overflow line sends every fold and equation down the
+    # object-dtype (Python int) path, which no realistic input reaches
+    cases = ((7, 4, 2), (12, 9, 3), (25, 10, 2), (31, 6, 3))
+    narrow = {
+        c: (reciprocal_table(*c), product_table(*c), jr_congruence(*c), rr_congruence(*c))
+        for c in cases
+    }
+    equations = {(K, r): (jr_equation(K, r), rr_equation(K, r)) for K, r in ((6, 2), (10, 3))}
+    monkeypatch.setattr(counting, "_INT64_SAFE", 2)
+    for c in cases:
+        rt, pt, jr, rr = narrow[c]
+        assert reciprocal_table(*c) == rt
+        assert product_table(*c) == pt
+        assert jr_congruence(*c) == jr == jr_congruence(*c, method="exhaustive")
+        assert rr_congruence(*c) == rr == rr_congruence(*c, method="exhaustive")
+    for (K, r), (jr, rr) in equations.items():
+        assert (jr_equation(K, r), rr_equation(K, r)) == (jr, rr)
+
+
+def test_jr_equation_big_integer_path():
+    # lcm(1..45) * 2 exceeds the int64 line; count 1/a + 1/b = 1/c + 1/d exactly
+    K = 45
+    sums: dict[Fraction, int] = {}
+    for a in range(1, K + 1):
+        for b in range(1, K + 1):
+            s = Fraction(1, a) + Fraction(1, b)
+            sums[s] = sums.get(s, 0) + 1
+    assert jr_equation(K, 2) == sum(c * c for c in sums.values())
 
 
 def test_rejects_bad_inputs():

@@ -14,6 +14,7 @@ from kgsums import (
     characters,
     gauss,
     gauss_row,
+    inverse_table,
     kloosterman,
     kloosterman_row,
     primitive_characters,
@@ -38,6 +39,15 @@ def test_kloosterman_examples():
     expected = 2 + 2 * math.cos(4 * math.pi / 5)
     assert abs(kloosterman(5, 1, 1).value - expected) < 1e-12
     assert abs(kloosterman(5, 1, 1).value - 0.3819660) < 1e-6
+
+
+def test_cached_arrays_read_only():
+    before = kloosterman(13, 1, 1).value
+    chi = primitive_characters(13)[0]
+    for arr in (unit_residues(13), inverse_table(13), unit_mask(13), char_values(chi)):
+        with pytest.raises(ValueError):
+            arr[1] = arr[2]
+    assert kloosterman(13, 1, 1).value == before
 
 
 def test_kloosterman_real_within_budget():

@@ -374,6 +374,12 @@ def test_cli_plan_roundtrip(tmp_path):
     assert proc.returncode == 0
     assert "ratio" in proc.stdout
 
+    # the default plan leaves the method to the family, so gauss runs too
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "family": "gauss"}))
+    proc = _run_cli("plan", "--config", str(cfg))
+    assert proc.returncode == 0
+    assert "thm23" in proc.stdout
+
 
 def test_cli_plan_unknown_key(tmp_path):
     cfg = tmp_path / "plan.json"
@@ -385,12 +391,25 @@ def test_cli_plan_unknown_key(tmp_path):
     assert "tau" in payload["message"]
 
 
+def test_cli_bilinear_gauss_default_method():
+    # with no --method each family runs its own default route
+    proc = _run_cli("bilinear", "--q", "13", "--M", "3", "--N", "5", "--family", "gauss")
+    assert proc.returncode == 0
+    assert "thm23" in proc.stdout
+
+
 def test_cli_generalized_kernel():
     proc = _run_cli(
         "bilinear", "--q", "11", "--M", "3", "--N", "4", "--k", "2", "--seed", "1"
     )
     assert proc.returncode == 0
     assert "|S|" in proc.stdout
+
+    # k != 1 has only the transformed route; any other method is refused
+    proc = _run_cli("bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2", "--method", "naive")
+    assert proc.returncode == 2
+    payload = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert payload["category"] == "domain_restriction"
 
 
 def test_cli_verify():
