@@ -20,23 +20,16 @@ from pathlib import Path
 
 try:
     from kgsums import emit_csv, run_experiment
+    from kgsums.experiments import primes_in_range
 except ImportError:  # fresh checkout without install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from kgsums import emit_csv, run_experiment
+    from kgsums.experiments import primes_in_range
 
 BASELINES = Path(__file__).resolve().parent.parent / "tests" / "baselines.json"
 
 GRID_SEEDS = (1, 2, 3, 4, 5)
 PRIME_LO, PRIME_HI = 101, 2003
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(hi**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(lo, hi + 1) if sieve[p]]
 
 
 def run_grid() -> tuple[list, float]:

@@ -345,6 +345,7 @@ def representative(x: int, q: "Modulus | int") -> int:
 
 _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
+_GENERALIZED_METHODS = ("transformed", "fast")
 
 _X_BLOCK = 4096  # row block for the transformed inner product
 
@@ -367,24 +368,27 @@ def _inner_exp_sums(q: int, targets: np.ndarray, ms: np.ndarray, alphas: np.ndar
     return out
 
 
-def _transformed_values(A: WeightVector, inv_power: int = 1) -> np.ndarray:
-    """f((x^-1)^k) for every unit x, aligned with unit_residues(q), by direct inner sums."""
-    mod = A.modulus
+def _inverse_powers(mod: Modulus, inv_power: int) -> np.ndarray:
+    """(x^-1)^k mod q for every unit x, aligned with unit_residues(q)."""
     inv = inverse_table(mod)[unit_residues(mod)]
     if inv_power == 1:
-        targets = inv
-    else:
-        targets = np.array([pow(int(t), inv_power, mod.q) for t in inv], dtype=np.int64)
-    return _inner_exp_sums(mod.q, targets, A.support(), A.coefficients())
+        return inv
+    return np.array([pow(int(t), inv_power, mod.q) for t in inv], dtype=np.int64)
 
 
-def _fast_values(A: WeightVector) -> np.ndarray:
-    """f(x^-1) for every unit x, with the inner sums done by one length-q DFT."""
+def _transformed_values(A: WeightVector, inv_power: int = 1) -> np.ndarray:
+    """f((x^-1)^k) for every unit x, aligned with unit_residues(q), by direct inner sums."""
+    targets = _inverse_powers(A.modulus, inv_power)
+    return _inner_exp_sums(A.modulus.q, targets, A.support(), A.coefficients())
+
+
+def _fast_values(A: WeightVector, inv_power: int) -> np.ndarray:
+    """f((x^-1)^k) for every unit x, with the inner sums done by one length-q DFT."""
     mod = A.modulus
     dense = np.zeros(mod.q, dtype=np.complex128)
     dense[A.support()] = A.coefficients()
     f_all = mod.q * np.fft.ifft(dense)  # f_all[t] = sum_m alpha_m e_q(m t)
-    return f_all[inverse_table(mod)[unit_residues(mod)]]
+    return f_all[_inverse_powers(mod, inv_power)]
 
 
 def _outer_sum(J: Interval, f_vals: np.ndarray, entry_err: float) -> SumResult:
@@ -410,6 +414,15 @@ def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
     """Transformed route: each direct inner sum carries (M + 4) eps * ||A||_1."""
     entry_err = (A.support_size + 4) * MACHINE_EPS * A.norm1
     return _outer_sum(J, _transformed_values(A, inv_power), entry_err)
+
+
+def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
+    """Fast route: each DFT entry carries (4 log2 q + 8) eps * ||A||_1."""
+    entry_err = (4.0 * math.log2(A.modulus.q) + 8.0) * MACHINE_EPS * A.norm1
+    return _outer_sum(J, _fast_values(A, inv_power), entry_err)
+
+
+_ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
 
 
 def _naive_double_sum(weights, J: Interval, scalar, key=None) -> SumResult:
@@ -448,28 +461,30 @@ def bilinear_kloosterman(A: WeightVector, J: Interval, method: str = "fast") -> 
     """Weighted double sum of Kloosterman values over supp(A) x J."""
     if method not in _KLOOSTERMAN_METHODS:
         raise ValueError(f"method must be one of {_KLOOSTERMAN_METHODS}, got {method!r}")
-    mod = _check_shared_modulus(A, J)
+    _check_shared_modulus(A, J)
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
         return _naive_double_sum(A, J, kloosterman)
-    if method == "transformed":
-        return _transformed_sum(A, J, inv_power=1)
-    fft_entry_err = (4.0 * math.log2(max(mod.q, 2)) + 8.0) * MACHINE_EPS * A.norm1
-    return _outer_sum(J, _fast_values(A), fft_entry_err)
+    return _ROUTES[method](A, J, 1)
 
 
-def bilinear_generalized(A: WeightVector, J: Interval, k: int) -> SumResult:
-    """Bilinear form with kernel e_q(m * x^-k + n * x), transformed route.
+def bilinear_generalized(
+    A: WeightVector, J: Interval, k: int, method: str = "transformed"
+) -> SumResult:
+    """Bilinear form with kernel e_q(m * x^-k + n * x).
 
-    k = 1 reduces to :func:`bilinear_kloosterman`'s transformed path.
+    ``method`` is ``transformed`` or ``fast``; k = 1 reduces to the same
+    route of :func:`bilinear_kloosterman`.
     """
     if k < 1:
         raise ValueError(f"kernel power k must be >= 1, got {k}")
+    if method not in _GENERALIZED_METHODS:
+        raise ValueError(f"method must be one of {_GENERALIZED_METHODS}, got {method!r}")
     _check_shared_modulus(A, J)
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
-    return _transformed_sum(A, J, inv_power=k)
+    return _ROUTES[method](A, J, k)
 
 
 def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed") -> SumResult:
@@ -530,11 +545,10 @@ def moment_check(
     g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
     inv = inverse_table(mod)
     xbars = inv[np.array(xs, dtype=np.int64)]
-
-    m_all = np.arange(mod.q, dtype=np.int64)
-    phases = m_all[:, None] * xbars[None, :] % mod.q
-    inner = np.exp(2j * np.pi * phases / mod.q) @ g
-    lhs = float(np.sum(np.abs(inner) ** (2 * r)))
+    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
+    h[xbars] = g
+    # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
+    lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
 
     n_tuples = len(xs) ** (2 * r)
     if method == "auto":
@@ -553,9 +567,6 @@ def moment_check(
         rhs_c = mod.q * np.sum(match * (prods[:, None] * np.conj(prods)[None, :]))
         rhs = float(rhs_c.real)
     elif method == "convolution":
-        h = np.zeros(mod.q, dtype=np.complex128)
-        for xb, gv in zip(xbars, g):
-            h[xb] += gv
         H = h.copy()
         for _ in range(r - 1):
             full = np.convolve(H, h)

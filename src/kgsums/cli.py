@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bilinear import Interval, bilinear_generalized, bilinear_kloosterman
+from .bilinear import _GENERALIZED_METHODS, Interval, bilinear_generalized
 from .bounds import improvement_region
 from .counting import (
     dyadic_average,
@@ -26,6 +26,7 @@ from .errors import ConfigError, DomainRestriction, KgsumsError, VerificationErr
 from .experiments import (
     average_sweep,
     build_weight_vector,
+    cross_check,
     exceptional_budget,
     run_experiment,
 )
@@ -138,16 +139,22 @@ def _cmd_bilinear(args) -> int:
     if args.k != 1:
         if args.family != "kloosterman":
             raise DomainRestriction("--k applies to the kloosterman family only")
-        if set(methods) - {"transformed"}:
+        if set(methods) - set(_GENERALIZED_METHODS):
             raise DomainRestriction(
-                f"--k {args.k} has only the transformed route, got --method {args.method}"
+                f"--k {args.k} has the routes {', '.join(_GENERALIZED_METHODS)}, "
+                f"got --method {args.method}"
             )
+        # the requested routes first (the first one is reported), then the rest
+        methods += tuple(m for m in _GENERALIZED_METHODS if m not in methods)
         mod = Modulus.of(args.q)
         weights = build_weight_vector(mod, args.M, args.weights, args.seed)
         J = Interval.of(mod, args.L, args.N)
-        res = bilinear_generalized(weights, J, args.k)
+        results = [bilinear_generalized(weights, J, args.k, m) for m in methods]
+        cross_check(methods, results, mod.q)
+        res = results[0]
         print(f"S_{{{args.k},{args.q}}} = {res.value:.15g}, |S| = {abs(res.value):.15g}")
         print(f"error_bound = {res.error_bound:.3e}")
+        print(f"routes {', '.join(methods)} agree within their error budgets")
         return 0
     records = run_experiment(
         args.q,

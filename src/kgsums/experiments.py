@@ -13,8 +13,9 @@ share bound values and differ in the measured sum.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass
 
@@ -30,12 +31,9 @@ from .bilinear import (
 )
 from .bounds import BoundSpec, bound_value
 from .errors import VerificationError
-from .expsums import kloosterman_row, primitive_characters
+from .expsums import SumResult, kloosterman_row, primitive_characters
 from .modmath import Modulus, unit_residues
 from .prng import derive_seed
-
-_lock = threading.Lock()
-_max_kloosterman_cache: dict[int, float] = {}
 
 FAMILIES = ("kloosterman", "gauss")
 
@@ -74,16 +72,34 @@ def max_kloosterman_abs(q: "Modulus | int") -> float:
     for every unit m and every n in [1, q-1], which is exactly the range a
     weighted form can touch; it feeds the exact trivial bound.
     """
-    mod = Modulus.of(q)
-    with _lock:
-        cached = _max_kloosterman_cache.get(mod.q)
-    if cached is not None:
-        return cached
-    row = kloosterman_row(mod, 1)
-    value = float(np.max(np.abs(row[1:]))) if mod.q > 1 else 0.0
-    with _lock:
-        _max_kloosterman_cache.setdefault(mod.q, value)
-    return value
+    return _max_kloosterman_abs(Modulus.of(q).q)
+
+
+@functools.cache
+def _max_kloosterman_abs(q: int) -> float:
+    return float(np.max(np.abs(kloosterman_row(q, 1)[1:])))
+
+
+def cross_check(methods: tuple[str, ...], results: list[SumResult], q: int) -> None:
+    """Raise VerificationError unless every pair of routes agrees within its budgets."""
+    for (m1, r1), (m2, r2) in itertools.combinations(zip(methods, results), 2):
+        gap = abs(r1.value - r2.value)
+        budget = r1.error_bound + r2.error_bound
+        if gap > budget:
+            raise VerificationError(
+                f"methods {m1} and {m2} differ by {gap:.3e} "
+                f"with combined budget {budget:.3e} (q={q})"
+            )
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
+    return [p for p in range(lo, hi + 1) if sieve[p]]
 
 
 def _default_bounds(family: str, prime: bool) -> list[BoundSpec]:
@@ -161,15 +177,7 @@ def run_experiment(
         results = [bilinear_gauss(weights, J, m) for m in methods]
         max_term = math.sqrt(mod.q)
 
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            gap = abs(results[i].value - results[j].value)
-            budget = results[i].error_bound + results[j].error_bound
-            if gap > budget:
-                raise VerificationError(
-                    f"methods {methods[i]} and {methods[j]} differ by {gap:.3e} "
-                    f"with combined budget {budget:.3e} (q={mod.q})"
-                )
+    cross_check(methods, results, mod.q)
 
     primary = results[0]
     abs_sum = abs(primary.value)

@@ -23,11 +23,10 @@ the uniform formula.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -44,9 +43,6 @@ from .modmath import (
 )
 
 _COMPENSATED_THRESHOLD = 1024
-
-_lock = threading.Lock()
-_char_table_cache: dict[int, "_CharTables"] = {}
 
 
 @dataclass(frozen=True)
@@ -145,6 +141,29 @@ class DirichletCharacter:
         return char_eval(self, x)
 
 
+def _valuation(k: int, p: int) -> int:
+    """The exponent of p in k != 0."""
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def _local_conductor(p: int, e: int, ks: tuple[int, ...]) -> int:
+    """Conductor of the character with exponents ks on the units mod p^e."""
+    if not any(ks):
+        return 1
+    if len(ks) == 1:  # cyclic: odd p^e, or 4
+        return p ** (e - min(_valuation(ks[0], p), e - 1))
+    a, b = ks  # 2^e with e >= 3, generators (-1, 3)
+    if b == 0:
+        return 8
+    if a == 1 and b == 1 << (e - 3):
+        return 4
+    return 2 ** (e - _valuation(b, 2))
+
+
 class _CharTables:
     """Per-modulus lookup structure for character evaluation.
 
@@ -153,87 +172,50 @@ class _CharTables:
     ``order_lcm`` is the lcm D of all generator orders and ``weights[j]`` is
     D // order_j, so a character with exponents k has angle numerator
     T(x) = sum_j exp_arrays[j][x] * k_j * weights[j]  (mod D).
+
+    The conductor is the product over the prime-power components p^e of a
+    closed-form local conductor.  For a cyclic component (odd p^e, or 4)
+    with exponent k it is 1 if k = 0, else p^(e - min(v_p(k), e - 1)).  For
+    2^e with e >= 3 and exponents (a, b) on the generators (-1, 3) it is 1
+    for (0, 0), 8 for b = 0 and a = 1, 4 for (1, 2^(e-3)), and otherwise
+    2^(e - v_2(b)).
     """
 
-    def __init__(self, mod: Modulus):
-        self.mod = mod
-        q = mod.q
-        struct = unit_group(mod)
-        self.struct = struct
-        self.orders: list[int] = []
+    def __init__(self, q: int):
+        self.mod = Modulus.of(q)
+        self.struct = unit_group(q)
+        self.orders = list(self.struct.orders)
+        self.mask = unit_mask(q)
         self.exp_arrays: list[np.ndarray] = []
-        self.mask = unit_mask(mod)
-        self.comp_slices: list[tuple[int, int]] = []  # flat index range per component
-        self.comp_locals: list[dict] = []
-
-        flat = 0
-        for comp in struct.components:
+        x = np.arange(q, dtype=np.int64)
+        for comp in self.struct.components:
+            if not comp.generators:
+                continue  # units mod 2: the trivial group
             pe = comp.prime_power
-            n_g = len(comp.generators)
-            # enumerate local units as products of generator powers
-            pows = []
+            # local units as products of generator powers, in mesh order
+            res = np.array([1], dtype=np.int64)
             for g, o in zip(comp.generators, comp.orders):
                 pw = np.empty(o, dtype=np.int64)
                 pw[0] = 1
                 for a in range(1, o):
                     pw[a] = pw[a - 1] * g % pe
-                pows.append(pw)
-            res = np.array([1], dtype=np.int64)
-            for pw in pows:
                 res = (res[:, None] * pw[None, :] % pe).reshape(-1)
-            if n_g:
-                mesh = np.indices(tuple(comp.orders)).reshape(n_g, -1)
-            else:
-                mesh = np.zeros((0, 1), dtype=np.int64)
-            local_arrays = []
-            for j in range(n_g):
-                arr = np.zeros(pe, dtype=np.int64)
-                arr[res] = mesh[j]
-                local_arrays.append(arr)
-            x_local = np.arange(q, dtype=np.int64) % pe
-            for arr in local_arrays:
-                self.exp_arrays.append(arr[x_local])
-            self.orders.extend(comp.orders)
-            self.comp_slices.append((flat, flat + n_g))
-            flat += n_g
-            # residues of local units congruent to 1 mod p^c, for conductors
-            local_units = np.sort(res)
-            unit_sets = []
-            for c in range(comp.exponent + 1):
-                pc = comp.prime**c
-                if pc == 1:
-                    unit_sets.append(local_units)  # x = 1 mod 1 holds everywhere
-                else:
-                    unit_sets.append(local_units[local_units % pc == 1])
-            self.comp_locals.append(
-                {
-                    "pe": pe,
-                    "p": comp.prime,
-                    "e": comp.exponent,
-                    "local_arrays": local_arrays,
-                    "unit_sets": unit_sets,
-                    "order_lcm": math.lcm(*comp.orders) if comp.orders else 1,
-                }
-            )
-        self.order_lcm = math.lcm(*self.orders) if self.orders else 1
+            mesh = np.indices(comp.orders).reshape(len(comp.orders), -1)
+            x_local = x % pe
+            for row in mesh:
+                local = np.zeros(pe, dtype=np.int64)
+                local[res] = row
+                self.exp_arrays.append(local[x_local])
+        self.order_lcm = math.lcm(*self.orders)
         self.weights = [self.order_lcm // o for o in self.orders]
 
     def conductor(self, exponents: tuple[int, ...]) -> int:
         cond = 1
-        for (lo, hi), info in zip(self.comp_slices, self.comp_locals):
-            ks = exponents[lo:hi]
-            d_local = info["order_lcm"]
-            orders = self.orders[lo:hi]
-            c_min = info["e"]
-            for c in range(info["e"] + 1):
-                us = info["unit_sets"][c]
-                t = np.zeros(us.shape, dtype=np.int64)
-                for arr, k, o in zip(info["local_arrays"], ks, orders):
-                    t += arr[us] * (k * (d_local // o))
-                if np.all(t % d_local == 0):
-                    c_min = c
-                    break
-            cond *= info["p"] ** c_min
+        flat = 0
+        for comp in self.struct.components:
+            n_g = len(comp.orders)
+            cond *= _local_conductor(comp.prime, comp.exponent, exponents[flat : flat + n_g])
+            flat += n_g
         return cond
 
     def angle_numerators(self, exponents: tuple[int, ...]) -> np.ndarray:
@@ -244,22 +226,13 @@ class _CharTables:
         return t % self.order_lcm
 
 
-def _char_tables(q: "Modulus | int") -> _CharTables:
-    mod = Modulus.of(q)
-    with _lock:
-        cached = _char_table_cache.get(mod.q)
-    if cached is not None:
-        return cached
-    tables = _CharTables(mod)
-    with _lock:
-        _char_table_cache.setdefault(mod.q, tables)
-    return tables
+_char_tables = functools.cache(_CharTables)  # keyed by the integer q
 
 
 def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
     """Build the character with the given exponent tuple (validated)."""
     mod = Modulus.of(q)
-    tables = _char_tables(mod)
+    tables = _char_tables(mod.q)
     exponents = tuple(int(k) for k in exponents)
     if len(exponents) != len(tables.orders):
         raise ValueError(
@@ -276,7 +249,7 @@ def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharac
 def characters(q: "Modulus | int") -> Iterator[DirichletCharacter]:
     """All phi(q) characters mod q, in lexicographic exponent order."""
     mod = Modulus.of(q)
-    tables = _char_tables(mod)
+    tables = _char_tables(mod.q)
     ranges = [range(o) for o in tables.orders]
     for exps in itertools.product(*ranges):
         yield DirichletCharacter(
@@ -289,10 +262,10 @@ def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
     return [chi for chi in characters(q) if chi.is_primitive]
 
 
-@lru_cache(maxsize=2048)
+@functools.lru_cache(maxsize=2048)
 def char_values(chi: DirichletCharacter) -> np.ndarray:
     """chi(x) for x = 0..q-1 as a read-only complex vector (0 at non-units)."""
-    tables = _char_tables(chi.modulus)
+    tables = _char_tables(chi.modulus.q)
     t = tables.angle_numerators(chi.exponents)
     vals = np.exp(2j * np.pi * t / tables.order_lcm)
     vals[~tables.mask] = 0.0
@@ -306,7 +279,7 @@ def char_eval(chi: DirichletCharacter, x: int) -> complex:
     r = x % q
     if math.gcd(r, q) != 1:
         return 0j
-    tables = _char_tables(chi.modulus)
+    tables = _char_tables(q)
     t = 0
     for arr, k, w in zip(tables.exp_arrays, chi.exponents, tables.weights):
         t += int(arr[r]) * k * w

@@ -2,16 +2,18 @@
 
 Factorization, modular inverses, unit-group generators, the additive
 character exp(2*pi*i*z/q), and the wrap-around distance to the nearest
-multiple of q.  Everything is pure and the cached structures are built once
-per modulus behind a lock, so values can be shared freely across threads.
+multiple of q.  Everything is pure.  Per-modulus structures are memoized
+with ``functools.cache``, keyed by the integer q; two threads racing on a
+new q may both build it, with equal results, and later calls share one
+value.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,11 +25,6 @@ from .errors import NotAUnit
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 TWO_PI = 2.0 * math.pi
-
-_lock = threading.Lock()
-_modulus_cache: dict[int, "Modulus"] = {}
-_unit_group_cache: dict[int, "UnitGroupStructure"] = {}
-_unit_table_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -69,25 +66,22 @@ class Modulus:
     def of(cls, q: "Modulus | int") -> "Modulus":
         if isinstance(q, Modulus):
             return q
-        q = int(q)
-        with _lock:
-            cached = _modulus_cache.get(q)
-        if cached is not None:
-            return cached
-        factors = tuple(factorize(q))
-        phi = 1
-        for p, e in factors:
-            phi *= p ** (e - 1) * (p - 1)
-        mod = cls(q=q, factors=factors, phi=phi)
-        with _lock:
-            _modulus_cache.setdefault(q, mod)
-        return mod
+        return _modulus(int(q))
 
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
     def __int__(self) -> int:
         return self.q
+
+
+@functools.cache
+def _modulus(q: int) -> Modulus:
+    factors = tuple(factorize(q))
+    phi = 1
+    for p, e in factors:
+        phi *= p ** (e - 1) * (p - 1)
+    return Modulus(q=q, factors=factors, phi=phi)
 
 
 def mod_inv(x: int, q: "Modulus | int") -> int:
@@ -178,23 +172,20 @@ def unit_group(q: "Modulus | int") -> UnitGroupStructure:
     2^e with e >= 3 gets the pair (2^e - 1, 3) of orders (2, 2^(e-2)).
     Computed lazily and memoized.
     """
-    mod = Modulus.of(q)
-    with _lock:
-        cached = _unit_group_cache.get(mod.q)
-    if cached is not None:
-        return cached
+    return _unit_group(Modulus.of(q).q)
+
+
+@functools.cache
+def _unit_group(q: int) -> UnitGroupStructure:
     comps = []
-    for p, e in mod.factors:
+    for p, e in Modulus.of(q).factors:
         gens, orders = _component_generators(p, e)
         comps.append(
             UnitGroupComponent(
                 prime_power=p**e, prime=p, exponent=e, generators=gens, orders=orders
             )
         )
-    struct = UnitGroupStructure(modulus=mod.q, components=tuple(comps))
-    with _lock:
-        _unit_group_cache.setdefault(mod.q, struct)
-    return struct
+    return UnitGroupStructure(modulus=q, components=tuple(comps))
 
 
 def _crt_idempotents(struct: UnitGroupStructure) -> list[int]:
@@ -234,19 +225,15 @@ def iter_unit_exponents(q: "Modulus | int") -> Iterator[tuple[int, tuple[int, ..
         yield x, exps
 
 
+@functools.cache
 def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(units ascending, inverse table over [0, q), unit mask over [0, q))."""
-    with _lock:
-        cached = _unit_table_cache.get(q)
-    if cached is not None:
-        return cached
     mod = Modulus.of(q)
     idx = np.arange(q, dtype=np.int64)
     if mod.is_prime():
         mask = idx > 0
         inv = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            inv[1] = 1
+        inv[1] = 1
         for i in range(2, q):
             inv[i] = (q - (q // i) * inv[q % i]) % q
     else:
@@ -259,8 +246,6 @@ def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tables = (units, inv, mask)
     for arr in tables:
         arr.flags.writeable = False  # shared by every caller
-    with _lock:
-        _unit_table_cache.setdefault(q, tables)
     return tables
 
 

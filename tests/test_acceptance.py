@@ -42,24 +42,16 @@ from kgsums import (
     run_experiment,
     unit_residues,
 )
+from kgsums.experiments import primes_in_range
 from kgsums.prng import SplitMix64
 
 BASELINES = json.loads((Path(__file__).parent / "baselines.json").read_text())
 
 
-def _primes(lo, hi):
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(hi**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(lo, hi + 1) if sieve[p]]
-
-
 def test_criterion_01_identity_suite():
     t0 = time.perf_counter()
     worst = 0.0
-    for p in _primes(2, 101):
+    for p in primes_in_range(2, 101):
         row1 = kloosterman_row(p, 1)
         ms = np.arange(1, p)
         for n in range(1, p):
@@ -74,7 +66,7 @@ def test_criterion_01_identity_suite():
 def test_criterion_02_weil_suite():
     t0 = time.perf_counter()
     worst_ratio = 0.0
-    for p in _primes(2, 499):
+    for p in primes_in_range(2, 499):
         units = unit_residues(p)
         inv = inverse_table(p)
         # rows n (units) x columns x, then DFT each row over x to get all m
@@ -286,7 +278,7 @@ def test_criterion_08_region_geometry():
 def test_criterion_09_bound_ratio_regression():
     worst = 0.0
     instances = 0
-    for p in _primes(101, 2003):
+    for p in primes_in_range(101, 2003):
         side = math.isqrt(p - 1)
         m = n = min(side if side * side >= p else side + 1, p - 2)
         for seed in (1, 2, 3, 4, 5):

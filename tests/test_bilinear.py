@@ -382,11 +382,34 @@ def test_generalized_k2_direct_oracle():
     assert abs(res.value - expected) < 1e-10
 
 
+def test_generalized_routes_match_direct_sum():
+    # both routes against sum_m sum_n alpha_m sum_x e_q(m * (x^-1)^k + n * x)
+    for q in (13, 21):
+        mod = Modulus.of(q)
+        A = WeightVector(mod, {1: 1.0, 2: -0.5 + 1j, 5: 2j})
+        J = Interval.of(mod, 2, 4)
+        units = [int(x) for x in unit_residues(mod)]
+        for k in (2, 3):
+            expected = sum(
+                a * eq_exp(m * pow(mod_inv(x, mod), k, q) + n * x, mod)
+                for m, a in A.entries.items()
+                for n in J.values()
+                for x in units
+            )
+            results = [bilinear_generalized(A, J, k, method) for method in ("transformed", "fast")]
+            for res in results:
+                assert abs(res.value - expected) < 1e-10
+            gap = abs(results[0].value - results[1].value)
+            assert gap <= results[0].error_bound + results[1].error_bound
+
+
 def test_generalized_rejects_bad_k():
     w = WeightVector(Modulus.of(7), {1: 1.0})
     J = Interval.of(Modulus.of(7), 0, 2)
     with pytest.raises(ValueError):
         bilinear_generalized(w, J, 0)
+    with pytest.raises(ValueError):
+        bilinear_generalized(w, J, 2, "naive")
     assert bilinear_generalized(WeightVector(Modulus.of(7), {}), J, 3).value == 0
 
 

@@ -212,7 +212,7 @@ def test_char_eval_matches_value_table():
 
 def test_conductor_agrees_with_bruteforce():
     # smallest d | q such that chi is constant on classes mod d (over units)
-    for q in list(range(2, 61)) + [72, 90, 96]:
+    for q in list(range(2, 61)) + [64, 72, 81, 90, 96, 128]:
         units = [int(u) for u in unit_residues(q)]
         divisors = [d for d in range(1, q + 1) if q % d == 0]
         for chi in characters(q):
@@ -228,6 +228,27 @@ def test_conductor_agrees_with_bruteforce():
                     cond = d
                     break
             assert chi.conductor == cond
+
+
+def test_primitive_count_matches_mobius_sum():
+    # number of primitive characters mod q = sum_{d | q} mu(q/d) * phi(d)
+    def mobius(n):
+        out, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if n > 1 else out
+
+    def phi(n):
+        return sum(1 for x in range(1, n + 1) if math.gcd(x, n) == 1)
+
+    for q in range(2, 513):
+        expected = sum(mobius(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
+        assert len(primitive_characters(q)) == expected, q
 
 
 # ---------------------------------------------------------------------------

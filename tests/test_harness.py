@@ -398,18 +398,42 @@ def test_cli_bilinear_gauss_default_method():
     assert "thm23" in proc.stdout
 
 
-def test_cli_generalized_kernel():
+def test_cli_generalized_kernel(monkeypatch, capsys):
     proc = _run_cli(
         "bilinear", "--q", "11", "--M", "3", "--N", "4", "--k", "2", "--seed", "1"
     )
     assert proc.returncode == 0
     assert "|S|" in proc.stdout
+    assert "routes transformed, fast agree" in proc.stdout
 
-    # k != 1 has only the transformed route; any other method is refused
+    # --method picks the reported route; the other one still cross-checks it
+    proc = _run_cli(
+        "bilinear", "--q", "12", "--M", "3", "--N", "4", "--k", "3", "--method", "fast"
+    )
+    assert proc.returncode == 0
+    assert "routes fast, transformed agree" in proc.stdout
+
+    # k != 1 has no naive route
     proc = _run_cli("bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2", "--method", "naive")
     assert proc.returncode == 2
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["category"] == "domain_restriction"
+
+    # routes that disagree beyond their summed budgets fail verification
+    from kgsums import SumResult, cli
+
+    real = cli.bilinear_generalized
+
+    def skewed(A, J, k, method):
+        res = real(A, J, k, method)
+        if method == "fast":
+            res = SumResult(res.value + 1e-6, res.error_bound, res.terms)
+        return res
+
+    monkeypatch.setattr(cli, "bilinear_generalized", skewed)
+    assert cli.main(["bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2"]) == 5
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["category"] == "verification_failed"
 
 
 def test_cli_verify():
