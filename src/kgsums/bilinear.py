@@ -35,6 +35,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .counting import _rotation_sum
 from .errors import (
     DomainRestriction,
     InvalidWeight,
@@ -531,7 +532,9 @@ def moment_check(
 
     ``method`` selects the rhs route: ``exhaustive`` enumerates all
     |X|^(2r) tuples (capped), ``convolution`` folds the gamma-weighted
-    inverse indicator r times; ``auto`` picks by size.
+    inverse indicator r times, each fold a gamma-weighted sum of |X|
+    rotations (cost (r-1)*|X|*q, capped); ``auto`` picks by size.  Both caps
+    are checked before any length-q array is built.
     """
     mod = Modulus.of(q)
     if r < 1:
@@ -542,14 +545,6 @@ def moment_check(
             raise DomainRestriction(f"moment_check requires X inside Z_{mod.q}^*")
     if not xs:
         return 0.0, 0.0
-    g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
-    inv = inverse_table(mod)
-    xbars = inv[np.array(xs, dtype=np.int64)]
-    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
-    h[xbars] = g
-    # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
-    lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
-
     n_tuples = len(xs) ** (2 * r)
     if method == "auto":
         method = "exhaustive" if n_tuples <= 250_000 else "convolution"
@@ -558,6 +553,24 @@ def moment_check(
             raise ResourceLimit(
                 f"|X|^(2r) = {n_tuples} exceeds exhaustive cap {MOMENT_TUPLE_CAP}"
             )
+    elif method == "convolution":
+        cost = (r - 1) * len(xs) * mod.q
+        if cost > NAIVE_COST_CAP:
+            raise ResourceLimit(
+                f"convolution rhs cost (r-1)*|X|*q = {cost} exceeds cap {NAIVE_COST_CAP}"
+            )
+    else:
+        raise ValueError(f"unknown moment method {method!r}")
+
+    g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
+    inv = inverse_table(mod)
+    xbars = inv[np.array(xs, dtype=np.int64)]
+    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
+    h[xbars] = g
+    # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
+    lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
+
+    if method == "exhaustive":
         sums = xbars.astype(np.int64)
         prods = g.copy()
         for _ in range(r - 1):
@@ -565,17 +578,12 @@ def moment_check(
             prods = (prods[:, None] * g[None, :]).reshape(-1)
         match = (sums[:, None] - sums[None, :]) % mod.q == 0
         rhs_c = mod.q * np.sum(match * (prods[:, None] * np.conj(prods)[None, :]))
-        rhs = float(rhs_c.real)
-    elif method == "convolution":
-        H = h.copy()
-        for _ in range(r - 1):
-            full = np.convolve(H, h)
-            H = full[: mod.q].copy()
-            H[: full.size - mod.q] += full[mod.q :]
-        rhs = float(mod.q * np.sum(np.abs(H) ** 2))
-    else:
-        raise ValueError(f"unknown moment method {method!r}")
-    return lhs, rhs
+        return lhs, float(rhs_c.real)
+    # cyclic convolution with h: H <- sum_x gamma_x * (H rotated by x^-1)
+    H = h
+    for _ in range(r - 1):
+        H = _rotation_sum(H, xbars, g)
+    return lhs, float(mod.q * np.sum(np.abs(H) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 Counts the 2r-tuples from {x <= K : gcd(x, q) = 1} whose r-fold inverse
 sums (or r-fold products) agree mod q, plus the integer-equation analogues
-over [1, K] without a modulus.  All arithmetic is exact: the fold tables
-hold machine integers while provably below the int64 overflow line and
-Python ints in object-dtype arrays otherwise; final tallies are Python
-ints.  Exhaustive tuple enumeration is kept alongside every folded route as
-an independent oracle.
+over [1, K] without a modulus.  The folded route moves the count vector by
+every base residue and sums the results with whole-vector numpy calls:
+rotations (sums) are read from a sliding window over the vector written
+twice, a block of about ``_FOLD_BLOCK`` entries per gather; unit
+permutations (products) are scattered into one reused buffer.  All
+arithmetic is exact: the fold tables hold machine integers while provably
+below the int64 overflow line and Python ints in object-dtype arrays
+otherwise; final tallies are Python ints.  Exhaustive tuple enumeration is
+kept alongside every folded route as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ EQUATION_TUPLE_CAP = 2 * 10**7
 
 _INT64_SAFE = 1 << 62
 
+#: entries of rotated count vectors gathered per numpy call in a fold step
+_FOLD_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class CountTable:
@@ -53,30 +60,79 @@ class CountTable:
         return self.total() == self.base_size**self.depth
 
 
-def _admissible(q: Modulus, K: int) -> list[int]:
+def _admissible(q: Modulus, K: int) -> np.ndarray:
     if not 1 <= K <= q.q:
         raise ValueError(f"K must lie in [1, q] = [1, {q.q}], got {K}")
-    return [x for x in range(1, K + 1) if math.gcd(x, q.q) == 1]
+    xs = np.arange(1, K + 1, dtype=np.int64)
+    return xs[np.gcd(xs, q.q) == 1]
 
 
-def _fold(q: int, base: list[int], r: int, move) -> list[int]:
+def _rotation_sum(
+    vec: np.ndarray, shifts: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum over i of weights[i] * np.roll(vec, shifts[i]) (unweighted if None).
+
+    Row q - s of the sliding window over ``vec`` written twice is ``vec``
+    rotated by s (0 <= s < q), so a block of about _FOLD_BLOCK entries of
+    rotations is one gather with no modular arithmetic, summed in one call.
+    Rows too long for 16 of them to fit a block are added one view at a
+    time instead: their per-row call overhead is small, and a gather would
+    cost a pass over memory.
+    """
+    q = vec.size
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([vec, vec]), q)
+    rows = q - shifts
+    out = np.zeros_like(vec)
+    step = _FOLD_BLOCK // q
+    if step < 16:
+        for i, row in enumerate(rows.tolist()):
+            out += window[row] if weights is None else weights[i] * window[row]
+        return out
+    for start in range(0, rows.size, step):
+        block = window[rows[start : start + step]]
+        out += block.sum(axis=0) if weights is None else weights[start : start + step] @ block
+    return out
+
+
+def _permutation_sum(vec: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Sum over s in ``units`` of ``vec`` moved by t -> t*s mod q.
+
+    One scatter per unit into a reused buffer: the index arithmetic costs
+    more than the add, so blocking the rows saves nothing here.
+    """
+    q = vec.size
+    idx = np.arange(q, dtype=np.int64)
+    ts, quo = np.empty_like(idx), np.empty_like(idx)
+    out = np.zeros_like(vec)
+    moved = np.empty_like(vec)
+    for s in units.tolist():
+        # s is a unit, so t -> t*s mod q permutes the residues.  The mod is
+        # t*s - (t*s // q) * q in preallocated buffers: numpy divides by a
+        # scalar faster than it takes %, and fresh length-q temporaries can
+        # cost a page fault per page on every unit.
+        np.multiply(idx, s, out=ts)
+        np.floor_divide(ts, q, out=quo)
+        quo *= q
+        ts -= quo
+        moved[ts] = vec
+        out += moved
+    return out
+
+
+def _fold(q: int, base: np.ndarray, r: int, moved_sum) -> list[int]:
     """Counts of r-fold sums or products of ``base`` residues mod q, exact.
 
-    ``move(acc, s)`` returns the count vector shifted by the residue s: a
-    rotation for sums, the unit permutation t -> t*s for products.  Counts
-    are at most len(base)**r, so they are int64 below the overflow line and
-    Python ints in an object array above it.
+    Each fold step is ``moved_sum(acc, base)``, the sum of the count vector
+    moved by every residue of ``base``: `_rotation_sum` for sums,
+    `_permutation_sum` for products.  Counts are at most len(base)**r, so
+    they are int64 below the overflow line and Python ints in an object
+    array above it.
     """
-    dtype = np.int64 if max(len(base), 1) ** r < _INT64_SAFE else object
-    acc = np.zeros(q, dtype=dtype)
-    for s in base:
-        acc[s] += 1
+    dtype = np.int64 if base.size**r < _INT64_SAFE else object
+    acc = np.bincount(base, minlength=q).astype(dtype)
     for _ in range(r - 1):
-        nxt = np.zeros(q, dtype=dtype)
-        for s in base:
-            nxt += move(acc, s)
-        acc = nxt
-    return [int(c) for c in acc]
+        acc = moved_sum(acc, base)
+    return acc.tolist()
 
 
 def _check_convolution_caps(q: Modulus, r: int) -> None:
@@ -111,24 +167,16 @@ def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold inverse sums of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
-    counts = _fold(mod.q, inverse_table(mod)[base].tolist(), r, np.roll)
-    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=len(base))
+    counts = _fold(mod.q, inverse_table(mod)[base], r, _rotation_sum)
+    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
 
 def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
-    idx = np.arange(mod.q, dtype=np.int64)
-
-    def multiply(acc: np.ndarray, s: int) -> np.ndarray:
-        # s is a unit, so multiplication by s permutes the residues
-        moved = np.empty_like(acc)
-        moved[idx * s % mod.q] = acc
-        return moved
-
-    counts = _fold(mod.q, base, r, multiply)
-    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=len(base))
+    counts = _fold(mod.q, base, r, _permutation_sum)
+    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
 
 def _congruence_count(q: "Modulus | int", K: int, r: int, method: str, reciprocal: bool) -> int:
@@ -143,11 +191,9 @@ def _congruence_count(q: "Modulus | int", K: int, r: int, method: str, reciproca
         table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
         return sum(c * c for c in table.counts)
     if method == "exhaustive":
-        if not base:
-            return 0
         if reciprocal:
             return _exhaustive_pair_count(inverse_table(mod)[base], mod.q, r, np.add)
-        return _exhaustive_pair_count(np.array(base, dtype=np.int64), mod.q, r, np.multiply)
+        return _exhaustive_pair_count(base, mod.q, r, np.multiply)
     raise ValueError(f"method must be 'convolution' or 'exhaustive', got {method!r}")
 
 

@@ -1,5 +1,9 @@
+import functools
+import itertools
 import json
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +24,7 @@ from kgsums import (
     rr_congruence,
     rr_equation,
 )
+from kgsums.experiments import primes_in_range
 
 BASELINES = json.loads((Path(__file__).parent / "baselines.json").read_text())
 
@@ -166,6 +171,36 @@ def test_wide_paths_match_int64_and_oracle(monkeypatch):
         assert (jr_equation(K, r), rr_equation(K, r)) == (jr, rr)
 
 
+def _enumerated_table(vals, q, r, op):
+    """Distribution of r-fold sums or products mod q by listing every r-tuple."""
+    hits = Counter(functools.reduce(op, t) % q for t in itertools.product(vals, repeat=r))
+    return tuple(hits[s] for s in range(q))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+def test_fold_block_edges(monkeypatch, wide):
+    # one rotation per block (added as views) and blocks of 17 rotations
+    # that leave a partial last block must give the default-block tables,
+    # which must match tuple enumeration and the exhaustive pair count
+    cases = ((31, 31, 2), (31, 20, 3), (45, 45, 2), (63, 35, 3))
+    default = {c: (reciprocal_table(*c), product_table(*c)) for c in cases}
+    if wide:
+        monkeypatch.setattr(counting, "_INT64_SAFE", 2)
+    for q, K, r in cases:
+        base = _admissible(q, K)
+        assert len(base) > 17 and len(base) % 17
+        recip = _enumerated_table([pow(x, -1, q) for x in base], q, r, operator.add)
+        prod = _enumerated_table(base, q, r, operator.mul)
+        assert default[q, K, r][0].counts == recip
+        assert default[q, K, r][1].counts == prod
+        assert sum(c * c for c in recip) == jr_congruence(q, K, r, method="exhaustive")
+        assert sum(c * c for c in prod) == rr_congruence(q, K, r, method="exhaustive")
+        for block in (1, 17 * q):
+            monkeypatch.setattr(counting, "_FOLD_BLOCK", block)
+            assert reciprocal_table(q, K, r) == default[q, K, r][0]
+            assert product_table(q, K, r) == default[q, K, r][1]
+
+
 def test_jr_equation_big_integer_path():
     # lcm(1..45) * 2 exceeds the int64 line; count 1/a + 1/b = 1/c + 1/d exactly
     K = 45
@@ -228,16 +263,12 @@ def test_dyadic_average_validation():
 # ---------------------------------------------------------------------------
 
 
-def _primes(lo, hi):
-    return [p for p in range(lo, hi + 1) if p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))]
-
-
 def test_j2_reference_ratio_grid_baseline():
     # documented grid: primes 101..2003, K in the four power scales of q.
     # Only the frozen baseline is asserted; the comparison formula hides a
     # sub-polynomial factor that cannot be falsified at fixed scale.
     worst = 0.0
-    for p in _primes(101, 2003):
+    for p in primes_in_range(101, 2003):
         for K in sorted({math.ceil(p**0.25), math.ceil(p**0.5), math.ceil(p**0.75), p}):
             worst = max(worst, j2_reference_ratio(p, K))
     assert worst <= BASELINES["j2_ratio_limit"]
