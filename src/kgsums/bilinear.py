@@ -55,6 +55,7 @@ from .modmath import (
     TWO_PI,
     Modulus,
     inverse_table,
+    pow_mod,
     unit_residues,
 )
 from .prng import SplitMix64
@@ -348,7 +349,8 @@ _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
 _GENERALIZED_METHODS = ("transformed", "fast")
 
-_X_BLOCK = 4096  # row block for the transformed inner product
+#: entries of the phase matrix built per block of the transformed inner product
+_BLOCK_ENTRIES = 1 << 22
 
 
 def _check_shared_modulus(weights, J: Interval) -> Modulus:
@@ -360,10 +362,15 @@ def _check_shared_modulus(weights, J: Interval) -> Modulus:
 
 
 def _inner_exp_sums(q: int, targets: np.ndarray, ms: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """f(t) = sum_m alpha_m e_q(m t) for each t in targets, blockwise."""
+    """f(t) = sum_m alpha_m e_q(m t) for each t in targets, blockwise.
+
+    A block holds max(1, _BLOCK_ENTRIES // |ms|) targets, so its phase
+    matrix stays near _BLOCK_ENTRIES entries whatever the support size.
+    """
     out = np.empty(targets.shape, dtype=np.complex128)
-    for start in range(0, targets.size, _X_BLOCK):
-        block = targets[start : start + _X_BLOCK]
+    rows = max(1, _BLOCK_ENTRIES // max(ms.size, 1))
+    for start in range(0, targets.size, rows):
+        block = targets[start : start + rows]
         phases = block[:, None] * ms[None, :] % q
         out[start : start + block.size] = np.exp(2j * np.pi * phases / q) @ alphas
     return out
@@ -372,9 +379,7 @@ def _inner_exp_sums(q: int, targets: np.ndarray, ms: np.ndarray, alphas: np.ndar
 def _inverse_powers(mod: Modulus, inv_power: int) -> np.ndarray:
     """(x^-1)^k mod q for every unit x, aligned with unit_residues(q)."""
     inv = inverse_table(mod)[unit_residues(mod)]
-    if inv_power == 1:
-        return inv
-    return np.array([pow(int(t), inv_power, mod.q) for t in inv], dtype=np.int64)
+    return inv if inv_power == 1 else pow_mod(inv, inv_power, mod.q)
 
 
 def _transformed_values(A: WeightVector, inv_power: int = 1) -> np.ndarray:

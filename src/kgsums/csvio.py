@@ -8,29 +8,19 @@ identical), rows ordered by (q, bound_name).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .experiments import ExperimentRecord
 
-CSV_HEADER = (
-    "q,M,N,L,seed,weight_kind,norm1,norm2,norm_inf,abs_sum,error_bound,"
-    "bound_name,bound_value,ratio,wall_time_seconds"
+#: (name, type) of each CSV column: the fields of ExperimentRecord, in order
+_COLUMNS = tuple(
+    (f.name, typing.get_type_hints(ExperimentRecord)[f.name]) for f in fields(ExperimentRecord)
 )
 
-_INT_FIELDS = ("q", "M", "N", "L", "seed")
-_STR_FIELDS = ("weight_kind", "bound_name")
-_FLOAT_FIELDS = (
-    "norm1",
-    "norm2",
-    "norm_inf",
-    "abs_sum",
-    "error_bound",
-    "bound_value",
-    "ratio",
-    "wall_time_seconds",
-)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def _fmt(x: float) -> str:
@@ -39,23 +29,8 @@ def _fmt(x: float) -> str:
 
 def record_to_row(rec: ExperimentRecord) -> str:
     return ",".join(
-        [
-            str(rec.q),
-            str(rec.M),
-            str(rec.N),
-            str(rec.L),
-            str(rec.seed),
-            rec.weight_kind,
-            _fmt(rec.norm1),
-            _fmt(rec.norm2),
-            _fmt(rec.norm_inf),
-            _fmt(rec.abs_sum),
-            _fmt(rec.error_bound),
-            rec.bound_name,
-            _fmt(rec.bound_value),
-            _fmt(rec.ratio),
-            _fmt(rec.wall_time_seconds),
-        ]
+        _fmt(getattr(rec, name)) if typ is float else str(getattr(rec, name))
+        for name, typ in _COLUMNS
     )
 
 
@@ -83,21 +58,12 @@ def parse_csv(path: str | Path) -> list[ExperimentRecord]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header in {path}")
-    header = CSV_HEADER.split(",")
     out = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != len(header):
+        if len(parts) != len(_COLUMNS):
             raise ConfigError(f"malformed CSV row in {path}: {ln!r}")
-        kw = {}
-        for name, value in zip(header, parts):
-            if name in _INT_FIELDS:
-                kw[name] = int(value)
-            elif name in _STR_FIELDS:
-                kw[name] = value
-            else:
-                kw[name] = float(value)
-        out.append(ExperimentRecord(**kw))
+        out.append(ExperimentRecord(**{name: typ(v) for (name, typ), v in zip(_COLUMNS, parts)}))
     return out
 
 

@@ -37,8 +37,6 @@ from .modmath import (
     TWO_PI,
     Modulus,
     inverse_table,
-    unit_group,
-    unit_mask,
     unit_residues,
 )
 
@@ -164,97 +162,60 @@ def _local_conductor(p: int, e: int, ks: tuple[int, ...]) -> int:
     return 2 ** (e - _valuation(b, 2))
 
 
-class _CharTables:
-    """Per-modulus lookup structure for character evaluation.
+def conductor(mod: Modulus, exponents: tuple[int, ...]) -> int:
+    """Conductor of the character mod q with the given exponent tuple.
 
-    For each flattened generator j, ``exp_arrays[j][x]`` is the exponent of
-    that generator in the unit x (garbage at non-units, which are masked).
-    ``order_lcm`` is the lcm D of all generator orders and ``weights[j]`` is
-    D // order_j, so a character with exponents k has angle numerator
-    T(x) = sum_j exp_arrays[j][x] * k_j * weights[j]  (mod D).
-
-    The conductor is the product over the prime-power components p^e of a
-    closed-form local conductor.  For a cyclic component (odd p^e, or 4)
-    with exponent k it is 1 if k = 0, else p^(e - min(v_p(k), e - 1)).  For
-    2^e with e >= 3 and exponents (a, b) on the generators (-1, 3) it is 1
-    for (0, 0), 8 for b = 0 and a = 1, 4 for (1, 2^(e-3)), and otherwise
-    2^(e - v_2(b)).
+    The product over the prime-power components p^e of a closed-form local
+    conductor.  For a cyclic component (odd p^e, or 4) with exponent k it
+    is 1 if k = 0, else p^(e - min(v_p(k), e - 1)).  For 2^e with e >= 3
+    and exponents (a, b) on the generators (-1, 3) it is 1 for (0, 0), 8
+    for b = 0 and a = 1, 4 for (1, 2^(e-3)), and otherwise 2^(e - v_2(b)).
     """
-
-    def __init__(self, q: int):
-        self.mod = Modulus.of(q)
-        self.struct = unit_group(q)
-        self.orders = list(self.struct.orders)
-        self.mask = unit_mask(q)
-        self.exp_arrays: list[np.ndarray] = []
-        x = np.arange(q, dtype=np.int64)
-        for comp in self.struct.components:
-            if not comp.generators:
-                continue  # units mod 2: the trivial group
-            pe = comp.prime_power
-            # local units as products of generator powers, in mesh order
-            res = np.array([1], dtype=np.int64)
-            for g, o in zip(comp.generators, comp.orders):
-                pw = np.empty(o, dtype=np.int64)
-                pw[0] = 1
-                for a in range(1, o):
-                    pw[a] = pw[a - 1] * g % pe
-                res = (res[:, None] * pw[None, :] % pe).reshape(-1)
-            mesh = np.indices(comp.orders).reshape(len(comp.orders), -1)
-            x_local = x % pe
-            for row in mesh:
-                local = np.zeros(pe, dtype=np.int64)
-                local[res] = row
-                self.exp_arrays.append(local[x_local])
-        self.order_lcm = math.lcm(*self.orders)
-        self.weights = [self.order_lcm // o for o in self.orders]
-
-    def conductor(self, exponents: tuple[int, ...]) -> int:
-        cond = 1
-        flat = 0
-        for comp in self.struct.components:
-            n_g = len(comp.orders)
-            cond *= _local_conductor(comp.prime, comp.exponent, exponents[flat : flat + n_g])
-            flat += n_g
-        return cond
-
-    def angle_numerators(self, exponents: tuple[int, ...]) -> np.ndarray:
-        """T(x) over [0, q): character angle numerators mod order_lcm."""
-        t = np.zeros(self.mod.q, dtype=np.int64)
-        for arr, k, w in zip(self.exp_arrays, exponents, self.weights):
-            t += arr * (k * w)
-        return t % self.order_lcm
+    cond = 1
+    flat = 0
+    for comp in mod.group.components:
+        n_g = len(comp.orders)
+        cond *= _local_conductor(comp.prime, comp.exponent, exponents[flat : flat + n_g])
+        flat += n_g
+    return cond
 
 
-_char_tables = functools.cache(_CharTables)  # keyed by the integer q
+def _angle_weights(mod: Modulus, exponents: tuple[int, ...]) -> list[int]:
+    """k_j * (lambda(q) // order_j) for each flattened generator j."""
+    lam = mod.carmichael
+    return [k * (lam // o) for k, o in zip(exponents, mod.group.orders)]
+
+
+def angle_numerators(mod: Modulus, exponents: tuple[int, ...]) -> np.ndarray:
+    """T(x) over [0, q): character angle numerators mod lambda(q).
+
+    A character with exponents k has chi(x) = exp(2*pi*i * T(x) / lambda(q))
+    at units x, where T(x) = sum_j log_j(x) * k_j * lambda(q) // order_j.
+    """
+    weights = np.array(_angle_weights(mod, exponents), dtype=np.int64)
+    return mod.logs @ weights % mod.carmichael
 
 
 def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
     """Build the character with the given exponent tuple (validated)."""
     mod = Modulus.of(q)
-    tables = _char_tables(mod.q)
+    orders = mod.group.orders
     exponents = tuple(int(k) for k in exponents)
-    if len(exponents) != len(tables.orders):
+    if len(exponents) != len(orders):
         raise ValueError(
-            f"expected {len(tables.orders)} exponents for q={mod.q}, got {len(exponents)}"
+            f"expected {len(orders)} exponents for q={mod.q}, got {len(exponents)}"
         )
-    for k, o in zip(exponents, tables.orders):
+    for k, o in zip(exponents, orders):
         if not 0 <= k < o:
             raise ValueError(f"exponent {k} outside [0, {o})")
-    return DirichletCharacter(
-        modulus=mod, exponents=exponents, conductor=tables.conductor(exponents)
-    )
+    return DirichletCharacter(modulus=mod, exponents=exponents, conductor=conductor(mod, exponents))
 
 
 def characters(q: "Modulus | int") -> Iterator[DirichletCharacter]:
     """All phi(q) characters mod q, in lexicographic exponent order."""
     mod = Modulus.of(q)
-    tables = _char_tables(mod.q)
-    ranges = [range(o) for o in tables.orders]
-    for exps in itertools.product(*ranges):
-        yield DirichletCharacter(
-            modulus=mod, exponents=exps, conductor=tables.conductor(exps)
-        )
+    for exps in itertools.product(*(range(o) for o in mod.group.orders)):
+        yield DirichletCharacter(modulus=mod, exponents=exps, conductor=conductor(mod, exps))
 
 
 def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
@@ -265,28 +226,25 @@ def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
 @functools.lru_cache(maxsize=2048)
 def char_values(chi: DirichletCharacter) -> np.ndarray:
     """chi(x) for x = 0..q-1 as a read-only complex vector (0 at non-units)."""
-    tables = _char_tables(chi.modulus.q)
-    t = tables.angle_numerators(chi.exponents)
-    vals = np.exp(2j * np.pi * t / tables.order_lcm)
-    vals[~tables.mask] = 0.0
+    mod = chi.modulus
+    t = angle_numerators(mod, chi.exponents)
+    vals = np.exp(2j * np.pi * t / mod.carmichael)
+    vals[~mod.mask] = 0.0
     vals.flags.writeable = False  # cached: every caller shares this array
     return vals
 
 
 def char_eval(chi: DirichletCharacter, x: int) -> complex:
     """chi(x): zero at non-units, otherwise the exact root of unity."""
-    q = chi.modulus.q
-    r = x % q
-    if math.gcd(r, q) != 1:
+    mod = chi.modulus
+    r = x % mod.q
+    if math.gcd(r, mod.q) != 1:
         return 0j
-    tables = _char_tables(q)
-    t = 0
-    for arr, k, w in zip(tables.exp_arrays, chi.exponents, tables.weights):
-        t += int(arr[r]) * k * w
-    t %= tables.order_lcm
+    t = sum(a * w for a, w in zip(mod.logs[r].tolist(), _angle_weights(mod, chi.exponents)))
+    t %= mod.carmichael
     if t == 0:
         return complex(1.0, 0.0)
-    return cmath.exp(complex(0.0, TWO_PI * t / tables.order_lcm))
+    return cmath.exp(complex(0.0, TWO_PI * t / mod.carmichael))
 
 
 # ---------------------------------------------------------------------------

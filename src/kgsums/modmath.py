@@ -2,24 +2,25 @@
 
 Factorization, modular inverses, unit-group generators, the additive
 character exp(2*pi*i*z/q), and the wrap-around distance to the nearest
-multiple of q.  Everything is pure.  Per-modulus structures are memoized
-with ``functools.cache``, keyed by the integer q; two threads racing on a
-new q may both build it, with equal results, and later calls share one
-value.
+multiple of q.  Everything is pure.  All per-modulus state lives on
+:class:`Modulus`: ``Modulus.of`` caches one instance per integer q with
+``functools.cache``, and the unit group, unit tables and discrete logs are
+read-only cached properties of that instance, each built on first use by a
+single vectorized path for every q.  The module functions below are short
+reads of that state.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import NotAUnit
+from .errors import NotAUnit, ResourceLimit
 
 #: float64 machine epsilon, the unit of every accumulated rounding budget.
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -56,6 +57,9 @@ class Modulus:
     """A modulus q >= 2 with its factorization and unit-group order.
 
     Construct through :meth:`Modulus.of`, which caches instances per q.
+    Everything else known about q (unit group, unit tables, discrete logs)
+    is a read-only cached property, built on first use and held by the
+    cached instance.
     """
 
     q: int
@@ -73,6 +77,112 @@ class Modulus:
 
     def __int__(self) -> int:
         return self.q
+
+    def _table_length(self) -> int:
+        """q, the length of every table over [0, q), once it is safe to build.
+
+        Tables hold residues as int64 and multiply two of them, which is
+        exact only while q * q < 2**63; larger q is refused before any
+        length-q array is allocated.
+        """
+        if self.q * self.q >= 1 << 63:
+            raise ResourceLimit(
+                f"tables over [0, q) need q*q < 2**63 for exact int64 products, got q = {self.q}"
+            )
+        return self.q
+
+    @functools.cached_property
+    def group(self) -> "UnitGroupStructure":
+        """Generators and orders of the units, one component per prime power."""
+        comps = tuple(
+            UnitGroupComponent(p**e, p, e, *_component_generators(p, e)) for p, e in self.factors
+        )
+        return UnitGroupStructure(modulus=self.q, components=comps)
+
+    @functools.cached_property
+    def carmichael(self) -> int:
+        """lambda(q), the exponent of the unit group (lcm of the generator orders)."""
+        return math.lcm(*self.group.orders)
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """Boolean array over [0, q) marking residues coprime to q."""
+        mask = np.ones(self._table_length(), dtype=bool)
+        for p, _ in self.factors:
+            mask[::p] = False
+        return _shared(mask)
+
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """Units of Z_q^* in [1, q), ascending, as int64."""
+        return _shared(np.flatnonzero(self.mask).astype(np.int64, copy=False))
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """inv over [0, q): inv[x] = x^-1 = x^(lambda(q) - 1) mod q at units, else 0."""
+        inv = np.zeros(self.q, dtype=np.int64)
+        inv[self.units] = pow_mod(self.units, self.carmichael - 1, self.q)
+        return _shared(inv)
+
+    @functools.cached_property
+    def logs(self) -> np.ndarray:
+        """Discrete logs: row x holds the exponents of x on the flattened generators.
+
+        Shape (q, number of generators).  Column j at x is the exponent of
+        generator j in the component of x modulo its prime power; rows of
+        non-units hold meaningless values and must be masked by callers.
+        """
+        x = np.arange(self._table_length(), dtype=np.int64)
+        logs = np.empty((self.q, len(self.group.orders)), dtype=np.int64)
+        col = 0
+        for comp in self.group.components:
+            if not comp.generators:
+                continue  # units mod 2: the trivial group
+            pe = comp.prime_power
+            # local units as products of generator powers, in mesh order
+            res = np.ones(1, dtype=np.int64)
+            for g, o in zip(comp.generators, comp.orders):
+                res = (res[:, None] * _powers(g, o, pe)[None, :] % pe).reshape(-1)
+            n_g = len(comp.orders)
+            local = np.zeros((pe, n_g), dtype=np.int64)
+            local[res] = np.indices(comp.orders).reshape(n_g, -1).T
+            logs[:, col : col + n_g] = local[x % pe]
+            col += n_g
+        return _shared(logs)
+
+
+def _shared(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False  # cached: every caller shares this array
+    return arr
+
+
+def pow_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
+    """x**k mod q elementwise for k >= 0 by square-and-multiply.
+
+    Exact for entries in [0, q) while q * q < 2**63.
+    """
+    out = np.ones_like(x)
+    base = x % q
+    while k:
+        if k & 1:
+            out *= base
+            out %= q
+        k >>= 1
+        if k:
+            base *= base
+            base %= q
+    return out
+
+
+def _powers(g: int, n: int, m: int) -> np.ndarray:
+    """g^a mod m for a = 0..n-1, each step doubling the filled prefix."""
+    pw = np.ones(n, dtype=np.int64)
+    done = 1
+    while done < n:
+        step = min(done, n - done)
+        pw[done : done + step] = pw[:step] * pow(g, done, m) % m
+        done += step
+    return pw
 
 
 @functools.cache
@@ -172,30 +282,7 @@ def unit_group(q: "Modulus | int") -> UnitGroupStructure:
     2^e with e >= 3 gets the pair (2^e - 1, 3) of orders (2, 2^(e-2)).
     Computed lazily and memoized.
     """
-    return _unit_group(Modulus.of(q).q)
-
-
-@functools.cache
-def _unit_group(q: int) -> UnitGroupStructure:
-    comps = []
-    for p, e in Modulus.of(q).factors:
-        gens, orders = _component_generators(p, e)
-        comps.append(
-            UnitGroupComponent(
-                prime_power=p**e, prime=p, exponent=e, generators=gens, orders=orders
-            )
-        )
-    return UnitGroupStructure(modulus=q, components=tuple(comps))
-
-
-def _crt_idempotents(struct: UnitGroupStructure) -> list[int]:
-    """e_i with e_i = 1 mod (p_i^e_i) and 0 mod the other components."""
-    q = struct.modulus
-    out = []
-    for comp in struct.components:
-        m = q // comp.prime_power
-        out.append(m * pow(m, -1, comp.prime_power) % q)
-    return out
+    return Modulus.of(q).group
 
 
 def iter_unit_exponents(q: "Modulus | int") -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -204,61 +291,22 @@ def iter_unit_exponents(q: "Modulus | int") -> Iterator[tuple[int, tuple[int, ..
     The exponent tuple is flattened across components in factor order; tuples
     are enumerated lexicographically, so iteration order is reproducible.
     """
-    struct = unit_group(q)
-    idem = _crt_idempotents(struct)
-    per_comp: list[list[tuple[int, tuple[int, ...]]]] = []
-    for comp in struct.components:
-        local: list[tuple[int, tuple[int, ...]]] = []
-        for exps in itertools.product(*(range(o) for o in comp.orders)):
-            r = 1
-            for g, a in zip(comp.generators, exps):
-                r = r * pow(g, a, comp.prime_power) % comp.prime_power
-            local.append((r, exps))
-        per_comp.append(local)
-    qv = struct.modulus
-    for combo in itertools.product(*per_comp):
-        x = 0
-        exps: tuple[int, ...] = ()
-        for (r, e), em in zip(combo, idem):
-            x = (x + r * em) % qv
-            exps = exps + e
-        yield x, exps
-
-
-@functools.cache
-def _unit_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(units ascending, inverse table over [0, q), unit mask over [0, q))."""
     mod = Modulus.of(q)
-    idx = np.arange(q, dtype=np.int64)
-    if mod.is_prime():
-        mask = idx > 0
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1] = 1
-        for i in range(2, q):
-            inv[i] = (q - (q // i) * inv[q % i]) % q
-    else:
-        g = np.gcd(idx, q)
-        mask = g == 1
-        inv = np.zeros(q, dtype=np.int64)
-        for x in idx[mask]:
-            inv[x] = pow(int(x), -1, q)
-    units = idx[mask]
-    tables = (units, inv, mask)
-    for arr in tables:
-        arr.flags.writeable = False  # shared by every caller
-    return tables
+    rows = mod.logs[mod.units].tolist()
+    for exps, x in sorted(zip(map(tuple, rows), mod.units.tolist())):
+        yield x, exps
 
 
 def unit_residues(q: "Modulus | int") -> np.ndarray:
     """Units of Z_q^* in [1, q), ascending (read-only int64 array)."""
-    return _unit_tables(Modulus.of(q).q)[0]
+    return Modulus.of(q).units
 
 
 def inverse_table(q: "Modulus | int") -> np.ndarray:
     """Read-only array inv of length q with inv[x] = x^-1 mod q for units, else 0."""
-    return _unit_tables(Modulus.of(q).q)[1]
+    return Modulus.of(q).inverse
 
 
 def unit_mask(q: "Modulus | int") -> np.ndarray:
     """Read-only boolean array over [0, q) marking residues coprime to q."""
-    return _unit_tables(Modulus.of(q).q)[2]
+    return Modulus.of(q).mask

@@ -280,6 +280,29 @@ def test_path_agreement_random_instances():
             assert abs(rn.value - rf.value) <= rn.error_bound + rf.error_bound
 
 
+def test_transformed_block_budget(monkeypatch):
+    # blocks of 1, 3 and 13 rows (phi = 100 and 96 leave partial last
+    # blocks) against the default single block and the fast route
+    for q in (101, 105):
+        mod = Modulus.of(q)
+        keys = [int(u) for u in unit_residues(mod)[:7]]
+        A = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 5))))
+        J = Interval.of(mod, 3, 40)
+        entry_err = (A.support_size + 4) * np.finfo(float).eps * A.norm1
+        f_default = bilinear._transformed_values(A)
+        default = bilinear_kloosterman(A, J, "transformed")
+        fast = bilinear_kloosterman(A, J, "fast")
+        for rows in (1, 3, 13):
+            monkeypatch.setattr(bilinear, "_BLOCK_ENTRIES", rows * len(keys) + len(keys) - 1)
+            f_vals = bilinear._transformed_values(A)
+            assert f_vals.shape == f_default.shape
+            assert np.max(np.abs(f_vals - f_default)) <= 2 * entry_err
+            res = bilinear_kloosterman(A, J, "transformed")
+            assert abs(res.value - default.value) <= res.error_bound + default.error_bound
+            assert abs(res.value - fast.value) <= res.error_bound + fast.error_bound
+        monkeypatch.undo()
+
+
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_bilinear_linearity(data):

@@ -360,10 +360,14 @@ def test_cli_error_category():
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["category"] == "invalid_input"
 
-    proc = _run_cli("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2")
-    assert proc.returncode == 3
-    payload = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert payload["category"] == "resource_limit"
+    for argv in (
+        ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
+        ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
+    ):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 3
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["category"] == "resource_limit"
 
 
 def test_cli_plan_roundtrip(tmp_path):

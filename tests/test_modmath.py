@@ -144,9 +144,25 @@ def test_unit_group_examples():
 
 def test_unit_exponents_bijection_small_grid():
     for q in range(2, 1001):
-        seen = [x for x, _ in iter_unit_exponents(q)]
+        pairs = list(iter_unit_exponents(q))
+        seen = [x for x, _ in pairs]
         assert sorted(seen) == [int(u) for u in unit_residues(q)]
         assert len(seen) == Modulus.of(q).phi
+        tuples = [e for _, e in pairs]
+        assert all(a < b for a, b in zip(tuples, tuples[1:]))  # strictly increasing
+        comps = unit_group(q).components
+        for x, exps in pairs:
+            # x == prod_j g_j^e_j modulo every prime-power component
+            flat = iter(exps)
+            for comp in comps:
+                pe = comp.prime_power
+                local = 1
+                for g, o in zip(comp.generators, comp.orders):
+                    e = next(flat)
+                    assert 0 <= e < o
+                    local = local * pow(g, e, pe) % pe
+                assert local == x % pe
+            assert next(flat, None) is None
 
 
 def test_inverse_table_and_mask():
@@ -158,3 +174,12 @@ def test_inverse_table_and_mask():
                 assert x * int(inv[x]) % q == 1
             else:
                 assert inv[x] == 0
+    for q in (1000003, 2**20, 10**6, 720720, 3**12):
+        inv = inverse_table(q)
+        mask = unit_mask(q)
+        units = unit_residues(q)
+        idx = np.arange(q, dtype=np.int64)
+        assert np.array_equal(mask, np.gcd(idx, q) == 1)
+        assert np.array_equal(units, idx[mask])
+        assert np.all(units * inv[units] % q == 1)
+        assert not np.any(inv[~mask])
