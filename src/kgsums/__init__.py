@@ -72,6 +72,7 @@ from .expsums import (
     char_eval,
     char_values,
     character,
+    character_at,
     characters,
     gauss,
     gauss_row,
@@ -95,6 +96,6 @@ from .modmath import (
     unit_mask,
     unit_residues,
 )
-from .prng import SplitMix64, derive_seed
+from .prng import SplitMix64, derive_seed, splitmix64_block
 
 __version__ = "0.1.0"

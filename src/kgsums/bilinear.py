@@ -12,6 +12,11 @@ The double sum over (weight support) x (interval) admits three routes:
                     weight vector followed by the inversion permutation.
                     O(q log q + q).
 
+Weights are stored as arrays: :class:`WeightVector` holds a sorted int64
+support with aligned complex128 coefficients, :class:`CharWeightVector` the
+sorted exponent rows of its characters; both are read-only, and the
+``entries`` mapping is a derived view for the naive oracle and tests.
+
 All routes return a :class:`SumResult` and must agree within the sum of
 their error bounds; the cross-check is enforced by the experiment harness
 and the test suite.  Evaluation is pure and sequential with numpy's
@@ -30,7 +35,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -45,7 +51,6 @@ from .errors import (
 from .expsums import (
     DirichletCharacter,
     SumResult,
-    char_values,
     gauss,
     kloosterman,
     _sum_terms,
@@ -54,11 +59,12 @@ from .modmath import (
     MACHINE_EPS,
     TWO_PI,
     Modulus,
+    _shared,
     inverse_table,
     pow_mod,
     unit_residues,
 )
-from .prng import SplitMix64
+from .prng import splitmix64_block
 
 #: documented uniform constant in |gamma_x| <= GAMMA_SCALE_C * exp(-i) * N
 GAMMA_SCALE_C = math.e * math.pi / 2
@@ -95,142 +101,191 @@ class Interval:
         return range(self.L + 1, self.L + self.N + 1)
 
 
-def _norms(values: Iterable[complex]) -> tuple[float, float, float]:
-    mags = [abs(v) for v in values]
-    if not mags:
+def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys with their merged weights, as read-only arrays.
+
+    ``keys`` holds one key per entry of ``values`` (an int64 vector, or an
+    int64 matrix with one row per key).  Exact-zero inputs are skipped; each
+    key's weight is 0 plus its inputs in input order, as a dict merge adds
+    them, and keys whose merged weight is exactly 0 are dropped.
+    """
+    nonzero = values != 0
+    keys, values = keys[nonzero], values[nonzero]
+    if keys.ndim == 1 and np.all(keys[1:] > keys[:-1]):  # sorted and distinct already
+        merged = values + 0
+    else:
+        keys, slot = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.complex128)
+        np.add.at(merged, slot.reshape(-1), values)
+    kept = merged != 0
+    return _shared(keys[kept]), _shared(merged[kept])
+
+
+def _norms(coeffs: np.ndarray) -> tuple[float, float, float]:
+    # np.hypot rounds as abs() does; np.abs on complex128 can differ in the last bit
+    mags = np.hypot(coeffs.real, coeffs.imag)
+    if not mags.size:
         return 0.0, 0.0, 0.0
-    return float(math.fsum(mags)), math.sqrt(math.fsum(m * m for m in mags)), max(mags)
+    return (
+        math.fsum(mags.tolist()),
+        math.sqrt(math.fsum((mags * mags).tolist())),
+        float(mags.max()),
+    )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Sparse complex weights on residues coprime to q.
+def _norm(i: int, doc: str) -> property:
+    return property(lambda self: self._norm_values[i], doc=doc)
 
-    Keys are reduced mod q and must be units; exact-zero values are dropped
-    so the stored support is the true support.  The norms are computed once,
-    at construction.  Treat instances as immutable.
+
+def _key_value_arrays(keys, values) -> tuple:
+    """(keys, weights as complex128) from a mapping or from aligned sequences."""
+    if values is None:
+        keys, values = list(keys), list(keys.values())
+    values = np.asarray(values, dtype=np.complex128).reshape(-1)
+    if len(keys) != values.size:
+        raise ValueError(f"{len(keys)} weight keys but {values.size} values")
+    return keys, values
+
+
+class _SortedWeights:
+    """Weights stored as sorted distinct keys and aligned coefficients.
+
+    Both arrays are read-only and the norms are computed once, at
+    construction, so an instance is immutable in practice.
     """
 
-    modulus: Modulus
-    entries: dict[int, complex] = field(default_factory=dict)
+    __slots__ = ("modulus", "_support", "_coeffs", "_norm_values", "_entries")
 
-    def __post_init__(self):
-        q = self.modulus.q
-        clean: dict[int, complex] = {}
-        for m, a in self.entries.items():
-            r = int(m) % q
-            g = math.gcd(r, q)
-            if g != 1:
-                raise InvalidWeight(
-                    f"weight key {m} is not a unit mod {q} (gcd = {g})"
-                )
-            a = complex(a)
-            if a != 0:
-                clean[r] = clean.get(r, 0j) + a
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_norm_values", _norms(clean.values()))
+    def _store(self, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> None:
+        self.modulus = modulus
+        self._support, self._coeffs = _merge(keys, values)
+        self._norm_values = _norms(self._coeffs)
+        self._entries = None
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only {key: weight} in support order, built on first use from the arrays."""
+        if self._entries is None:
+            self._entries = MappingProxyType(dict(zip(self._keys(), self._coeffs.tolist())))
+        return self._entries
 
     @property
     def support_size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def norm1(self) -> float:
-        return self._norm_values[0]
-
-    @property
-    def norm2(self) -> float:
-        return self._norm_values[1]
-
-    @property
-    def norm_inf(self) -> float:
-        return self._norm_values[2]
+        return len(self._coeffs)
 
     def support(self) -> np.ndarray:
-        return np.array(sorted(self.entries), dtype=np.int64)
+        return self._support
 
     def coefficients(self) -> np.ndarray:
-        return np.array([self.entries[m] for m in sorted(self.entries)], dtype=np.complex128)
+        return self._coeffs
+
+
+class WeightVector(_SortedWeights):
+    """Sparse complex weights on residues coprime to q.
+
+    Built from a mapping {residue: weight} or from residues with aligned
+    ``values``.  Keys are reduced mod q and must be units; duplicates merge
+    in input order and exact zeros are dropped, so ``support()`` (sorted
+    int64) and ``coefficients()`` (complex128) hold the true support.
+    ``entries`` is a derived mapping for the naive oracle and tests.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, modulus: Modulus, keys=(), values=None):
+        modulus = Modulus.of(modulus)
+        keys, values = _key_value_arrays(keys, values)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        reduced = keys % modulus.q
+        gcds = np.gcd(reduced, modulus.q)
+        bad = np.flatnonzero(gcds != 1)
+        if bad.size:
+            i = bad[0]
+            raise InvalidWeight(
+                f"weight key {keys[i]} is not a unit mod {modulus.q} (gcd = {gcds[i]})"
+            )
+        self._store(modulus, reduced, values)
+
+    norm1 = _norm(0, "sum of |w|")
+    norm2 = _norm(1, "sqrt of the sum of |w|^2")
+    norm_inf = _norm(2, "max of |w|")
+
+    def _keys(self) -> list[int]:
+        return self._support.tolist()
 
     def scaled(self, c: complex) -> "WeightVector":
-        return WeightVector(self.modulus, {m: c * a for m, a in self.entries.items()})
+        c = complex(c)
+        a = self._coeffs
+        prod = np.empty_like(a)  # rounded as Python's complex product; numpy's may fuse
+        prod.real = c.real * a.real - c.imag * a.imag
+        prod.imag = c.real * a.imag + c.imag * a.real
+        return WeightVector(self.modulus, self._support, prod)
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         if other.modulus.q != self.modulus.q:
             raise ModulusMismatch("cannot add weight vectors with different moduli")
-        merged = dict(self.entries)
-        for m, a in other.entries.items():
-            merged[m] = merged.get(m, 0j) + a
-        return WeightVector(self.modulus, merged)
+        return WeightVector(
+            self.modulus,
+            np.concatenate([self._support, other._support]),
+            np.concatenate([self._coeffs, other._coeffs]),
+        )
 
 
-@dataclass(frozen=True)
-class CharWeightVector:
-    """Sparse complex weights on primitive characters mod q; norms as in WeightVector."""
+class CharWeightVector(_SortedWeights):
+    """Sparse complex weights on primitive characters mod q; storage as in WeightVector.
 
-    modulus: Modulus
-    entries: dict[DirichletCharacter, complex] = field(default_factory=dict)
+    Keys are :class:`DirichletCharacter` objects; ``support()`` holds their
+    exponent rows, shape (M, number of generators), in lexicographic order.
+    """
 
-    def __post_init__(self):
-        clean: dict[DirichletCharacter, complex] = {}
-        for chi, w in self.entries.items():
-            if chi.modulus.q != self.modulus.q:
-                raise ModulusMismatch(
-                    f"character modulus {chi.modulus.q} != {self.modulus.q}"
-                )
-            if not chi.is_primitive:
+    __slots__ = ()
+
+    def __init__(self, modulus: Modulus, keys=(), values=None):
+        modulus = Modulus.of(modulus)
+        keys, values = _key_value_arrays(keys, values)
+        for chi in keys:
+            if chi.modulus.q != modulus.q:
+                raise ModulusMismatch(f"character modulus {chi.modulus.q} != {modulus.q}")
+            if chi.conductor != modulus.q:
                 raise InvalidWeight(
-                    f"character with conductor {chi.conductor} < {self.modulus.q} "
-                    "cannot carry weight"
+                    f"character with conductor {chi.conductor} < {modulus.q} cannot carry weight"
                 )
-            w = complex(w)
-            if w != 0:
-                clean[chi] = clean.get(chi, 0j) + w
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "_norm_values", _norms(clean.values()))
+        rows = np.array([chi.exponents for chi in keys], dtype=np.int64)
+        self._store(modulus, rows.reshape(len(keys), len(modulus.group.orders)), values)
 
-    @property
-    def support_size(self) -> int:
-        return len(self.entries)
+    norm1 = _norm(0, "sum of |w|")
+    norm2 = _norm(1, "sqrt of the sum of |w|^2")
+    norm_inf = _norm(2, "max of |w|")
 
-    @property
-    def norm1(self) -> float:
-        return self._norm_values[0]
-
-    @property
-    def norm2(self) -> float:
-        return self._norm_values[1]
-
-    @property
-    def norm_inf(self) -> float:
-        return self._norm_values[2]
+    def _keys(self) -> list[DirichletCharacter]:
+        q = self.modulus.q
+        return [DirichletCharacter(self.modulus, tuple(row), q) for row in self._support.tolist()]
 
 
 WEIGHT_KINDS = ("const", "pm1", "unit", "zero")
 
 
-def make_weights(keys: list, kind: str, seed: int) -> list[complex]:
-    """Deterministic weight values for the given ordered keys.
+def make_weights(keys, kind: str, seed: int) -> np.ndarray:
+    """Deterministic complex128 weight values for the given ordered keys.
 
-    Kinds: ``const`` (all 1), ``pm1`` (random signs), ``unit`` (random
-    points on the unit circle), ``zero`` (all 0, for trivial-case tests).
-    Values are drawn sequentially in key order from one SplitMix64 stream
-    seeded with ``seed``, so every run is reproducible cross-platform.
+    Kinds: ``const`` (all 1), ``pm1`` (random signs from the top bit),
+    ``unit`` (random points on the unit circle, angle 2 pi times the top
+    53 bits over 2^53), ``zero`` (all 0, for trivial-case tests).  Value i
+    comes from output i+1 of one SplitMix64 stream seeded with ``seed``, so
+    every run is reproducible cross-platform.
     """
     if kind not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
-    rng = SplitMix64(seed)
-    out: list[complex] = []
-    for _ in keys:
-        if kind == "const":
-            out.append(1.0 + 0j)
-        elif kind == "pm1":
-            out.append(complex(rng.sign(), 0.0))
-        elif kind == "unit":
-            out.append(cmath.exp(complex(0.0, TWO_PI * rng.uniform01())))
-        else:
-            out.append(0j)
-    return out
+    n = len(keys)
+    if kind == "const":
+        return np.ones(n, dtype=np.complex128)
+    if kind == "zero":
+        return np.zeros(n, dtype=np.complex128)
+    bits = splitmix64_block(seed, n)
+    if kind == "pm1":
+        return np.where(bits >> np.uint64(63), -1.0, 1.0).astype(np.complex128)
+    angles = TWO_PI * ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
+    return np.exp(1j * angles)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +486,12 @@ def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
 _ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
 
 
-def _naive_double_sum(weights, J: Interval, scalar, key=None) -> SumResult:
+def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     """Literal double sum of w * scalar(q, k, n) over supp(weights) x J.
 
     ``scalar`` is :func:`kloosterman` or :func:`gauss`; the support is
-    walked in ``sorted(..., key=key)`` order.  Exists purely as an oracle.
+    walked in sorted order through ``weights.entries``.  Exists purely as
+    an oracle.
     """
     mod = _check_shared_modulus(weights, J)
     cost = weights.support_size * J.N * mod.phi
@@ -447,8 +503,7 @@ def _naive_double_sum(weights, J: Interval, scalar, key=None) -> SumResult:
     err = 0.0
     l1 = 0.0
     count = 0
-    for k in sorted(weights.entries, key=key):
-        w = weights.entries[k]
+    for k, w in weights.entries.items():
         for n in J.values():
             s = scalar(mod, k, n)
             term = w * s.value
@@ -502,16 +557,38 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
     """
     if method not in _GAUSS_METHODS:
         raise ValueError(f"method must be one of {_GAUSS_METHODS}, got {method!r}")
-    mod = _check_shared_modulus(W, J)
+    _check_shared_modulus(W, J)
     if W.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
-        return _naive_double_sum(W, J, gauss, key=lambda c: c.exponents)
-    combined = np.zeros(mod.q, dtype=np.complex128)
-    for chi in sorted(W.entries, key=lambda c: c.exponents):
-        combined += W.entries[chi] * char_values(chi)
+        return _naive_double_sum(W, J, gauss)
     entry_err = (W.support_size + 4) * MACHINE_EPS * W.norm1
-    return _outer_sum(J, combined[unit_residues(mod)], entry_err)
+    return _outer_sum(J, _combined_char_values(W), entry_err)
+
+
+def _combined_char_values(W: CharWeightVector) -> np.ndarray:
+    """sum_chi w_chi chi(x) for every unit x, aligned with unit_residues(q).
+
+    Each block of at most max(1, _BLOCK_ENTRIES // q) characters gets its
+    angle numerators t from one ``logs @ angle weights`` product and reads
+    chi(x) = exp(2 pi i t / lambda(q)) from one table of the lambda(q)
+    roots, rounded as :func:`char_values` rounds them; the rows are then
+    added one by one in support order, as sequential ``char_values``
+    accumulation would.
+    """
+    mod = W.modulus
+    lam = mod.carmichael
+    roots = np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
+    angle_weights = W.support() * (lam // np.array(mod.group.orders, dtype=np.int64))
+    logs_t = mod.logs.T
+    coeffs = W.coefficients().tolist()
+    rows = max(1, _BLOCK_ENTRIES // mod.q)
+    combined = np.zeros(mod.q, dtype=np.complex128)
+    for start in range(0, len(coeffs), rows):
+        t = angle_weights[start : start + rows] @ logs_t % lam
+        for w, chi_row in zip(coeffs[start : start + rows], roots[t]):
+            combined += w * chi_row
+    return combined[unit_residues(mod)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .experiments import (
     exceptional_budget,
     run_experiment,
 )
-from .expsums import characters, gauss, kloosterman
+from .expsums import character_at, gauss, kloosterman
 from .modmath import Modulus
 from .verify import run_verify
 
@@ -123,10 +123,9 @@ def _cmd_kloosterman(args) -> int:
 
 def _cmd_gauss(args) -> int:
     mod = Modulus.of(args.q)
-    chars = list(characters(mod))
-    if not 0 <= args.chi < len(chars):
-        raise DomainRestriction(f"--chi must lie in [0, {len(chars)}) for q = {mod.q}")
-    chi = chars[args.chi]
+    if not 0 <= args.chi < mod.phi:
+        raise DomainRestriction(f"--chi must lie in [0, {mod.phi}) for q = {mod.q}")
+    chi = character_at(mod, args.chi)
     res = gauss(mod, chi, args.n)
     kind = "primitive" if chi.is_primitive else f"conductor {chi.conductor}"
     print(f"G_{args.q}(chi_{args.chi}, {args.n}) = {res.value:.15g}   [{kind}]")

@@ -124,9 +124,8 @@ def build_weight_vector(
     units = unit_residues(mod)
     if not 0 <= M <= units.size:
         raise ValueError(f"support size M must lie in [0, {units.size}], got {M}")
-    keys = [int(u) for u in units[:M]]
-    values = make_weights(keys, weight_kind, seed)
-    return WeightVector(mod, dict(zip(keys, values)))
+    keys = units[:M]
+    return WeightVector(mod, keys, make_weights(keys, weight_kind, seed))
 
 
 def build_char_weight_vector(
@@ -140,8 +139,7 @@ def build_char_weight_vector(
             f"support size M must lie in [0, {len(prim)}] for q = {mod.q}, got {M}"
         )
     keys = prim[:M]
-    values = make_weights(keys, weight_kind, seed)
-    return CharWeightVector(mod, dict(zip(keys, values)))
+    return CharWeightVector(mod, keys, make_weights(keys, weight_kind, seed))
 
 
 def run_experiment(

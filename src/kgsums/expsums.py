@@ -218,6 +218,22 @@ def characters(q: "Modulus | int") -> Iterator[DirichletCharacter]:
         yield DirichletCharacter(modulus=mod, exponents=exps, conductor=conductor(mod, exps))
 
 
+def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
+    """The character at position ``index`` of :func:`characters`, without enumerating.
+
+    ``index`` is read as a mixed-radix number over the generator orders with
+    the last generator fastest, the order ``itertools.product`` yields.
+    """
+    mod = Modulus.of(q)
+    if not 0 <= index < mod.phi:
+        raise ValueError(f"character index {index} outside [0, {mod.phi})")
+    exponents = []
+    for o in reversed(mod.group.orders):
+        index, k = divmod(index, o)
+        exponents.append(k)
+    return character(mod, tuple(reversed(exponents)))
+
+
 def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
     """The subset of characters with conductor q, in enumeration order."""
     return [chi for chi in characters(q) if chi.is_primitive]

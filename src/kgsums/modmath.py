@@ -246,8 +246,9 @@ class UnitGroupStructure:
     modulus: int
     components: tuple[UnitGroupComponent, ...]
 
-    @property
+    @functools.cached_property
     def orders(self) -> tuple[int, ...]:
+        """Orders of the flattened generators, in factor order."""
         return tuple(o for c in self.components for o in c.orders)
 
 

@@ -9,11 +9,20 @@ identical weights on any platform or Python build:
     z       = ((z ^ (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output  = z ^ (z >> 31)
 
+The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so output
+k is mix(seed + k * gamma) with no dependence on earlier outputs: SplitMix64
+is counter-based (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+Generators", OOPSLA 2014).  :func:`splitmix64_block` draws a whole stream in
+one wrapping uint64 numpy pass; the sequential :class:`SplitMix64` is the
+reference it is tested against.
+
 ``uniform01`` maps the top 53 output bits onto [0, 1).  Per-modulus streams
 for sweeps are derived via :func:`derive_seed`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -41,6 +50,20 @@ class SplitMix64:
     def sign(self) -> int:
         """+1 or -1 from the top output bit."""
         return 1 if self.next_u64() >> 63 == 0 else -1
+
+
+def splitmix64_block(seed: int, n: int) -> np.ndarray:
+    """Outputs 1..n of ``SplitMix64(seed)`` as one uint64 array."""
+    with np.errstate(over="ignore"):
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(seed & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(seed: int, salt: int) -> int:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +19,9 @@ from kgsums import (
     bilinear_gauss,
     bilinear_generalized,
     bilinear_kloosterman,
+    char_values,
     character,
+    derive_seed,
     dyadic_decomposition,
     dyadic_partition,
     eq_exp,
@@ -27,7 +30,9 @@ from kgsums import (
     make_weights,
     mod_inv,
     moment_check,
+    primitive_characters,
     representative,
+    splitmix64_block,
     unit_residues,
 )
 import kgsums.bilinear as bilinear
@@ -101,13 +106,119 @@ def test_make_weights_deterministic():
     a = make_weights(keys, "pm1", 42)
     b = make_weights(keys, "pm1", 42)
     c = make_weights(keys, "pm1", 43)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     assert all(v in (1, -1) for v in (x.real for x in a))
     u = make_weights(keys, "unit", 7)
     assert all(abs(abs(v) - 1) < 1e-12 for v in u)
-    assert make_weights(keys, "const", 0) == [1 + 0j] * 10
-    assert make_weights(keys, "zero", 0) == [0j] * 10
+    assert np.array_equal(make_weights(keys, "const", 0), [1 + 0j] * 10)
+    assert np.array_equal(make_weights(keys, "zero", 0), [0j] * 10)
+
+
+_SEEDS = (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15, derive_seed(1, 1000))
+
+
+def test_splitmix64_block_matches_scalar():
+    for seed in _SEEDS:
+        for n in (0, 1, 1000):
+            rng = SplitMix64(seed)
+            block = splitmix64_block(seed, n)
+            assert block.dtype == np.uint64
+            assert block.tolist() == [rng.next_u64() for _ in range(n)]
+
+
+def _scalar_weights(n, kind, seed):
+    # the sequential definition: one SplitMix64 draw per key, in key order
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(n):
+        if kind == "const":
+            out.append(1.0 + 0j)
+        elif kind == "pm1":
+            out.append(complex(rng.sign(), 0.0))
+        elif kind == "unit":
+            out.append(cmath.exp(complex(0.0, 2.0 * math.pi * rng.uniform01())))
+        else:
+            out.append(0j)
+    return out
+
+
+def test_make_weights_matches_scalar_reference():
+    for kind in ("const", "pm1", "unit", "zero"):
+        for seed in _SEEDS:
+            for n in (0, 1, 1000):
+                got = make_weights(range(n), kind, seed)
+                assert got.dtype == np.complex128 and got.shape == (n,)
+                ref = _scalar_weights(n, kind, seed)
+                assert all(complex(g) == r for g, r in zip(got, ref))
+                assert np.array_equal(np.signbit(got.imag), [math.copysign(1, r.imag) < 0 for r in ref])
+    # a longer unit stream: np.exp must round every phase as cmath.exp does
+    got = make_weights(range(50_000), "unit", 99)
+    assert got.tolist() == _scalar_weights(50_000, "unit", 99)
+
+
+def _dict_reference(q, pairs):
+    # the mapping semantics: reduce, skip zero inputs, add 0j + inputs in input order
+    merged = {}
+    for k, a in pairs:
+        if complex(a) != 0:
+            merged[k % q] = merged.get(k % q, 0j) + complex(a)
+    return {k: merged[k] for k in sorted(merged) if merged[k] != 0}
+
+
+def _reference_norms(values):
+    mags = [abs(v) for v in values]
+    if not mags:
+        return 0.0, 0.0, 0.0
+    return math.fsum(mags), math.sqrt(math.fsum(m * m for m in mags)), max(mags)
+
+
+def test_weight_vector_arrays():
+    mod = Modulus.of(7)
+    # duplicates merge in input order: (0 + 1e16) + 1 + (-1e16) is 0, not 1
+    keys = [1, 8, -6, 3, -1, 13, 2, 9]
+    vals = [1e16, 1.0, -1e16, 0.0, 2j, -1.5, 0.25 - 0.5j, 0.0]
+    w = WeightVector(mod, keys, vals)
+    ref = _dict_reference(7, zip(keys, vals))
+    assert ref == {2: 0.25 - 0.5j, 6: -1.5 + 2j}
+    assert w.support().tolist() == list(ref) and w.coefficients().tolist() == list(ref.values())
+    assert w.support().dtype == np.int64 and w.coefficients().dtype == np.complex128
+    assert w.entries == ref and w.entries is w.entries
+    with pytest.raises(TypeError):
+        w.entries[2] = 1.0  # a read-only view of the arrays
+    assert (w.norm1, w.norm2, w.norm_inf) == _reference_norms(ref.values())
+    # the mapping constructor takes the same path
+    assert WeightVector(mod, {-1: 2j, 13: -1.5, 2: 0.25 - 0.5j, 3: 0}).entries == ref
+    # all zero: empty support
+    empty = WeightVector(mod, [1, 2, 3], [0.0, 0j, -0.0])
+    assert empty.support_size == 0 and empty.support().size == 0
+    assert (empty.norm1, empty.norm2, empty.norm_inf) == (0.0, 0.0, 0.0)
+    # the first key that is not a unit is named
+    with pytest.raises(InvalidWeight, match=r"weight key 14 is not a unit mod 21 \(gcd = 7\)"):
+        WeightVector(Modulus.of(21), [1, 14, 3], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        WeightVector(mod, [1, 2], [1.0])
+
+
+def test_weight_vector_scaled_and_add_norms():
+    mod = Modulus.of(101)
+    keys = [int(u) for u in unit_residues(mod)]
+    a_vals = make_weights(keys, "unit", 3)
+    b_vals = make_weights(keys[::-1], "unit", 4)
+    wa = WeightVector(mod, dict(zip(keys, a_vals)))
+    wb = WeightVector(mod, dict(zip(keys[::-1], b_vals)))
+    c = complex(0.3, -1.7)
+    scaled = _dict_reference(101, ((k, c * complex(a)) for k, a in zip(keys, a_vals)))
+    ws = wa.scaled(c)
+    assert ws.entries == scaled
+    assert (ws.norm1, ws.norm2, ws.norm_inf) == _reference_norms(scaled.values())
+    summed = dict(wa.entries)
+    for k, b in wb.entries.items():
+        summed[k] = summed.get(k, 0j) + b
+    summed = _dict_reference(101, summed.items())
+    total = wa + wb
+    assert total.entries == summed
+    assert (total.norm1, total.norm2, total.norm_inf) == _reference_norms(summed.values())
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +411,27 @@ def test_transformed_block_budget(monkeypatch):
             res = bilinear_kloosterman(A, J, "transformed")
             assert abs(res.value - default.value) <= res.error_bound + default.error_bound
             assert abs(res.value - fast.value) <= res.error_bound + fast.error_bound
+        monkeypatch.undo()
+
+
+def test_gauss_combined_block_bit_equal(monkeypatch):
+    # blocks of 1, 3 and 13 characters (80, 16 and 15 primitive characters
+    # leave partial last blocks) against the default single block and the
+    # sequential char_values accumulation, bit for bit
+    for q in (125, 64, 105):
+        mod = Modulus.of(q)
+        prim = primitive_characters(mod)
+        W = CharWeightVector(mod, prim, make_weights(prim, "unit", 8))
+        entries = W.entries
+        reference = np.zeros(q, dtype=np.complex128)
+        for chi in sorted(prim, key=lambda c: c.exponents):
+            reference += entries[chi] * char_values(chi)
+        reference = reference[unit_residues(mod)].view(np.uint64)
+        assert np.array_equal(bilinear._combined_char_values(W).view(np.uint64), reference)
+        for rows in (1, 3, 13):
+            monkeypatch.setattr(bilinear, "_BLOCK_ENTRIES", rows * q + q - 1)
+            combined = bilinear._combined_char_values(W)
+            assert np.array_equal(combined.view(np.uint64), reference)
         monkeypatch.undo()
 
 

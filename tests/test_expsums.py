@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from kgsums import (
     DomainRestriction,
+    MACHINE_EPS,
     Modulus,
+    WeightVector,
     char_eval,
     char_values,
     character,
+    character_at,
     characters,
     gauss,
     gauss_row,
@@ -45,10 +48,32 @@ def test_cached_arrays_read_only():
     before = kloosterman(13, 1, 1).value
     chi = primitive_characters(13)[0]
     shared = (unit_residues(13), inverse_table(13), unit_mask(13), Modulus.of(13).logs)
-    for arr in shared + (char_values(chi),):
+    weights = WeightVector(Modulus.of(13), {1: 1.0, 2: -1.0, 5: 2j})
+    for arr in shared + (char_values(chi), weights.support(), weights.coefficients()):
         with pytest.raises(ValueError):
             arr[1] = arr[2]
     assert kloosterman(13, 1, 1).value == before
+
+
+def test_character_at_matches_enumeration():
+    for q in (8, 12, 45, 64):
+        chars = list(characters(q))
+        assert [character_at(q, i) for i in range(len(chars))] == chars
+        for bad in (-1, len(chars)):
+            with pytest.raises(ValueError):
+                character_at(q, bad)
+
+
+def test_group_orders_cached_and_char_eval():
+    # char_values divides by lambda(q) through numpy's complex division, so
+    # the two routes may differ in the last bits (9e-16 seen at q = 105)
+    for q in (64, 105, 128):
+        mod = Modulus.of(q)
+        assert mod.group.orders is mod.group.orders
+        for chi in characters(mod):
+            vals = char_values(chi)
+            for x in range(q):
+                assert abs(char_eval(chi, x) - vals[x]) <= 8 * MACHINE_EPS
 
 
 def test_kloosterman_real_within_budget():

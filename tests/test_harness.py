@@ -363,6 +363,7 @@ def test_cli_error_category():
     for argv in (
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
         ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
+        ("gauss", "--q", "4294967296", "--chi", "1", "--n", "1"),
     ):
         proc = _run_cli(*argv)
         assert proc.returncode == 3
