@@ -53,6 +53,7 @@ from .expsums import (
     SumResult,
     gauss,
     kloosterman,
+    roots_of_unity,
     _sum_terms,
 )
 from .modmath import (
@@ -110,13 +111,11 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     them, and keys whose merged weight is exactly 0 are dropped.
     """
     nonzero = values != 0
-    keys, values = keys[nonzero], values[nonzero]
-    if keys.ndim == 1 and np.all(keys[1:] > keys[:-1]):  # sorted and distinct already
-        merged = values + 0
-    else:
-        keys, slot = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
-        merged = np.zeros(len(keys), dtype=np.complex128)
-        np.add.at(merged, slot.reshape(-1), values)
+    keys, slot = np.unique(
+        keys[nonzero], axis=0 if keys.ndim > 1 else None, return_inverse=True
+    )
+    merged = np.zeros(len(keys), dtype=np.complex128)
+    np.add.at(merged, slot.reshape(-1), values[nonzero])
     kept = merged != 0
     return _shared(keys[kept]), _shared(merged[kept])
 
@@ -139,7 +138,11 @@ def _norm(i: int, doc: str) -> property:
 
 def _key_value_arrays(keys, values) -> tuple:
     """(keys, weights as complex128) from a mapping or from aligned sequences."""
+    if keys is None:
+        keys = {}
     if values is None:
+        if not isinstance(keys, Mapping):
+            raise ValueError("weight keys without values must be a mapping {key: weight}")
         keys, values = list(keys), list(keys.values())
     values = np.asarray(values, dtype=np.complex128).reshape(-1)
     if len(keys) != values.size:
@@ -192,7 +195,7 @@ class WeightVector(_SortedWeights):
 
     __slots__ = ()
 
-    def __init__(self, modulus: Modulus, keys=(), values=None):
+    def __init__(self, modulus: Modulus, keys=None, values=None):
         modulus = Modulus.of(modulus)
         keys, values = _key_value_arrays(keys, values)
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
@@ -240,7 +243,7 @@ class CharWeightVector(_SortedWeights):
 
     __slots__ = ()
 
-    def __init__(self, modulus: Modulus, keys=(), values=None):
+    def __init__(self, modulus: Modulus, keys=None, values=None):
         modulus = Modulus.of(modulus)
         keys, values = _key_value_arrays(keys, values)
         for chi in keys:
@@ -571,14 +574,13 @@ def _combined_char_values(W: CharWeightVector) -> np.ndarray:
 
     Each block of at most max(1, _BLOCK_ENTRIES // q) characters gets its
     angle numerators t from one ``logs @ angle weights`` product and reads
-    chi(x) = exp(2 pi i t / lambda(q)) from one table of the lambda(q)
-    roots, rounded as :func:`char_values` rounds them; the rows are then
-    added one by one in support order, as sequential ``char_values``
-    accumulation would.
+    chi(x) from :func:`roots_of_unity`, the table :func:`char_values` reads
+    too; the rows are then added one by one in support order, as sequential
+    ``char_values`` accumulation would.
     """
     mod = W.modulus
     lam = mod.carmichael
-    roots = np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
+    roots = roots_of_unity(lam)
     angle_weights = W.support() * (lam // np.array(mod.group.orders, dtype=np.int64))
     logs_t = mod.logs.T
     coeffs = W.coefficients().tolist()

@@ -196,6 +196,11 @@ def angle_numerators(mod: Modulus, exponents: tuple[int, ...]) -> np.ndarray:
     return mod.logs @ weights % mod.carmichael
 
 
+def roots_of_unity(lam: int) -> np.ndarray:
+    """exp(2*pi*i * k / lam) for k in [0, lam): the values every character takes."""
+    return np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
+
+
 def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
     """Build the character with the given exponent tuple (validated)."""
     mod = Modulus.of(q)
@@ -244,7 +249,7 @@ def char_values(chi: DirichletCharacter) -> np.ndarray:
     """chi(x) for x = 0..q-1 as a read-only complex vector (0 at non-units)."""
     mod = chi.modulus
     t = angle_numerators(mod, chi.exponents)
-    vals = np.exp(2j * np.pi * t / mod.carmichael)
+    vals = roots_of_unity(mod.carmichael)[t]
     vals[~mod.mask] = 0.0
     vals.flags.writeable = False  # cached: every caller shares this array
     return vals

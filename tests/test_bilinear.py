@@ -196,8 +196,15 @@ def test_weight_vector_arrays():
     # the first key that is not a unit is named
     with pytest.raises(InvalidWeight, match=r"weight key 14 is not a unit mod 21 \(gcd = 7\)"):
         WeightVector(Modulus.of(21), [1, 14, 3], [1.0, 1.0, 1.0])
+    # no keys at all: empty vectors of either kind
+    for cls in (WeightVector, CharWeightVector):
+        none = cls(mod)
+        assert none.support_size == 0 and dict(none.entries) == {}
+        assert (none.norm1, none.norm2, none.norm_inf) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         WeightVector(mod, [1, 2], [1.0])
+    with pytest.raises(ValueError, match="must be a mapping"):
+        WeightVector(mod, [1, 2])
 
 
 def test_weight_vector_scaled_and_add_norms():
