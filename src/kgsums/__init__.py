@@ -74,11 +74,13 @@ from .expsums import (
     character,
     character_at,
     characters,
+    conductors,
     gauss,
     gauss_row,
     kloosterman,
     kloosterman_row,
     primitive_characters,
+    primitive_exponents,
     weil_ratio,
 )
 from .modmath import (

@@ -51,6 +51,7 @@ from .errors import (
 from .expsums import (
     DirichletCharacter,
     SumResult,
+    conductors,
     gauss,
     kloosterman,
     roots_of_unity,
@@ -237,8 +238,11 @@ class WeightVector(_SortedWeights):
 class CharWeightVector(_SortedWeights):
     """Sparse complex weights on primitive characters mod q; storage as in WeightVector.
 
-    Keys are :class:`DirichletCharacter` objects; ``support()`` holds their
-    exponent rows, shape (M, number of generators), in lexicographic order.
+    Keys are :class:`DirichletCharacter` objects or an int64 array of
+    exponent rows, shape (M, number of generators).  Every row must lie in
+    range and have conductor q by :func:`conductors`; a character's own
+    ``conductor`` field is not trusted.  ``support()`` holds the rows in
+    lexicographic order.
     """
 
     __slots__ = ()
@@ -246,15 +250,23 @@ class CharWeightVector(_SortedWeights):
     def __init__(self, modulus: Modulus, keys=None, values=None):
         modulus = Modulus.of(modulus)
         keys, values = _key_value_arrays(keys, values)
-        for chi in keys:
-            if chi.modulus.q != modulus.q:
-                raise ModulusMismatch(f"character modulus {chi.modulus.q} != {modulus.q}")
-            if chi.conductor != modulus.q:
-                raise InvalidWeight(
-                    f"character with conductor {chi.conductor} < {modulus.q} cannot carry weight"
-                )
-        rows = np.array([chi.exponents for chi in keys], dtype=np.int64)
-        self._store(modulus, rows.reshape(len(keys), len(modulus.group.orders)), values)
+        orders = np.array(modulus.group.orders, dtype=np.int64)
+        if isinstance(keys, np.ndarray):
+            rows = keys.astype(np.int64, copy=False)
+        else:
+            for chi in keys:
+                if chi.modulus.q != modulus.q:
+                    raise ModulusMismatch(f"character modulus {chi.modulus.q} != {modulus.q}")
+            rows = np.array([chi.exponents for chi in keys], dtype=np.int64)
+        rows = rows.reshape(len(keys), orders.size)
+        in_range = np.all((rows >= 0) & (rows < orders), axis=1)
+        bad = np.flatnonzero(~in_range | (conductors(modulus, rows) != modulus.q))
+        if bad.size:
+            raise InvalidWeight(
+                f"exponent row {tuple(rows[bad[0]].tolist())} is not a primitive character "
+                f"mod {modulus.q} (generator orders {tuple(orders.tolist())})"
+            )
+        self._store(modulus, rows, values)
 
     norm1 = _norm(0, "sum of |w|")
     norm2 = _norm(1, "sqrt of the sum of |w|^2")
@@ -573,24 +585,28 @@ def _combined_char_values(W: CharWeightVector) -> np.ndarray:
     """sum_chi w_chi chi(x) for every unit x, aligned with unit_residues(q).
 
     Each block of at most max(1, _BLOCK_ENTRIES // q) characters gets its
-    angle numerators t from one ``logs @ angle weights`` product and reads
-    chi(x) from :func:`roots_of_unity`, the table :func:`char_values` reads
-    too; the rows are then added one by one in support order, as sequential
-    ``char_values`` accumulation would.
+    angle numerators t at the units from one ``logs @ angle weights``
+    product and reads chi(x) from :func:`roots_of_unity`, the table
+    :func:`char_values` reads too, into rows 1.. of one buffer whose row 0
+    is the running total.  The weight is the left operand, as in
+    ``w * char_values(chi)``, and one reduction over axis 0 adds the rows in
+    support order: bit for bit the sequential ``char_values`` accumulation.
     """
     mod = W.modulus
     lam = mod.carmichael
     roots = roots_of_unity(lam)
     angle_weights = W.support() * (lam // np.array(mod.group.orders, dtype=np.int64))
-    logs_t = mod.logs.T
-    coeffs = W.coefficients().tolist()
-    rows = max(1, _BLOCK_ENTRIES // mod.q)
-    combined = np.zeros(mod.q, dtype=np.complex128)
-    for start in range(0, len(coeffs), rows):
+    logs_t = mod.logs[unit_residues(mod)].T
+    coeffs = W.coefficients()
+    rows = max(1, min(_BLOCK_ENTRIES // mod.q, coeffs.size))
+    block = np.zeros((rows + 1, mod.phi), dtype=np.complex128)
+    for start in range(0, coeffs.size, rows):
         t = angle_weights[start : start + rows] @ logs_t % lam
-        for w, chi_row in zip(coeffs[start : start + rows], roots[t]):
-            combined += w * chi_row
-    return combined[unit_residues(mod)]
+        chi_rows = block[1 : len(t) + 1]
+        np.take(roots, t, out=chi_rows, mode="wrap")  # t < lam already; "wrap" avoids a buffer
+        np.multiply(coeffs[start : start + rows, None], chi_rows, out=chi_rows)
+        block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
+    return block[0].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .bilinear import (
 )
 from .bounds import BoundSpec, bound_value
 from .errors import VerificationError
-from .expsums import SumResult, kloosterman_row, primitive_characters
+from .expsums import SumResult, kloosterman_row, primitive_exponents
 from .modmath import Modulus, unit_residues
 from .prng import derive_seed
 
@@ -133,7 +133,7 @@ def build_char_weight_vector(
 ) -> CharWeightVector:
     """Weights on the first M primitive characters in enumeration order."""
     mod = Modulus.of(q)
-    prim = primitive_characters(mod)
+    prim = primitive_exponents(mod)
     if not 0 <= M <= len(prim):
         raise ValueError(
             f"support size M must lie in [0, {len(prim)}] for q = {mod.q}, got {M}"
@@ -250,7 +250,7 @@ def average_sweep(
         if family == "kloosterman":
             M = mod.phi
         else:
-            M = len(primitive_characters(mod))
+            M = len(primitive_exponents(mod))
         recs = run_experiment(
             mod,
             M,

@@ -4,6 +4,12 @@ Two evaluation routes exist for each family: a direct summation over the
 unit group and a DFT-based row evaluation.  The direct route is the
 correctness anchor; the row route is gated by entrywise agreement with it.
 
+Characters are exponent rows: int64 arrays with one column per generator of
+the unit group.  :func:`conductors` is the one conductor rule, vectorized
+over rows; :func:`primitive_exponents` keeps the rows it maps to q, and
+:func:`characters` / :func:`primitive_characters` are
+:class:`DirichletCharacter` object views over the same rows.
+
 Error accounting
 ----------------
 Every scalar sum is returned as a :class:`SumResult` whose ``error_bound``
@@ -22,19 +28,16 @@ the uniform formula.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainRestriction
+from .errors import DomainRestriction, ResourceLimit
 from .modmath import (
     MACHINE_EPS,
-    TWO_PI,
     Modulus,
     inverse_table,
     unit_residues,
@@ -139,45 +142,55 @@ class DirichletCharacter:
         return char_eval(self, x)
 
 
-def _valuation(k: int, p: int) -> int:
-    """The exponent of p in k != 0."""
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
+#: cap on the int64 entries of an exponent-row array, phi(q) * number of generators
+EXPONENT_ROWS_CAP = 1 << 25
+
+#: characters built per chunk of rows by :func:`characters`
+_CHUNK = 1 << 12
 
 
-def _local_conductor(p: int, e: int, ks: tuple[int, ...]) -> int:
-    """Conductor of the character with exponents ks on the units mod p^e."""
-    if not any(ks):
-        return 1
-    if len(ks) == 1:  # cyclic: odd p^e, or 4
-        return p ** (e - min(_valuation(ks[0], p), e - 1))
-    a, b = ks  # 2^e with e >= 3, generators (-1, 3)
-    if b == 0:
-        return 8
-    if a == 1 and b == 1 << (e - 3):
-        return 4
-    return 2 ** (e - _valuation(b, 2))
+def conductors(mod: Modulus, rows: np.ndarray) -> np.ndarray:
+    """Conductors of the characters mod q whose exponent rows are ``rows``, as int64.
+
+    ``rows`` has shape (R, number of generators) with entry j in
+    [0, order_j).  The conductor is the product over the prime-power
+    components p^e of a closed-form local conductor.  For a cyclic
+    component (odd p^e, or 4) with exponent k it is 1 if k = 0, else
+    p^(e - min(v_p(k), e - 1)).  For 2^e with e >= 3 and exponents (a, b)
+    on the generators (-1, 3) it is 1 for (0, 0), 8 for b = 0 and a = 1, 4
+    for (1, 2^(e-3)), and otherwise 2^(e - min(v_2(b), e - 3)).  Each
+    min(v_p(k), cap) takes cap masked passes over the column.  Conductors
+    divide q and are held as int64, so q >= 2**63 is refused.
+    """
+    if mod.q >= 1 << 63:
+        raise ResourceLimit(f"int64 conductors need q < 2**63, got q = {mod.q}")
+    rows = np.asarray(rows, dtype=np.int64)
+    cond = np.ones(len(rows), dtype=np.int64)
+    col = 0
+    for comp in mod.group.components:
+        p, e, n_g = comp.prime, comp.exponent, len(comp.orders)
+        if n_g == 0:  # units mod 2: only the trivial character
+            continue
+        k = rows[:, col + n_g - 1]  # the cyclic exponent, or b on (-1, 3)
+        cap = e - 1 if n_g == 1 else e - 3
+        v = np.zeros(len(rows), dtype=np.int64)
+        for i in range(1, cap + 1):
+            v += k % p**i == 0
+        local = p ** (e - v)
+        if n_g == 1:
+            local = np.where(k == 0, 1, local)
+        else:
+            a = rows[:, col]
+            local = np.where(k == 0, np.where(a == 0, 1, 8), local)
+            local[(a == 1) & (k == 1 << (e - 3))] = 4
+        cond *= local
+        col += n_g
+    return cond
 
 
 def conductor(mod: Modulus, exponents: tuple[int, ...]) -> int:
-    """Conductor of the character mod q with the given exponent tuple.
-
-    The product over the prime-power components p^e of a closed-form local
-    conductor.  For a cyclic component (odd p^e, or 4) with exponent k it
-    is 1 if k = 0, else p^(e - min(v_p(k), e - 1)).  For 2^e with e >= 3
-    and exponents (a, b) on the generators (-1, 3) it is 1 for (0, 0), 8
-    for b = 0 and a = 1, 4 for (1, 2^(e-3)), and otherwise 2^(e - v_2(b)).
-    """
-    cond = 1
-    flat = 0
-    for comp in mod.group.components:
-        n_g = len(comp.orders)
-        cond *= _local_conductor(comp.prime, comp.exponent, exponents[flat : flat + n_g])
-        flat += n_g
-    return cond
+    """Conductor of the character mod q with the given exponent tuple (see :func:`conductors`)."""
+    return int(conductors(mod, np.array([exponents], dtype=np.int64))[0])
 
 
 def _angle_weights(mod: Modulus, exponents: tuple[int, ...]) -> list[int]:
@@ -196,9 +209,14 @@ def angle_numerators(mod: Modulus, exponents: tuple[int, ...]) -> np.ndarray:
     return mod.logs @ weights % mod.carmichael
 
 
+def _roots(k: np.ndarray, lam: int) -> np.ndarray:
+    """exp(2*pi*i * k / lam) elementwise: the one rounding of every character value."""
+    return np.exp(2j * np.pi * k / lam)
+
+
 def roots_of_unity(lam: int) -> np.ndarray:
     """exp(2*pi*i * k / lam) for k in [0, lam): the values every character takes."""
-    return np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
+    return _roots(np.arange(lam, dtype=np.int64), lam)
 
 
 def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
@@ -216,11 +234,35 @@ def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharac
     return DirichletCharacter(modulus=mod, exponents=exponents, conductor=conductor(mod, exponents))
 
 
+def _exponent_rows(mod: Modulus) -> np.ndarray:
+    """All phi(q) exponent rows, lexicographic with the last generator fastest.
+
+    Raises :class:`ResourceLimit` before allocating when the rows would
+    hold more than EXPONENT_ROWS_CAP entries.
+    """
+    orders = mod.group.orders
+    if mod.phi * len(orders) > EXPONENT_ROWS_CAP:
+        raise ResourceLimit(
+            f"exponent rows mod {mod.q} need phi(q) * {len(orders)} = "
+            f"{mod.phi * len(orders)} entries, above the cap {EXPONENT_ROWS_CAP}"
+        )
+    return np.indices(orders, dtype=np.int64).reshape(len(orders), mod.phi).T
+
+
 def characters(q: "Modulus | int") -> Iterator[DirichletCharacter]:
-    """All phi(q) characters mod q, in lexicographic exponent order."""
+    """All phi(q) characters mod q, in lexicographic exponent order.
+
+    Objects over :func:`_exponent_rows`, with conductors from one
+    :func:`conductors` call; rows become Python tuples a chunk at a time,
+    so memory stays near the two arrays.
+    """
     mod = Modulus.of(q)
-    for exps in itertools.product(*(range(o) for o in mod.group.orders)):
-        yield DirichletCharacter(modulus=mod, exponents=exps, conductor=conductor(mod, exps))
+    rows = _exponent_rows(mod)
+    conds = conductors(mod, rows)
+    for start in range(0, len(rows), _CHUNK):
+        chunk = zip(rows[start : start + _CHUNK].tolist(), conds[start : start + _CHUNK].tolist())
+        for exps, cond in chunk:
+            yield DirichletCharacter(modulus=mod, exponents=tuple(exps), conductor=cond)
 
 
 def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
@@ -239,9 +281,27 @@ def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
     return character(mod, tuple(reversed(exponents)))
 
 
+def primitive_exponents(q: "Modulus | int") -> np.ndarray:
+    """Exponent rows of the primitive characters mod q, in enumeration order.
+
+    The rows of :func:`_exponent_rows` with conductor q, shape
+    (count, number of generators); empty for q = 2 mod 4.
+    """
+    mod = Modulus.of(q)
+    rows = _exponent_rows(mod)
+    return rows[conductors(mod, rows) == mod.q]
+
+
 def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
-    """The subset of characters with conductor q, in enumeration order."""
-    return [chi for chi in characters(q) if chi.is_primitive]
+    """The characters with conductor q, in enumeration order.
+
+    :class:`DirichletCharacter` objects over :func:`primitive_exponents`.
+    """
+    mod = Modulus.of(q)
+    return [
+        DirichletCharacter(modulus=mod, exponents=tuple(exps), conductor=mod.q)
+        for exps in primitive_exponents(mod).tolist()
+    ]
 
 
 @functools.lru_cache(maxsize=2048)
@@ -256,16 +316,13 @@ def char_values(chi: DirichletCharacter) -> np.ndarray:
 
 
 def char_eval(chi: DirichletCharacter, x: int) -> complex:
-    """chi(x): zero at non-units, otherwise the exact root of unity."""
+    """chi(x): zero at non-units, otherwise the root of unity, bit-equal to :func:`char_values`."""
     mod = chi.modulus
     r = x % mod.q
     if math.gcd(r, mod.q) != 1:
         return 0j
     t = sum(a * w for a, w in zip(mod.logs[r].tolist(), _angle_weights(mod, chi.exponents)))
-    t %= mod.carmichael
-    if t == 0:
-        return complex(1.0, 0.0)
-    return cmath.exp(complex(0.0, TWO_PI * t / mod.carmichael))
+    return complex(_roots(np.array([t % mod.carmichael], dtype=np.int64), mod.carmichael)[0])
 
 
 # ---------------------------------------------------------------------------

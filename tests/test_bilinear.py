@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kgsums import (
     CharWeightVector,
+    DirichletCharacter,
     DomainRestriction,
     Interval,
     InvalidWeight,
@@ -31,6 +32,7 @@ from kgsums import (
     mod_inv,
     moment_check,
     primitive_characters,
+    primitive_exponents,
     representative,
     splitmix64_block,
     unit_residues,
@@ -99,6 +101,35 @@ def test_char_weight_vector_rejects_imprimitive():
     assert not imprimitive.is_primitive
     with pytest.raises(InvalidWeight):
         CharWeightVector(mod, {imprimitive: 1.0})
+    # the rows decide, not a conductor field the caller filled in
+    m7 = Modulus.of(7)
+    forged = DirichletCharacter(m7, (0,), 7)  # principal, conductor 1
+    with pytest.raises(InvalidWeight, match=r"\(0,\)"):
+        CharWeightVector(m7, {forged: 1.0})
+    # 99 = 3 mod 6 names the same character as (3,), outside the range
+    aliased = {DirichletCharacter(m7, (99,), 7): 1.0, DirichletCharacter(m7, (3,), 7): 1.0}
+    with pytest.raises(InvalidWeight, match=r"\(99,\)"):
+        CharWeightVector(m7, aliased)
+    rows = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.int64)  # first bad row (1, 1)
+    with pytest.raises(InvalidWeight, match=r"\(1, 1\)"):
+        CharWeightVector(mod, rows, np.ones(3))
+    with pytest.raises(InvalidWeight, match=r"\(-1, 1\)"):
+        CharWeightVector(mod, np.array([[-1, 1]]), [1.0])
+
+
+def test_char_weight_vector_row_keys_match_objects():
+    for q in (5, 8, 45, 64):
+        mod = Modulus.of(q)
+        rows = primitive_exponents(mod)[::-1]  # reversed, to exercise the sort
+        vals = make_weights(rows, "unit", 3)
+        from_rows = CharWeightVector(mod, rows, vals)
+        from_objects = CharWeightVector(
+            mod, [DirichletCharacter(mod, tuple(r), q) for r in rows.tolist()], vals
+        )
+        assert np.array_equal(from_rows.support(), from_objects.support())
+        assert np.array_equal(from_rows.coefficients(), from_objects.coefficients())
+        assert from_rows.entries == from_objects.entries
+        assert list(from_rows.entries) == primitive_characters(mod)
 
 
 def test_make_weights_deterministic():

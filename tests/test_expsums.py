@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgsums.expsums as expsums
 from kgsums import (
     DomainRestriction,
-    MACHINE_EPS,
     Modulus,
+    ResourceLimit,
     WeightVector,
     char_eval,
     char_values,
@@ -21,6 +23,7 @@ from kgsums import (
     kloosterman,
     kloosterman_row,
     primitive_characters,
+    primitive_exponents,
     unit_mask,
     unit_residues,
     weil_ratio,
@@ -55,25 +58,26 @@ def test_cached_arrays_read_only():
     assert kloosterman(13, 1, 1).value == before
 
 
-def test_character_at_matches_enumeration():
+def test_character_at_matches_enumeration(monkeypatch):
     for q in (8, 12, 45, 64):
         chars = list(characters(q))
         assert [character_at(q, i) for i in range(len(chars))] == chars
         for bad in (-1, len(chars)):
             with pytest.raises(ValueError):
                 character_at(q, bad)
+        with monkeypatch.context() as m:
+            m.setattr(expsums, "_CHUNK", 5)  # chunks end mid-enumeration
+            assert list(characters(q)) == chars
 
 
 def test_group_orders_cached_and_char_eval():
-    # char_values divides by lambda(q) through numpy's complex division, so
-    # the two routes may differ in the last bits (9e-16 seen at q = 105)
     for q in (64, 105, 128):
         mod = Modulus.of(q)
         assert mod.group.orders is mod.group.orders
         for chi in characters(mod):
             vals = char_values(chi)
             for x in range(q):
-                assert abs(char_eval(chi, x) - vals[x]) <= 8 * MACHINE_EPS
+                assert char_eval(chi, x) == vals[x]
 
 
 def test_kloosterman_real_within_budget():
@@ -275,6 +279,40 @@ def test_primitive_count_matches_mobius_sum():
     for q in range(2, 513):
         expected = sum(mobius(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
         assert len(primitive_characters(q)) == expected, q
+
+
+def _local_primitive_exponents(p, e):
+    """Exponent tuples of the primitive characters mod p^e, from the local rules."""
+    if p > 2:
+        return [(k,) for k in range(p ** (e - 1) * (p - 1)) if k % p]
+    if e == 1:
+        return []
+    if e == 2:
+        return [(1,)]
+    if e == 3:
+        return [(0, 1), (1, 0)]
+    return [(a, b) for a in range(2) for b in range(1 << (e - 2)) if b % 2]
+
+
+def test_primitive_exponents_are_the_product_of_local_sets():
+    # a character is primitive exactly when each local component is
+    for q in range(3, 1501):
+        local = [_local_primitive_exponents(p, e) for p, e in Modulus.of(q).factors]
+        expected = [sum(parts, ()) for parts in itertools.product(*local)]
+        rows = primitive_exponents(q)
+        assert rows.shape == (len(expected), len(Modulus.of(q).group.orders)), q
+        assert [tuple(r) for r in rows.tolist()] == expected, q
+
+
+def test_exponent_rows_capped_before_allocating(monkeypatch):
+    monkeypatch.setattr(expsums, "EXPONENT_ROWS_CAP", 16)
+    assert len(primitive_exponents(17)) == 15  # phi = 16 entries, at the cap
+    assert len(list(characters(16))) == 8  # 2 generators, 16 entries
+    for q in (19, 64):
+        with pytest.raises(ResourceLimit):
+            primitive_exponents(q)
+        with pytest.raises(ResourceLimit):
+            next(characters(q))
 
 
 # ---------------------------------------------------------------------------

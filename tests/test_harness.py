@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kgsums import (
     BoundSpec,
     ConfigError,
+    DirichletCharacter,
     Modulus,
     RunPlan,
     average_sweep,
@@ -224,6 +225,18 @@ def test_average_sweep_gauss_runs():
         assert rec.M == len(primitive_characters(rec.q))
 
 
+def test_gauss_sweep_builds_no_character_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DirichletCharacter was built on the sweep path")
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", refuse)
+    records, _ = average_sweep(16, 4, 2, 0.1, family="gauss")
+    assert len(records) == 17
+    records = run_experiment(63, 20, 10, weight_kind="unit", seed=3, family="gauss",
+                             methods=("transformed",))
+    assert records[0].M == 20
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         average_sweep(8, 4, 2, 0.1)
@@ -364,6 +377,8 @@ def test_cli_error_category():
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
         ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
         ("gauss", "--q", "4294967296", "--chi", "1", "--n", "1"),
+        ("gauss", "--q", str(2**63), "--chi", "1", "--n", "1"),  # int64 conductors
+        ("bilinear", "--family", "gauss", "--q", "2147483648", "--M", "1", "--N", "1"),
     ):
         proc = _run_cli(*argv)
         assert proc.returncode == 3
