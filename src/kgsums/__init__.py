@@ -80,6 +80,7 @@ from .expsums import (
     kloosterman,
     kloosterman_row,
     primitive_characters,
+    primitive_count,
     primitive_exponents,
     weil_ratio,
 )

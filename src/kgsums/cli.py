@@ -15,6 +15,7 @@ import sys
 from .bilinear import _GENERALIZED_METHODS, Interval, bilinear_generalized
 from .bounds import improvement_region
 from .counting import (
+    _COUNT_METHODS,
     dyadic_average,
     jr_congruence,
     jr_equation,
@@ -90,7 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--Q", type=int, default=None, help="dyadic range start for *-avg")
-    p.add_argument("--method", choices=("convolution", "exhaustive"), default="convolution")
+    p.add_argument(
+        "--method",
+        choices=_COUNT_METHODS,
+        default=None,
+        help="jr/rr route (default: fft where its rounding certificate holds, else convolution)",
+    )
 
     p = sub.add_parser("region", help="classify exponents against the polygon")
     p.add_argument("--mu", type=float, required=True)

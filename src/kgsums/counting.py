@@ -2,15 +2,26 @@
 
 Counts the 2r-tuples from {x <= K : gcd(x, q) = 1} whose r-fold inverse
 sums (or r-fold products) agree mod q, plus the integer-equation analogues
-over [1, K] without a modulus.  The folded route moves the count vector by
-every base residue and sums the results with whole-vector numpy calls:
-rotations (sums) are read from a sliding window over the vector written
-twice, a block of about ``_FOLD_BLOCK`` entries per gather; unit
-permutations (products) are scattered into one reused buffer.  All
-arithmetic is exact: the fold tables hold machine integers while provably
-below the int64 overflow line and Python ints in object-dtype arrays
-otherwise; final tallies are Python ints.  Exhaustive tuple enumeration is
-kept alongside every folded route as an independent oracle.
+over [1, K] without a modulus.  Three routes give the congruence counts:
+
+* ``"fft"``, the certified group DFT: the r-th power of the base set's
+  transform on the lattice Z/o_1 x .. x Z/o_k it lives on (Z/q for
+  inverse sums, the unit group through its discrete logs for products),
+  rounded only under an a priori bound on the rounding error (see
+  `_convolution_power`) and checked against the exact mass.
+* ``"convolution"``, the exact fold: it moves the count vector by every
+  base residue and sums the results with whole-vector numpy calls.
+  Rotations (sums) are read from a sliding window over the vector written
+  twice, a block of about ``_FOLD_BLOCK`` entries per gather; unit
+  permutations (products) are scattered into one reused buffer.  The fold
+  tables hold machine integers while provably below the int64 overflow
+  line and Python ints in object-dtype arrays otherwise.
+* ``"exhaustive"``, the oracle: literal enumeration of the tuples.
+
+By default the FFT route runs wherever its certificate holds and its
+padded lattice fits ``FFT_SIZE_CAP``, and the fold runs otherwise; both
+rules are arithmetic on the inputs, decided before anything is allocated.
+Final tallies are Python ints on every route.
 """
 
 from __future__ import annotations
@@ -21,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimit
-from .modmath import Modulus, inverse_table
+from .errors import ResourceLimit, VerificationError
+from .modmath import MACHINE_EPS, Modulus, inverse_table
 
 #: exhaustive oracles refuse beyond this many tuple comparisons
 EXHAUSTIVE_TUPLE_CAP = 10**8
@@ -30,6 +41,14 @@ EXHAUSTIVE_TUPLE_CAP = 10**8
 #: folded (convolution) route caps
 CONVOLUTION_Q_CAP = 10**6
 CONVOLUTION_R_CAP = 4
+
+#: the FFT route refuses padded lattices of more entries than this, which
+#: admits Z/q at r = 2 for every q up to the fold's cap (its work arrays
+#: peaked at about 90 MB for q = 1000003)
+FFT_SIZE_CAP = 1 << 21
+
+#: c in the FFT route's rounding certificate c * r * log2(n) * eps * |X|**r < 1/4
+_FFT_ERR_C = 8.0
 
 #: equation counters refuse beyond this many enumerated r-tuples
 EQUATION_TUPLE_CAP = 2 * 10**7
@@ -135,6 +154,108 @@ def _fold(q: int, base: np.ndarray, r: int, moved_sum) -> list[int]:
     return acc.tolist()
 
 
+def _fft_padding(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Per-axis powers of two >= r*(o - 1) + 1: room for the linear r-fold sum."""
+    return tuple(1 << (r * (o - 1)).bit_length() for o in shape)
+
+
+def _fft_refusal(shape: tuple[int, ...], r: int, size: int) -> str | None:
+    """Why the FFT route may not run for ``size`` points on ``shape`` at depth r.
+
+    None when it may.  Arithmetic on the arguments only, so it is decided
+    before anything is allocated.
+    """
+    n = math.prod(_fft_padding(shape, r))
+    if n > FFT_SIZE_CAP:
+        return f"FFT route needs a padded lattice of {n} entries, cap is {FFT_SIZE_CAP}"
+    # the integer size**r meets the float limit in an exact comparison, so a
+    # large power cannot overflow on the way
+    limit = 0.25 / (_FFT_ERR_C * r * max(1, n.bit_length() - 1) * MACHINE_EPS)
+    if size**r >= limit:
+        return (
+            f"FFT rounding certificate fails: |X|**r = {size}**{r} needs to stay "
+            f"below {limit:.3e} on a padded lattice of {n} entries"
+        )
+    return None
+
+
+def _convolution_power(
+    points: np.ndarray, shape: tuple[int, ...], r: int
+) -> tuple[np.ndarray, int]:
+    """The exact r-fold cyclic self-convolution T of a point set, and sum(T**2).
+
+    ``points`` holds one row of coordinates per distinct point of the
+    lattice Z/o_1 x .. x Z/o_k with ``shape`` (o_1, .., o_k).  Each axis is
+    zero-padded to a power of two >= r*(o_j - 1) + 1, so ``irfftn(rfftn(a)
+    ** r)`` is the linear r-fold sum; it is rounded, each axis is wrapped
+    mod o_j, and the mass sum(T) = |X|**r is checked exactly.
+
+    Rounding certificate, a priori (Percival, "Rapid multiplication modulo
+    the sum and difference of highly composite numbers", Math. Comp. 72,
+    2003, section 2).  Let u = eps/2 and k = log2(n) for the padded size n;
+    the axes' radix-2 levels add up to k however the transform splits into
+    1-D passes.  Every output of a power-of-two FFT is a sum over its
+    inputs in which each input passes at most k additions (relative error
+    u) and k products by a stored root (sqrt(5) u for the product, Brent,
+    Percival & Zimmermann, and up to 2u for the root).  So an output of the
+    forward transform of v errs by at most g * ||v||_1 with
+    g = (1 + u)^k (1 + (sqrt(5) + 2) u)^k - 1, about 5.24 k u.  The
+    indicator has ||a||_1 = |X|, so its transform is at most |X|(1 + g) in
+    size; the r - 1 products forming the power add (r - 1) sqrt(5) u
+    relatively, leaving each entry of the power at most |X|^r (r g +
+    (r - 1) sqrt(5) u) off.  The inverse transform is a mean of those
+    entries (1/n is a power of two, so exact) and adds g |X|^r.  To first
+    order,
+        |T~ - T| <= |X|^r ((r + 1) g + (r - 1) sqrt(5) u)
+                 <= 12.7 r k u |X|^r = 6.4 r k eps |X|^r
+    for r, k >= 1, using r + 1 <= 2r.  ``FFT_SIZE_CAP`` keeps k <= 21, so
+    k u < 3e-15 and the second-order terms are far below the first-order
+    ones; c = ``_FFT_ERR_C`` = 8 covers them.
+    With k replaced by max(k, 1) (the r - 1 products still round when
+    n = 1), the result is accepted only when c r k eps |X|^r < 1/4; the
+    observed distance from the integers is never consulted.  Under the
+    certificate |X|^r < 2^47, so the rounded counts fit int64.
+
+    sum(T**2) is an int64 dot while max(T) |X|^r, which bounds it, is
+    below the overflow line, and a Python-int dot above.  Raises
+    ResourceLimit when the certificate or ``FFT_SIZE_CAP`` refuses, before
+    any array is built.
+    """
+    size = points.shape[0]
+    reason = _fft_refusal(shape, r, size)
+    if reason:
+        raise ResourceLimit(reason)
+    lattice = shape or (1,)  # units mod 2: a one-point lattice with no axes
+    padded = _fft_padding(lattice, r)
+    axes = tuple(range(len(lattice)))
+    a = np.zeros(padded)
+    a[tuple(points.reshape(size, -1).T)] = 1.0
+    spec = np.fft.rfftn(a, axes=axes)
+    del a  # work arrays reach 2^21 entries: each is freed once it is spent
+    power = spec
+    for _ in range(r - 1):
+        power = power * spec  # the r - 1 products the certificate counts
+    approx = np.fft.irfftn(power, s=padded, axes=axes)
+    del spec, power
+    counts = np.rint(approx, out=approx).astype(np.int64)
+    del approx
+    for axis, o in enumerate(lattice):
+        # wrap the axis mod o: zero-fill it to whole periods, add the periods
+        whole = counts.shape[:axis] + (-(-padded[axis] // o) * o,) + counts.shape[axis + 1 :]
+        folded = np.zeros(whole, dtype=np.int64)
+        folded[tuple(map(slice, counts.shape))] = counts
+        counts = folded.reshape(whole[:axis] + (-1, o) + whole[axis + 1 :]).sum(axis)
+    counts = counts.reshape(shape)
+    mass = int(counts.sum())
+    if mass != size**r:
+        raise VerificationError(f"FFT counts have mass {mass}, expected |X|**r = {size ** r}")
+    # sum(T**2) <= max(T) * sum(T): an int64 dot below the overflow line
+    flat = counts.ravel()
+    if int(flat.max()) * mass >= _INT64_SAFE:
+        flat = flat[flat != 0].astype(object)
+    return counts, int(flat @ flat)
+
+
 def _check_convolution_caps(q: Modulus, r: int) -> None:
     if q.q > CONVOLUTION_Q_CAP or r > CONVOLUTION_R_CAP:
         raise ResourceLimit(
@@ -179,34 +300,56 @@ def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
 
-def _congruence_count(q: "Modulus | int", K: int, r: int, method: str, reciprocal: bool) -> int:
+_COUNT_METHODS = ("fft", "convolution", "exhaustive")
+
+
+def _congruence_count(
+    q: "Modulus | int", K: int, r: int, method: str | None, reciprocal: bool
+) -> int:
     """Pairs of r-tuples of admissible x <= K whose inverse sums
-    (``reciprocal``) or products agree mod q."""
+    (``reciprocal``) or products agree mod q.
+
+    ``method`` None runs "fft" when `_fft_refusal` lets it, else "convolution".
+    """
     mod = Modulus.of(q)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if method not in (None, *_COUNT_METHODS):
+        raise ValueError(f"method must be one of {_COUNT_METHODS} or None, got {method!r}")
     base = _admissible(mod, K)
-    if method == "convolution":
-        _check_convolution_caps(mod, r)
-        table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
-        return sum(c * c for c in table.counts)
     if method == "exhaustive":
         if reciprocal:
             return _exhaustive_pair_count(inverse_table(mod)[base], mod.q, r, np.add)
         return _exhaustive_pair_count(base, mod.q, r, np.multiply)
-    raise ValueError(f"method must be 'convolution' or 'exhaustive', got {method!r}")
+    # inverse sums live on Z/q; products on the unit group, through the logs
+    shape = (mod.q,) if reciprocal else mod.group.orders
+    if method is None:
+        method = "convolution" if _fft_refusal(shape, r, base.size) else "fft"
+    if method == "fft":
+        points = inverse_table(mod)[base] if reciprocal else mod.logs[base]
+        return _convolution_power(points, shape, r)[1]
+    _check_convolution_caps(mod, r)
+    table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
+    return sum(c * c for c in table.counts)
 
 
-def jr_congruence(q: "Modulus | int", K: int, r: int, method: str = "convolution") -> int:
+def jr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None) -> int:
     """Solutions of 1/x_1 + .. + 1/x_r = 1/x_{r+1} + .. + 1/x_{2r} mod q
     with 1 <= x_i <= K and gcd(x_i, q) = 1 (inverses require coprimality).
+
+    ``method`` is "fft", "convolution" or "exhaustive"; None picks "fft"
+    where its certificate holds and "convolution" otherwise.  An explicit
+    "fft" that cannot be certified raises ResourceLimit.
     """
     return _congruence_count(q, K, r, method, reciprocal=True)
 
 
-def rr_congruence(q: "Modulus | int", K: int, r: int, method: str = "convolution") -> int:
+def rr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None) -> int:
     """Solutions of x_1 * .. * x_r = x_{r+1} * .. * x_{2r} mod q with
     1 <= x_i <= K and gcd(x_i, q) = 1.
+
+    ``method`` as for :func:`jr_congruence`; the FFT route runs on the unit
+    group Z/o_1 x .. x Z/o_k, with each x placed at its discrete logs.
     """
     return _congruence_count(q, K, r, method, reciprocal=False)
 
@@ -266,7 +409,7 @@ def dyadic_average(
     if not 1 <= K <= Q:
         raise ValueError(f"need 1 <= K <= Q, got K = {K}, Q = {Q}")
     counter = jr_congruence if kind == "reciprocal" else rr_congruence
-    per_q = {q: counter(q, K, r, method="convolution") for q in range(Q, 2 * Q + 1)}
+    per_q = {q: counter(q, K, r) for q in range(Q, 2 * Q + 1)}
     mean = Fraction(sum(per_q.values()), Q)
     return mean, per_q
 
@@ -278,5 +421,5 @@ def j2_reference_ratio(q: "Modulus | int", K: int) -> float:
     the comparison formula carries an unspecified sub-polynomial factor.
     """
     mod = Modulus.of(q)
-    count = jr_congruence(mod, K, 2, method="convolution")
+    count = jr_congruence(mod, K, 2)
     return count / (K**3.5 / math.sqrt(mod.q) + K**2)

@@ -31,7 +31,7 @@ from .bilinear import (
 )
 from .bounds import BoundSpec, bound_value
 from .errors import VerificationError
-from .expsums import SumResult, kloosterman_row, primitive_exponents
+from .expsums import SumResult, kloosterman_row, primitive_count, primitive_exponents
 from .modmath import Modulus, unit_residues
 from .prng import derive_seed
 
@@ -247,10 +247,7 @@ def average_sweep(
     exceptional = 0
     for q in range(Q, 2 * Q + 1):
         mod = Modulus.of(q)
-        if family == "kloosterman":
-            M = mod.phi
-        else:
-            M = len(primitive_exponents(mod))
+        M = mod.phi if family == "kloosterman" else primitive_count(mod)
         recs = run_experiment(
             mod,
             M,

@@ -292,6 +292,17 @@ def primitive_exponents(q: "Modulus | int") -> np.ndarray:
     return rows[conductors(mod, rows) == mod.q]
 
 
+def primitive_count(q: "Modulus | int") -> int:
+    """Number of primitive characters mod q, the row count of `primitive_exponents`.
+
+    Multiplicative over the prime powers p^e of q: p - 2 for e = 1 and
+    p^(e-2) (p - 1)^2 for e >= 2 (for p = 2: 0, 1, 2, then 2^(e-2)).
+    """
+    return math.prod(
+        p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2 for p, e in Modulus.of(q).factors
+    )
+
+
 def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
     """The characters with conductor q, in enumeration order.
 

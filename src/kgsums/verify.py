@@ -149,13 +149,11 @@ def _check_counting() -> Check:
     for q in (5, 7, 9, 12, 25):
         for K in (2, 4, min(8, q)):
             for r in (1, 2):
-                a = jr_congruence(q, K, r, "convolution")
-                b = jr_congruence(q, K, r, "exhaustive")
-                c = rr_congruence(q, K, r, "convolution")
-                d = rr_congruence(q, K, r, "exhaustive")
-                if a != b or c != d:
-                    return ("counting oracle equivalence", False, f"q={q}, K={K}, r={r}")
-    return ("counting oracle equivalence", True, "q <= 25, K <= 8, r <= 2")
+                for count in (jr_congruence, rr_congruence):
+                    routes = {count(q, K, r, m) for m in ("fft", "convolution", "exhaustive")}
+                    if len(routes) != 1:
+                        return ("counting oracle equivalence", False, f"q={q}, K={K}, r={r}")
+    return ("counting oracle equivalence", True, "fft, fold, exhaustive; q <= 25, K <= 8, r <= 2")
 
 
 def _check_region() -> Check:

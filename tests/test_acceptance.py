@@ -201,12 +201,11 @@ def test_criterion_06_counting_oracles():
     for q in range(2, 51):
         for K in range(1, min(12, q) + 1):
             for r in (1, 2):
-                assert jr_congruence(q, K, r, "convolution") == jr_congruence(
-                    q, K, r, "exhaustive"
-                ), f"jr q={q} K={K} r={r}"
-                assert rr_congruence(q, K, r, "convolution") == rr_congruence(
-                    q, K, r, "exhaustive"
-                ), f"rr q={q} K={K} r={r}"
+                jr = jr_congruence(q, K, r, "exhaustive")
+                rr = rr_congruence(q, K, r, "exhaustive")
+                for method in ("convolution", "fft"):
+                    assert jr_congruence(q, K, r, method) == jr, f"jr {method} q={q} K={K} r={r}"
+                    assert rr_congruence(q, K, r, method) == rr, f"rr {method} q={q} K={K} r={r}"
     assert jr_congruence(5, 2, 2) == 6
     assert rr_congruence(5, 2, 2) == 6
     assert jr_equation(3, 2) == 15

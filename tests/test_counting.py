@@ -7,15 +7,19 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgsums.counting as counting
 from kgsums import (
+    Modulus,
     ResourceLimit,
     SplitMix64,
+    VerificationError,
     dyadic_average,
+    inverse_table,
     j2_reference_ratio,
     jr_congruence,
     jr_equation,
@@ -201,6 +205,95 @@ def test_fold_block_edges(monkeypatch, wide):
             assert product_table(q, K, r) == default[q, K, r][1]
 
 
+# ---------------------------------------------------------------------------
+# the certified FFT route
+# ---------------------------------------------------------------------------
+
+# (q, K, depths): q = 2 (the unit group has no generators, so the lattice
+# has no axes), q = 2 mod 4 (the factor 2 adds no axis), powers of two (a
+# Z/2 axis beside a long one) and groups of four and five axes
+FFT_SHAPE_CASES = (
+    (2, 2, (1, 2, 3)),
+    (6, 5, (1, 2, 3)),
+    (30, 29, (1, 2, 3)),
+    (4094, 200, (1, 2, 3)),
+    (4, 3, (1, 2, 3)),
+    (64, 63, (1, 2, 3)),
+    (1024, 300, (1, 2, 3)),
+    (720, 300, (1, 2, 3)),
+    (5040, 400, (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize("q, K, depths", FFT_SHAPE_CASES, ids=[str(c[0]) for c in FFT_SHAPE_CASES])
+def test_fft_tables_match_fold_on_group_shapes(q, K, depths):
+    mod = Modulus.of(q)
+    base = np.array(_admissible(q, K), dtype=np.int64)
+    for r in depths:
+        recip, energy = counting._convolution_power(inverse_table(mod)[base], (q,), r)
+        assert tuple(recip.tolist()) == reciprocal_table(q, K, r).counts
+        assert energy == jr_congruence(q, K, r, method="convolution")
+        # the lattice table read at the logs of every unit is the fold's table
+        prod, energy = counting._convolution_power(mod.logs[base], mod.group.orders, r)
+        assert prod.shape == mod.group.orders
+        units = np.flatnonzero(mod.mask)
+        folded = np.array(product_table(q, K, r).counts)
+        assert np.all(prod[tuple(mod.logs[units].T)] == folded[units])  # q = 2: one point
+        assert energy == rr_congruence(q, K, r, method="convolution")
+        if len(base) ** (2 * r) <= 10**6:
+            assert energy == rr_congruence(q, K, r, method="exhaustive")
+        assert jr_congruence(q, K, r) == jr_congruence(q, K, r, method="fft")
+        assert rr_congruence(q, K, r) == rr_congruence(q, K, r, method="fft")
+
+
+def test_fft_route_on_many_axes_and_past_the_fold_cap():
+    # 720720 = 2^4 3^2 5 7 11 13: seven axes.  Z/q fits the padded-size cap
+    # at r = 2, the unit-group lattice only at r = 1; past the cap the
+    # default is the fold and an explicit "fft" is refused
+    q, K = 720720, 40
+    for r in (1, 2):
+        assert jr_congruence(q, K, r, "fft") == jr_congruence(q, K, r, "convolution")
+    assert rr_congruence(q, K, 1, "fft") == rr_congruence(q, K, 1, "convolution")
+    assert "cap" in counting._fft_refusal(Modulus.of(q).group.orders, 2, 1)
+    assert rr_congruence(q, K, 2) == rr_congruence(q, K, 2, "convolution")
+    with pytest.raises(ResourceLimit):
+        rr_congruence(q, K, 2, method="fft")
+    # above the fold's q cap, against closed forms over all of (Z/p)^*:
+    # pairs with sum s number p-1 at s = 0 and p-2 elsewhere, pairs with
+    # product s number p-1 for every unit s
+    p = 1000003
+    assert jr_congruence(p, p - 1, 2) == (p - 1) ** 2 + (p - 1) * (p - 2) ** 2
+    assert rr_congruence(p, p - 1, 2) == (p - 1) ** 3
+
+
+@pytest.mark.parametrize("knob, value", [("FFT_SIZE_CAP", 0), ("_FFT_ERR_C", 1e30)])
+def test_fft_refusal_precedes_any_transform(monkeypatch, knob, value):
+    # a failing certificate or size cap sends the default to the fold and
+    # makes an explicit "fft" raise, both before any transform is taken
+    cases = ((101, 60, 2), (720, 300, 2), (2, 2, 3))
+    folds = {
+        c: (jr_congruence(*c, method="convolution"), rr_congruence(*c, method="convolution"))
+        for c in cases
+    }
+    monkeypatch.setattr(counting, knob, value)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("an FFT ran after the route was refused")
+
+    monkeypatch.setattr(np.fft, "rfftn", no_transform)
+    for c in cases:
+        assert (jr_congruence(*c), rr_congruence(*c)) == folds[c]
+        for count in (jr_congruence, rr_congruence):
+            with pytest.raises(ResourceLimit):
+                count(*c, method="fft")
+
+
+def test_fft_mass_check_is_live():
+    # a repeated point has mass 1 on the lattice, not |X|**r = 4
+    with pytest.raises(VerificationError):
+        counting._convolution_power(np.array([3, 3]), (7,), 2)
+
+
 def test_jr_equation_big_integer_path():
     # lcm(1..45) * 2 exceeds the int64 line; count 1/a + 1/b = 1/c + 1/d exactly
     K = 45
@@ -218,7 +311,7 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         jr_congruence(5, 2, 0)
     with pytest.raises(ValueError):
-        jr_congruence(5, 2, 2, method="fft")
+        jr_congruence(5, 2, 2, method="fourier")
     with pytest.raises(ResourceLimit):
         jr_congruence(997, 900, 3, method="exhaustive")
     with pytest.raises(ResourceLimit):

@@ -23,6 +23,7 @@ from kgsums import (
     kloosterman,
     kloosterman_row,
     primitive_characters,
+    primitive_count,
     primitive_exponents,
     unit_mask,
     unit_residues,
@@ -279,6 +280,8 @@ def test_primitive_count_matches_mobius_sum():
     for q in range(2, 513):
         expected = sum(mobius(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
         assert len(primitive_characters(q)) == expected, q
+        # the closed form the Gauss sweep takes its support size from
+        assert primitive_count(q) == expected, q
 
 
 def _local_primitive_exponents(p, e):

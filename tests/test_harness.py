@@ -375,6 +375,8 @@ def test_cli_error_category():
 
     for argv in (
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
+        # |X|**r = 10000**4 is far past the FFT route's rounding certificate
+        ("count", "--kind", "jr", "--q", "10007", "--K", "10000", "--r", "4", "--method", "fft"),
         ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
         ("gauss", "--q", "4294967296", "--chi", "1", "--n", "1"),
         ("gauss", "--q", str(2**63), "--chi", "1", "--n", "1"),  # int64 conductors
