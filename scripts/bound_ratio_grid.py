@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Measured-to-bound ratio grid for the main interval bound.
 
-Runs the documented grid (primes 101..2003, M = N = ceil(sqrt(q)), pm1
-weights, seeds 1..5), reports the largest thm21 ratio, optionally writes the
-per-instance records as CSV and refreshes the frozen regression baseline.
+Runs the regression grid of ``kgsums.experiments.bound_ratio_grid`` (primes
+101..2003, M = N = ceil(sqrt(q)), pm1 weights, seeds 1..5), reports the
+largest thm21 ratio, optionally writes the per-instance records as CSV and
+refreshes the frozen regression baseline.
 
 Usage:
     python scripts/bound_ratio_grid.py [--out grid.csv] [--update-baselines]
@@ -13,38 +14,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 try:
-    from kgsums import emit_csv, run_experiment
-    from kgsums.experiments import primes_in_range
+    from kgsums import emit_csv
+    from kgsums.experiments import (
+        GRID_PRIME_HI, GRID_PRIME_LO, GRID_SEEDS, bound_ratio_grid, primes_in_range,
+    )
 except ImportError:  # fresh checkout without install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from kgsums import emit_csv, run_experiment
-    from kgsums.experiments import primes_in_range
+    from kgsums import emit_csv
+    from kgsums.experiments import (
+        GRID_PRIME_HI, GRID_PRIME_LO, GRID_SEEDS, bound_ratio_grid, primes_in_range,
+    )
 
 BASELINES = Path(__file__).resolve().parent.parent / "tests" / "baselines.json"
 
-GRID_SEEDS = (1, 2, 3, 4, 5)
-PRIME_LO, PRIME_HI = 101, 2003
+# bench/ reads PRIME_LO, PRIME_HI, GRID_SEEDS and primes_in_range from this module
+PRIME_LO, PRIME_HI = GRID_PRIME_LO, GRID_PRIME_HI
 
 
 def run_grid() -> tuple[list, float]:
-    records = []
-    worst = 0.0
-    for p in primes_in_range(PRIME_LO, PRIME_HI):
-        side = math.isqrt(p - 1)
-        m = n = min(side if side * side >= p else side + 1, p - 2)
-        for seed in GRID_SEEDS:
-            recs = run_experiment(p, M=m, N=n, weight_kind="pm1", seed=seed)
-            for rec in recs:
-                if rec.bound_name == "thm21":
-                    records.append(rec)
-                    worst = max(worst, rec.ratio)
-    return records, worst
+    """The grid's thm21 records and their largest ratio."""
+    records = [rec for recs in bound_ratio_grid() for rec in recs if rec.bound_name == "thm21"]
+    return records, max(rec.ratio for rec in records)
 
 
 def main() -> int:

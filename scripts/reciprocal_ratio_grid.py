@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reciprocal-congruence count ratio grid.
 
-Computes J_2(q; K) / (K^(7/2) q^(-1/2) + K^2) over the documented grid
-(primes 101..2003, K in {ceil(q^0.25), ceil(sqrt(q)), ceil(q^0.75), q}) and
-reports the maximum, optionally refreshing the frozen regression baseline.
+Computes J_2(q; K) / (K^(7/2) q^(-1/2) + K^2) over the regression grid of
+``kgsums.experiments.j2_ratio_grid`` (primes 101..2003, K in
+{ceil(q^0.25), ceil(sqrt(q)), ceil(q^0.75), q}) and reports the maximum,
+optionally refreshing the frozen regression baseline.
 
 Usage:
     python scripts/reciprocal_ratio_grid.py [--update-baselines]
@@ -13,34 +14,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 try:
-    from kgsums import j2_reference_ratio
-    from kgsums.experiments import primes_in_range
+    from kgsums.experiments import (
+        GRID_PRIME_HI, GRID_PRIME_LO, grid_ks, j2_ratio_grid, primes_in_range,
+    )
 except ImportError:  # fresh checkout without install
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from kgsums import j2_reference_ratio
-    from kgsums.experiments import primes_in_range
+    from kgsums.experiments import (
+        GRID_PRIME_HI, GRID_PRIME_LO, grid_ks, j2_ratio_grid, primes_in_range,
+    )
 
 BASELINES = Path(__file__).resolve().parent.parent / "tests" / "baselines.json"
 
-PRIME_LO, PRIME_HI = 101, 2003
-
-
-def grid_ks(q: int) -> list[int]:
-    return sorted({math.ceil(q**0.25), math.ceil(q**0.5), math.ceil(q**0.75), q})
+# bench/ reads PRIME_LO, PRIME_HI, grid_ks and primes_in_range from this module
+PRIME_LO, PRIME_HI = GRID_PRIME_LO, GRID_PRIME_HI
 
 
 def run_grid() -> float:
-    worst = 0.0
-    for p in primes_in_range(PRIME_LO, PRIME_HI):
-        for K in grid_ks(p):
-            worst = max(worst, j2_reference_ratio(p, K))
-    return worst
+    """The grid's largest J_2 reference ratio."""
+    return max(j2_ratio_grid())
 
 
 def main() -> int:

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .counting import _rotation_sum
+from .counting import _check_fold_cost, _rotation_sum
 from .errors import (
     DomainRestriction,
     InvalidWeight,
@@ -633,8 +633,9 @@ def moment_check(
     ``method`` selects the rhs route: ``exhaustive`` enumerates all
     |X|^(2r) tuples (capped), ``convolution`` folds the gamma-weighted
     inverse indicator r times, each fold a gamma-weighted sum of |X|
-    rotations (cost (r-1)*|X|*q, capped); ``auto`` picks by size.  Both caps
-    are checked before any length-q array is built.
+    rotations (cost (r-1)*|X|*q, under the fold's ``FOLD_COST_CAP``);
+    ``auto`` picks by size.  Both caps are checked before any length-q array
+    is built.
     """
     mod = Modulus.of(q)
     if r < 1:
@@ -654,11 +655,7 @@ def moment_check(
                 f"|X|^(2r) = {n_tuples} exceeds exhaustive cap {MOMENT_TUPLE_CAP}"
             )
     elif method == "convolution":
-        cost = (r - 1) * len(xs) * mod.q
-        if cost > NAIVE_COST_CAP:
-            raise ResourceLimit(
-                f"convolution rhs cost (r-1)*|X|*q = {cost} exceeds cap {NAIVE_COST_CAP}"
-            )
+        _check_fold_cost(mod.q, len(xs), r)
     else:
         raise ValueError(f"unknown moment method {method!r}")
 

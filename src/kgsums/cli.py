@@ -233,9 +233,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_verify()
     failed = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failed += 0 if ok else 1
+    for check in results:
+        print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: {check.detail}")
+        failed += 0 if check.passed else 1
     if failed:
         raise VerificationError(f"{failed} of {len(results)} checks failed")
     print(f"all {len(results)} checks passed")

@@ -11,11 +11,11 @@ over [1, K] without a modulus.  Three routes give the congruence counts:
   `_convolution_power`) and checked against the exact mass.
 * ``"convolution"``, the exact fold: it moves the count vector by every
   base residue and sums the results with whole-vector numpy calls.
-  Rotations (sums) are read from a sliding window over the vector written
-  twice, a block of about ``_FOLD_BLOCK`` entries per gather; unit
-  permutations (products) are scattered into one reused buffer.  The fold
-  tables hold machine integers while provably below the int64 overflow
-  line and Python ints in object-dtype arrays otherwise.
+  Rotations (sums) are views of a sliding window over the vector written
+  twice; unit permutations (products) are scattered into one reused
+  buffer.  Its (r - 1) * |X| * q adds are capped before any table is
+  built.  The fold tables hold machine integers while provably below the
+  int64 overflow line and Python ints in object-dtype arrays otherwise.
 * ``"exhaustive"``, the oracle: literal enumeration of the tuples.
 
 By default the FFT route runs wherever its certificate holds and its
@@ -38,9 +38,12 @@ from .modmath import MACHINE_EPS, Modulus, inverse_table
 #: exhaustive oracles refuse beyond this many tuple comparisons
 EXHAUSTIVE_TUPLE_CAP = 10**8
 
-#: folded (convolution) route caps
+#: the folded (convolution) route's tables are length q; it refuses larger q
 CONVOLUTION_Q_CAP = 10**6
-CONVOLUTION_R_CAP = 4
+
+#: the fold, and moment_check's convolution rhs on the same rotation sum,
+#: refuse more than this many rotation or permutation adds, (r - 1) * |X| * q
+FOLD_COST_CAP = 10**9
 
 #: the FFT route refuses padded lattices of more entries than this, which
 #: admits Z/q at r = 2 for every q up to the fold's cap (its work arrays
@@ -54,9 +57,6 @@ _FFT_ERR_C = 8.0
 EQUATION_TUPLE_CAP = 2 * 10**7
 
 _INT64_SAFE = 1 << 62
-
-#: entries of rotated count vectors gathered per numpy call in a fold step
-_FOLD_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,25 +92,25 @@ def _rotation_sum(
     """Sum over i of weights[i] * np.roll(vec, shifts[i]) (unweighted if None).
 
     Row q - s of the sliding window over ``vec`` written twice is ``vec``
-    rotated by s (0 <= s < q), so a block of about _FOLD_BLOCK entries of
-    rotations is one gather with no modular arithmetic, summed in one call.
-    Rows too long for 16 of them to fit a block are added one view at a
-    time instead: their per-row call overhead is small, and a gather would
-    cost a pass over memory.
+    rotated by s (0 <= s < q), so each rotation is added as a view, with no
+    modular arithmetic and no gather.
     """
     q = vec.size
     window = np.lib.stride_tricks.sliding_window_view(np.concatenate([vec, vec]), q)
-    rows = q - shifts
     out = np.zeros_like(vec)
-    step = _FOLD_BLOCK // q
-    if step < 16:
-        for i, row in enumerate(rows.tolist()):
-            out += window[row] if weights is None else weights[i] * window[row]
-        return out
-    for start in range(0, rows.size, step):
-        block = window[rows[start : start + step]]
-        out += block.sum(axis=0) if weights is None else weights[start : start + step] @ block
+    for i, row in enumerate((q - shifts).tolist()):
+        out += window[row] if weights is None else weights[i] * window[row]
     return out
+
+
+def _check_fold_cost(q: int, size: int, r: int) -> None:
+    """Refuse a depth-r fold of ``size`` residues mod q above FOLD_COST_CAP adds.
+
+    Arithmetic on the arguments only, so it runs before any table is built.
+    """
+    cost = (r - 1) * size * q
+    if cost > FOLD_COST_CAP:
+        raise ResourceLimit(f"fold cost (r-1)*|X|*q = {cost} exceeds cap {FOLD_COST_CAP}")
 
 
 def _permutation_sum(vec: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -256,14 +256,6 @@ def _convolution_power(
     return counts, int(flat @ flat)
 
 
-def _check_convolution_caps(q: Modulus, r: int) -> None:
-    if q.q > CONVOLUTION_Q_CAP or r > CONVOLUTION_R_CAP:
-        raise ResourceLimit(
-            f"convolution route capped at q <= {CONVOLUTION_Q_CAP}, "
-            f"r <= {CONVOLUTION_R_CAP}; got q = {q.q}, r = {r}"
-        )
-
-
 def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc) -> int:
     """Literal 2r-tuple enumeration: fold r-tuples with ``op`` (np.add or
     np.multiply) mod q directly, compare all pairs."""
@@ -288,6 +280,7 @@ def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold inverse sums of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
+    _check_fold_cost(mod.q, base.size, r)
     counts = _fold(mod.q, inverse_table(mod)[base], r, _rotation_sum)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
@@ -296,6 +289,7 @@ def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
     mod = Modulus.of(q)
     base = _admissible(mod, K)
+    _check_fold_cost(mod.q, base.size, r)
     counts = _fold(mod.q, base, r, _permutation_sum)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
@@ -328,7 +322,10 @@ def _congruence_count(
     if method == "fft":
         points = inverse_table(mod)[base] if reciprocal else mod.logs[base]
         return _convolution_power(points, shape, r)[1]
-    _check_convolution_caps(mod, r)
+    if mod.q > CONVOLUTION_Q_CAP:
+        raise ResourceLimit(
+            f"convolution route capped at q <= {CONVOLUTION_Q_CAP}, got q = {mod.q}"
+        )
     table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
     return sum(c * c for c in table.counts)
 

@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .bilinear import (
     make_weights,
 )
 from .bounds import BoundSpec, bound_value
+from .counting import j2_reference_ratio
 from .errors import VerificationError
 from .expsums import SumResult, kloosterman_row, primitive_count, primitive_exponents
 from .modmath import Modulus, unit_residues
@@ -38,6 +40,12 @@ from .prng import derive_seed
 FAMILIES = ("kloosterman", "gauss")
 
 _DEFAULT_METHODS = {"kloosterman": ("fast",), "gauss": ("transformed",)}
+
+#: the regression grids run over the primes in [GRID_PRIME_LO, GRID_PRIME_HI]
+GRID_PRIME_LO, GRID_PRIME_HI = 101, 2003
+
+#: weight seeds of the bound-ratio regression grid
+GRID_SEEDS = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -268,3 +276,26 @@ def average_sweep(
 def exceptional_budget(Q: int, r: int, epsilon: float) -> float:
     """The reference count Q^(1 - 2*r*epsilon) an averaged sweep reports against."""
     return Q ** (1.0 - 2.0 * r * epsilon)
+
+
+def bound_ratio_grid() -> Iterator[list[ExperimentRecord]]:
+    """The bound-ratio regression grid: the records of one experiment per
+    grid prime p and seed in GRID_SEEDS, with M = N = ceil(sqrt(p)) and pm1
+    weights.  The frozen baseline is the largest thm21 ratio."""
+    for p in primes_in_range(GRID_PRIME_LO, GRID_PRIME_HI):
+        m = n = min(math.isqrt(p - 1) + 1, p - 2)
+        for seed in GRID_SEEDS:
+            yield run_experiment(p, M=m, N=n, weight_kind="pm1", seed=seed)
+
+
+def grid_ks(q: int) -> list[int]:
+    """The J_2 grid's K for modulus q: ceil of q^(1/4), q^(1/2) and q^(3/4), and q."""
+    return sorted({math.ceil(q**0.25), math.ceil(q**0.5), math.ceil(q**0.75), q})
+
+
+def j2_ratio_grid() -> Iterator[float]:
+    """The J_2 regression grid: `j2_reference_ratio` at every grid prime and
+    its `grid_ks`.  The frozen baseline is the largest ratio."""
+    for p in primes_in_range(GRID_PRIME_LO, GRID_PRIME_HI):
+        for K in grid_ks(p):
+            yield j2_reference_ratio(p, K)

@@ -1,196 +1,287 @@
-"""Self-contained invariant suite behind the ``verify`` CLI command.
+"""The structural invariants, each defined once, behind the ``verify`` CLI command.
 
-Runs a condensed version of every structural invariant (the pytest suite
-carries the full-scale versions) and reports one pass/fail line per check.
+Every check is a function of the grid it runs on (a required argument) and
+returns a `Check`: the measured quantity, the verdict and a detail line.
+Its tolerance is stated once, inside it.  ``kgsums verify`` runs each check
+on its condensed grid in `CONDENSED_GRIDS`; the acceptance and unit tests
+run the same functions on their full grids.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import tempfile
+from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .bilinear import (
     Interval,
     WeightVector,
+    _gamma_over_units,
     bilinear_kloosterman,
     dyadic_partition,
-    gamma_sum,
+    make_weights,
     moment_check,
 )
 from .bounds import REGION_VERTICES, improvement_region
 from .counting import jr_congruence, rr_congruence
-from .csvio import parse_csv, emit_csv, render_csv
-from .experiments import run_experiment
-from .expsums import characters, gauss, kloosterman, kloosterman_row
-from .modmath import Modulus, dist_q, mod_inv, unit_residues
+from .csvio import emit_csv, parse_csv, render_csv
+from .experiments import primes_in_range, run_experiment
+from .expsums import characters, gauss, gauss_row, kloosterman_row
+from .modmath import Modulus, inverse_table, mod_inv, unit_residues
 from .prng import SplitMix64
 
-Check = tuple[str, bool, str]
+
+class Check(NamedTuple):
+    name: str
+    passed: bool
+    measured: float
+    detail: str
 
 
-def _check_inverses() -> Check:
-    rng = SplitMix64(7)
-    for _ in range(200):
-        q = 2 + rng.next_u64() % 400
+def check_inverses(qs: Sequence[int]) -> Check:
+    """`mod_inv` equals `inverse_table` at every unit x mod each q, x * x^-1 = 1
+    mod q, and inversion is an involution.  Measures the units checked."""
+    name = "inverse involution"
+    pairs = 0
+    for q in qs:
         mod = Modulus.of(q)
         units = unit_residues(mod)
-        x = int(units[rng.next_u64() % units.size])
-        if mod_inv(mod_inv(x, mod), mod) != x:
-            return ("inverse involution", False, f"failed at q={q}, x={x}")
-    return ("inverse involution", True, "200 random (q, x) pairs")
+        for x, xb in zip(units.tolist(), inverse_table(mod)[units].tolist()):
+            if mod_inv(x, mod) != xb or x * xb % q != 1 or mod_inv(xb, mod) != x:
+                return Check(name, False, pairs, f"failed at q={q}, x={x}")
+            pairs += 1
+    return Check(name, True, pairs, f"{pairs} units")
 
 
-def _check_orthogonality() -> Check:
+def check_orthogonality(qs: Sequence[int]) -> Check:
+    """sum_t e_q(m t) is q at m = 0 and 0 at every other residue m, within
+    q * 2**-40 for each q.  Measures the largest defect."""
+    worst, ok = 0.0, True
+    for q in qs:
+        k = np.arange(q)
+        sums = np.exp(2j * np.pi * k / q)[np.outer(k, k) % q].sum(axis=1)
+        sums[0] -= q
+        defect = float(np.max(np.abs(sums)))
+        worst = max(worst, defect)
+        ok = ok and defect <= q * 2**-40
+    return Check("additive orthogonality", ok, worst, f"max defect {worst:.2e}")
+
+
+def check_identity(primes: Sequence[int]) -> Check:
+    """K_p(m, n) = K_p(mn, 1) for every unit n and m in [1, p-1], within 1e-9.
+    Measures the largest deviation."""
     worst = 0.0
-    for q in range(2, 51):
-        t = np.arange(q)
-        for m in range(q):
-            s = np.sum(np.exp(2j * np.pi * (m * t % q) / q))
-            if m == 0:
-                worst = max(worst, abs(s - q))
-            else:
-                worst = max(worst, abs(s))
-    ok = worst <= 50 * 2**-40
-    return ("additive orthogonality", ok, f"max defect {worst:.2e} for q <= 50")
-
-
-def _check_identity() -> Check:
-    worst = 0.0
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in primes:
         row1 = kloosterman_row(p, 1)
+        ms = np.arange(1, p)
         for n in range(1, p):
             row_n = kloosterman_row(p, n)
-            perm = row1[np.arange(p) * n % p]
-            worst = max(worst, float(np.max(np.abs(row_n - perm))))
-    ok = worst <= 1e-9
-    return ("multiplicative shift identity", ok, f"max deviation {worst:.2e}, p <= 31")
+            worst = max(worst, float(np.max(np.abs(row_n[1:] - row1[ms * n % p]))))
+    detail = f"max deviation {worst:.2e}"
+    return Check("multiplicative shift identity", worst <= 1e-9, worst, detail)
 
 
-def _check_row_consistency() -> Check:
-    worst = 0.0
-    for q in range(2, 129):
-        row = kloosterman_row(q, 1)
-        for m in range(0, q, max(1, q // 8)):
-            direct = kloosterman(q, m, 1).value
-            worst = max(worst, abs(row[m] - direct))
-    ok = worst <= 128 * 2**-45
-    return ("row vs direct sums", ok, f"max gap {worst:.2e}, q <= 128")
-
-
-def _check_gauss_modulus() -> Check:
-    worst = 0.0
-    for q in range(3, 51):
+def check_row_consistency(qs: Sequence[int]) -> Check:
+    """The DFT row K_q(m, 1) equals the direct double sum over units at every
+    m, within q * 2**-45 for each q.  Measures the largest gap."""
+    worst, ok = 0.0, True
+    for q in qs:
         mod = Modulus.of(q)
+        units = unit_residues(mod)
+        roots = np.exp(2j * np.pi * np.arange(q) / q)  # e_q(t) at t = 0 .. q-1
+        direct = roots[np.outer(np.arange(q), units) % q] @ roots[inverse_table(mod)[units]]
+        gap = float(np.max(np.abs(kloosterman_row(mod, 1) - direct)))
+        worst = max(worst, gap)
+        ok = ok and gap <= q * 2**-45
+    return Check("row vs direct sums", ok, worst, f"max gap {worst:.2e}")
+
+
+def check_gauss_modulus(qs: Sequence[int]) -> Check:
+    """|G(chi, n)| = sqrt(q) within 1e-8 at every unit n for every primitive
+    chi mod q, and the Gauss row equals the direct sum within 1e-9 at one
+    unit per character.  Measures the largest magnitude defect."""
+    worst = spot = 0.0
+    checked = 0
+    for q in qs:
+        mod = Modulus.of(q)
+        units = unit_residues(mod)
+        root = math.sqrt(q)
         for chi in characters(mod):
             if not chi.is_primitive:
                 continue
-            g = gauss(mod, chi, 1)
-            worst = max(worst, abs(abs(g.value) - math.sqrt(q)))
-    ok = worst <= 1e-8
-    return ("primitive Gauss magnitude", ok, f"max | |G| - sqrt(q) | = {worst:.2e}")
+            row = gauss_row(mod, chi)
+            worst = max(worst, float(np.max(np.abs(np.abs(row[units]) - root))))
+            checked += units.size
+            n0 = int(units[checked % units.size])
+            spot = max(spot, abs(row[n0] - gauss(mod, chi, n0).value))
+    detail = f"max | |G| - sqrt(q) | = {worst:.2e} over {checked} values"
+    if spot > 1e-9:
+        detail += f"; row off the direct sum by {spot:.2e}"
+    return Check("primitive Gauss magnitude", worst <= 1e-8 and spot <= 1e-9, worst, detail)
 
 
-def _check_paths() -> Check:
-    rng = SplitMix64(11)
-    for _ in range(20):
-        q = 5 + rng.next_u64() % 295
+def check_paths(seed: int, count: int) -> Check:
+    """The transformed and fast routes agree within their summed budgets on
+    ``count`` random instances drawn from ``seed``, and the naive route agrees
+    with both wherever M * N * phi(q) <= 150,000.  Measures the largest
+    gap/budget ratio."""
+    rng = SplitMix64(seed)
+    worst = 0.0
+    naive = 0
+    for i in range(count):
+        small = i % 3 == 0  # keep a third of the grid inside the naive cap
+        q = 3 + rng.next_u64() % (120 if small else 1998)
         mod = Modulus.of(q)
         units = unit_residues(mod)
-        M = 1 + rng.next_u64() % min(10, units.size)
-        N = 1 + rng.next_u64() % (q - 2) if q > 2 else 1
-        keys = [int(units[rng.next_u64() % units.size]) for _ in range(M)]
-        weights = WeightVector(mod, {k: 1.0 for k in keys})
+        m_cap = units.size if i % 10 == 0 else min(192, units.size)
+        M = 1 + rng.next_u64() % m_cap
+        N = 1 + rng.next_u64() % (q - 2)
+        if small:
+            N = min(N, 24)
+        keys = sorted({int(units[rng.next_u64() % units.size]) for _ in range(M)})
+        kind = ("const", "pm1", "unit")[i % 3]
+        w = WeightVector(mod, dict(zip(keys, make_weights(keys, kind, rng.next_u64()))))
         J = Interval.of(mod, 0, N)
-        a = bilinear_kloosterman(weights, J, "transformed")
-        b = bilinear_kloosterman(weights, J, "fast")
-        if abs(a.value - b.value) > a.error_bound + b.error_bound:
-            return ("bilinear path agreement", False, f"q={q}, M={M}, N={N}")
-    return ("bilinear path agreement", True, "20 random instances, q <= 300")
+        results = [bilinear_kloosterman(w, J, m) for m in ("transformed", "fast")]
+        if w.support_size * N * mod.phi <= 150_000:
+            results.append(bilinear_kloosterman(w, J, "naive"))
+            naive += 1
+        for a, b in itertools.combinations(results, 2):
+            worst = max(worst, abs(a.value - b.value) / (a.error_bound + b.error_bound))
+    detail = f"{count} instances, naive checked on {naive}"
+    return Check("bilinear path agreement", worst <= 1.0, worst, detail)
 
 
-def _check_gamma_dyadic() -> Check:
-    for q in (7, 24, 97, 100):
+def check_gamma_dyadic(bound_qs: Sequence[int], partition_qs: Sequence[int]) -> Check:
+    """|gamma_x| <= min(N, q / (2 |x|_q)) within 1e-9 for every unit x and
+    N in [1, q-1], q in ``bound_qs``; for q in ``partition_qs`` and
+    N in {1, 2, 3, q/3, q/2, q-1} the dyadic sets cover every unit exactly
+    once.  Measures the largest excess over the bound."""
+    name = "gamma bound and partition"
+    worst = 0.0
+    for q in bound_qs:
         mod = Modulus.of(q)
-        units = unit_residues(mod)
-        for N in (1, 2, q // 3 or 1, q - 1):
+        xs = unit_residues(mod)
+        dist = np.minimum(xs, q - xs).astype(float)
+        for N in range(1, q):
+            mags = np.abs(_gamma_over_units(Interval.of(mod, 0, N)))
+            caps = np.minimum(float(N), q / (2.0 * dist))
+            worst = max(worst, float(np.max(mags - caps)))
+    for q in partition_qs:
+        units = sorted(int(u) for u in unit_residues(q))
+        for N in sorted({1, 2, 3, q // 3, q // 2, q - 1} - {0}):
             if not 1 <= N <= q - 1:
                 continue
-            J = Interval.of(mod, 0, N)
-            for x in units:
-                g = abs(gamma_sum(J, int(x)))
-                cap = min(N, q / (2 * dist_q(int(x), mod)))
-                if g > cap + 1e-9:
-                    return ("gamma bound and partition", False, f"q={q}, N={N}, x={x}")
-            members = [
-                m % q for ds in dyadic_partition(mod, N) for m in ds.members
-                if math.gcd(m, q) == 1
-            ]
-            if sorted(members) != [int(u) for u in units]:
-                return ("gamma bound and partition", False, f"partition broke at q={q}, N={N}")
-    return ("gamma bound and partition", True, "q in {7, 24, 97, 100}")
+            seen = sorted(
+                x % q for ds in dyadic_partition(q, N) for x in ds.members if math.gcd(x, q) == 1
+            )
+            if seen != units:
+                return Check(name, False, worst, f"partition broke at q={q}, N={N}")
+    return Check(name, worst <= 1e-9, worst, f"max excess over the bound {worst:.2e}")
 
 
-def _check_moment() -> Check:
-    for q in (5, 7, 11, 13):
+def check_moment(qs: Sequence[int], max_size: int, seed: int, count: int) -> Check:
+    """Both sides of the 2r-th moment identity, r in {1, 2}, agree within a
+    relative 1e-6: exhaustively for every unit set X of at most ``max_size``
+    units mod each q, and on ``count`` random instances from ``seed``
+    (q in [32, 431], the rhs route picked by size).  Measures the largest
+    relative gap."""
+    worst = 0.0
+    cases = 0
+    for q in qs:
         mod = Modulus.of(q)
-        units = [int(u) for u in unit_residues(mod)[:3]]
-        gamma = {x: complex(1.0, 0.5) for x in units}
-        for r in (1, 2):
-            lhs, rhs = moment_check(mod, units, gamma, r)
-            if abs(lhs - rhs) > 1e-6 * max(1.0, abs(lhs)):
-                return ("moment identity", False, f"q={q}, r={r}")
-    return ("moment identity", True, "q <= 13, |X| = 3, r <= 2")
+        units = [int(u) for u in unit_residues(mod)]
+        gamma = {x: complex(1.0, 0.5 * (x % 3)) for x in units}
+        for size in range(1, max_size + 1):
+            for X in itertools.combinations(units, size):
+                for r in (1, 2):
+                    lhs, rhs = moment_check(mod, X, gamma, r, method="exhaustive")
+                    worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+                    cases += 1
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        mod = Modulus.of(32 + rng.next_u64() % 400)
+        units = unit_residues(mod)
+        size = 2 + rng.next_u64() % 5
+        X = sorted({int(units[rng.next_u64() % units.size]) for _ in range(size)})
+        gm = {x: complex(rng.uniform01() * 2 - 1, rng.uniform01() * 2 - 1) for x in X}
+        r = 1 + rng.next_u64() % 2
+        lhs, rhs = moment_check(mod, X, gm, r)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        cases += 1
+    detail = f"max rel gap {worst:.2e} over {cases} cases"
+    return Check("moment identity", worst <= 1e-6, worst, detail)
 
 
-def _check_counting() -> Check:
-    for q in (5, 7, 9, 12, 25):
-        for K in (2, 4, min(8, q)):
+def check_counting(qs: Sequence[int], k_max: int) -> Check:
+    """The fft, fold and exhaustive routes give the same J_r and R_r
+    congruence counts, r in {1, 2}, for each q and K in [1, min(k_max, q)].
+    Measures the counts compared."""
+    name = "counting oracle equivalence"
+    cases = 0
+    for q in qs:
+        for K in range(1, min(k_max, q) + 1):
             for r in (1, 2):
                 for count in (jr_congruence, rr_congruence):
-                    routes = {count(q, K, r, m) for m in ("fft", "convolution", "exhaustive")}
-                    if len(routes) != 1:
-                        return ("counting oracle equivalence", False, f"q={q}, K={K}, r={r}")
-    return ("counting oracle equivalence", True, "fft, fold, exhaustive; q <= 25, K <= 8, r <= 2")
+                    if len({count(q, K, r, m) for m in ("exhaustive", "convolution", "fft")}) != 1:
+                        return Check(name, False, cases, f"{count.__name__} q={q}, K={K}, r={r}")
+                    cases += 1
+    return Check(name, True, cases, f"{cases} counts equal on fft, fold and exhaustive")
 
 
-def _check_region() -> Check:
-    for v in REGION_VERTICES:
-        if improvement_region(*v) != "boundary":
-            return ("improvement region", False, f"vertex {v} not boundary")
-    if improvement_region(0.5, 0.5) != "interior":
-        return ("improvement region", False, "(1/2, 1/2) not interior")
-    if improvement_region(0.1, 0.1) != "outside":
-        return ("improvement region", False, "(0.1, 0.1) not outside")
-    return ("improvement region", True, "vertices, center, outside point")
+def check_region(points: Sequence[tuple[tuple[float, float], str]]) -> Check:
+    """`improvement_region` gives each ((mu, nu), label) point its label.
+    Measures the points checked."""
+    name = "improvement region"
+    for (mu, nu), label in points:
+        got = improvement_region(mu, nu)
+        if got != label:
+            return Check(name, False, 0, f"({mu}, {nu}) is {got}, expected {label}")
+    labels = Counter(label for _, label in points)
+    return Check(name, True, len(points), ", ".join(f"{n} {label}" for label, n in labels.items()))
 
 
-def _check_csv_roundtrip() -> Check:
-    records = run_experiment(13, M=4, N=5, L=1, weight_kind="pm1", seed=3)
+def check_csv_roundtrip(experiments: Sequence[dict]) -> Check:
+    """The CSV of every record of the experiments (``run_experiment`` keyword
+    arguments) parses back to records that render the same text, one row per
+    record, ordered by (q, bound name).  Measures the records written."""
+    records = [rec for kwargs in experiments for rec in run_experiment(**kwargs)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
         emit_csv(records, path)
-        again = parse_csv(path)
-        ok = render_csv(again) == render_csv(records)
-    return ("CSV round trip", ok, f"{len(records)} records")
+        text = path.read_text(encoding="ascii")
+        parsed = parse_csv(path)
+    keys = [(rec.q, rec.bound_name) for rec in parsed]
+    ok = render_csv(parsed) == text and len(parsed) == len(records) and keys == sorted(keys)
+    return Check("CSV round trip", ok, len(records), f"{len(records)} records")
 
 
-ALL_CHECKS = (
-    _check_inverses,
-    _check_orthogonality,
-    _check_identity,
-    _check_row_consistency,
-    _check_gauss_modulus,
-    _check_paths,
-    _check_gamma_dyadic,
-    _check_moment,
-    _check_counting,
-    _check_region,
-    _check_csv_roundtrip,
-)
+#: ``kgsums verify``'s grid for each check, smaller than the tests' full grids
+CONDENSED_GRIDS = {
+    check_inverses: (range(2, 201),),
+    check_orthogonality: (range(2, 51),),
+    check_identity: (primes_in_range(2, 31),),
+    check_row_consistency: (range(2, 129),),
+    check_gauss_modulus: (range(3, 51),),
+    check_paths: (20240405, 20),
+    check_gamma_dyadic: ((7, 24, 97, 100), (9, 23, 30, 100)),
+    check_moment: (range(2, 14), 2, 333, 4),
+    check_counting: ((5, 7, 9, 12, 25), 8),
+    check_region: (
+        [(v, "boundary") for v in REGION_VERTICES]
+        + [((0.5, 0.5), "interior"), ((0.1, 0.1), "outside")],
+    ),
+    check_csv_roundtrip: ([dict(q=13, M=4, N=5, L=1, weight_kind="pm1", seed=3)],),
+}
+
+ALL_CHECKS = tuple(CONDENSED_GRIDS)
 
 
 def run_verify() -> list[Check]:
-    return [check() for check in ALL_CHECKS]
+    return [check(*grid) for check, grid in CONDENSED_GRIDS.items()]

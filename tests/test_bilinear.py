@@ -669,28 +669,24 @@ def test_gamma_magnitude_independent_of_offset():
             assert len(mags) == 1  # |gamma| depends only on N and x
 
 
-def test_moment_convolution_rhs_matches_exhaustive(monkeypatch):
-    # the rotation-sum rhs on all three fold layouts: one view per rotation,
-    # one block, and blocks of 17 rotations with a partial last block
+def test_moment_convolution_rhs_matches_exhaustive():
+    # the weighted rotation-sum rhs against tuple enumeration
     rng = SplitMix64(17)
-    default_block = counting._FOLD_BLOCK
     for q, size, r in ((31, 8, 3), (64, 7, 3), (97, 20, 2), (101, 30, 2)):
         units = [int(u) for u in unit_residues(q)]
         X = units[:: len(units) // size][:size]
         gamma = {x: complex(rng.uniform01() - 0.5, rng.uniform01() - 0.5) for x in X}
         lhs, rhs = moment_check(q, X, gamma, r, method="exhaustive")
-        for block in (1, 17 * q, default_block):
-            monkeypatch.setattr(counting, "_FOLD_BLOCK", block)
-            lc, rc = moment_check(q, X, gamma, r, method="convolution")
-            assert lc == lhs
-            assert rc == pytest.approx(rhs, rel=1e-9)
+        lc, rc = moment_check(q, X, gamma, r, method="convolution")
+        assert lc == lhs
+        assert rc == pytest.approx(rhs, rel=1e-9)
 
 
 def test_moment_convolution_cap_precedes_tables(monkeypatch):
     def no_tables(q):
         raise AssertionError("a length-q table was built before the cost cap")
 
-    monkeypatch.setattr(bilinear, "NAIVE_COST_CAP", 100)
+    monkeypatch.setattr(counting, "FOLD_COST_CAP", 100)
     monkeypatch.setattr(bilinear, "inverse_table", no_tables)
     # (r - 1) * |X| * q = 1 * 2 * 101
     with pytest.raises(ResourceLimit, match="202"):

@@ -20,7 +20,6 @@ from kgsums import (
     VerificationError,
     dyadic_average,
     inverse_table,
-    j2_reference_ratio,
     jr_congruence,
     jr_equation,
     product_table,
@@ -28,7 +27,7 @@ from kgsums import (
     rr_congruence,
     rr_equation,
 )
-from kgsums.experiments import primes_in_range
+from kgsums.experiments import j2_ratio_grid
 
 BASELINES = json.loads((Path(__file__).parent / "baselines.json").read_text())
 
@@ -101,18 +100,6 @@ def test_count_tables_mass():
 # ---------------------------------------------------------------------------
 
 
-def test_convolution_equals_exhaustive_grid():
-    for q in range(2, 51):
-        for K in range(1, min(12, q) + 1):
-            for r in (1, 2):
-                assert jr_congruence(q, K, r, "convolution") == jr_congruence(
-                    q, K, r, "exhaustive"
-                ), f"jr q={q} K={K} r={r}"
-                assert rr_congruence(q, K, r, "convolution") == rr_congruence(
-                    q, K, r, "exhaustive"
-                ), f"rr q={q} K={K} r={r}"
-
-
 def test_random_spot_checks_larger():
     rng = SplitMix64(99)
     for _ in range(50):
@@ -183,26 +170,37 @@ def _enumerated_table(vals, q, r, op):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
 def test_fold_block_edges(monkeypatch, wide):
-    # one rotation per block (added as views) and blocks of 17 rotations
-    # that leave a partial last block must give the default-block tables,
-    # which must match tuple enumeration and the exhaustive pair count
+    # the fold tables, on int64 and on Python-int counts, must match tuple
+    # enumeration and the exhaustive pair count
     cases = ((31, 31, 2), (31, 20, 3), (45, 45, 2), (63, 35, 3))
-    default = {c: (reciprocal_table(*c), product_table(*c)) for c in cases}
     if wide:
         monkeypatch.setattr(counting, "_INT64_SAFE", 2)
     for q, K, r in cases:
         base = _admissible(q, K)
-        assert len(base) > 17 and len(base) % 17
         recip = _enumerated_table([pow(x, -1, q) for x in base], q, r, operator.add)
         prod = _enumerated_table(base, q, r, operator.mul)
-        assert default[q, K, r][0].counts == recip
-        assert default[q, K, r][1].counts == prod
+        assert reciprocal_table(q, K, r).counts == recip
+        assert product_table(q, K, r).counts == prod
         assert sum(c * c for c in recip) == jr_congruence(q, K, r, method="exhaustive")
         assert sum(c * c for c in prod) == rr_congruence(q, K, r, method="exhaustive")
-        for block in (1, 17 * q):
-            monkeypatch.setattr(counting, "_FOLD_BLOCK", block)
-            assert reciprocal_table(q, K, r) == default[q, K, r][0]
-            assert product_table(q, K, r) == default[q, K, r][1]
+
+
+def test_fold_cost_refusal_precedes_tables(monkeypatch):
+    # the 60 units <= 60 mod 101 at depth 3: (r - 1) * |X| * q = 12120 adds
+    monkeypatch.setattr(counting, "FOLD_COST_CAP", 12120)
+    assert jr_congruence(101, 60, 3, "convolution") == jr_congruence(101, 60, 3, "fft")
+    monkeypatch.setattr(counting, "FOLD_COST_CAP", 12119)
+
+    def no_tables(mod):
+        raise AssertionError("an inverse table was built before the cost cap")
+
+    monkeypatch.setattr(counting, "inverse_table", no_tables)
+    for count in (jr_congruence, rr_congruence):
+        with pytest.raises(ResourceLimit, match="12120"):
+            count(101, 60, 3, method="convolution")
+    for table in (reciprocal_table, product_table):
+        with pytest.raises(ResourceLimit, match="12120"):
+            table(101, 60, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +358,7 @@ def test_j2_reference_ratio_grid_baseline():
     # documented grid: primes 101..2003, K in the four power scales of q.
     # Only the frozen baseline is asserted; the comparison formula hides a
     # sub-polynomial factor that cannot be falsified at fixed scale.
-    worst = 0.0
-    for p in primes_in_range(101, 2003):
-        for K in sorted({math.ceil(p**0.25), math.ceil(p**0.5), math.ceil(p**0.75), p}):
-            worst = max(worst, j2_reference_ratio(p, K))
+    worst = max(j2_ratio_grid())
     assert worst <= BASELINES["j2_ratio_limit"]
     # the frozen observation should stay reproducible
     assert worst == pytest.approx(BASELINES["j2_ratio_observed_max"], rel=1e-9)

@@ -29,10 +29,8 @@ from kgsums import (
     unit_residues,
     weil_ratio,
 )
-
-
-def _primes(limit):
-    return [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+from kgsums.experiments import primes_in_range
+from kgsums.verify import check_row_consistency
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +93,6 @@ def test_error_bound_formula():
     assert res.error_bound == pytest.approx((100 + 4) * eps * 100, rel=1e-12)
 
 
-def test_multiplicative_shift_identity_all_primes_to_101():
-    worst = 0.0
-    for p in _primes(101):
-        row1 = kloosterman_row(p, 1)
-        idx = np.arange(p)
-        for n in range(1, p):
-            row_n = kloosterman_row(p, n)
-            worst = max(worst, float(np.max(np.abs(row_n[1:] - row1[idx[1:] * n % p]))))
-    assert worst <= 1e-9
-
-
 def test_symmetry_in_m_and_n():
     # K(m, n) = K(n, m) for every pair: build the full value matrix per q
     # (row n holds all m via one DFT) and compare with its transpose.
@@ -122,19 +109,8 @@ def test_symmetry_in_m_and_n():
 
 
 def test_row_consistency_every_q_to_512():
-    for q in range(2, 513):
-        mod = Modulus.of(q)
-        units = unit_residues(mod)
-        row = kloosterman_row(mod, 1)
-        # direct values for every m at once (vectorized double sum)
-        from kgsums import inverse_table
-
-        inv = inverse_table(mod)
-        phases = np.arange(q)[:, None] * units[None, :] % q
-        direct = np.exp(2j * np.pi * phases / q) @ np.exp(
-            2j * np.pi * inv[units] / q
-        )
-        assert float(np.max(np.abs(row - direct))) <= q * 2**-45
+    res = check_row_consistency(range(2, 513))
+    assert res.passed, res.detail
 
 
 def test_row_examples():
@@ -376,7 +352,7 @@ def test_weil_ratio_examples():
 
 
 def test_weil_ratio_below_one():
-    for p in _primes(120):
+    for p in primes_in_range(2, 120):
         for m in (1, 2, p - 1):
             for n in (1, 3 % p or 1, p - 2 or 1):
                 if m % p and n % p:

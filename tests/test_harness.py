@@ -17,9 +17,8 @@ from kgsums import (
     bfkmm_condition,
     bound_value,
     default_plan,
-    emit_csv,
+    derive_seed,
     exceptional_budget,
-    improvement_region,
     load_config,
     max_kloosterman_abs,
     parse_csv,
@@ -28,9 +27,9 @@ from kgsums import (
     run_experiment,
     save_config,
 )
-from kgsums.bounds import REGION_VERTICES
 from kgsums.csvio import CSV_HEADER
 from kgsums.prng import SplitMix64
+from kgsums.verify import ALL_CHECKS, check_csv_roundtrip, check_region
 
 # ---------------------------------------------------------------------------
 # bound formulas
@@ -114,25 +113,21 @@ def test_thm22_formula():
 # ---------------------------------------------------------------------------
 
 
-def test_region_vertices_boundary():
-    for vtx in REGION_VERTICES:
-        assert improvement_region(*vtx) == "boundary", vtx
-
-
 def test_region_center_and_outside():
-    assert improvement_region(0.5, 0.5) == "interior"
-    assert improvement_region(0.25, 0.5) == "boundary"
-    assert improvement_region(0.1, 0.1) == "outside"
+    points = [((0.5, 0.5), "interior"), ((0.25, 0.5), "boundary"), ((0.1, 0.1), "outside")]
+    res = check_region(points)
+    assert res.passed, res.detail
 
 
 def test_region_constructed_outside_points():
     rng = SplitMix64(123)
-    made = 0
-    while made < 200:
+    points = []
+    while len(points) < 200:
         mu, nu = rng.uniform01(), rng.uniform01()
         if min(region_slacks(mu, nu)) < -1e-6:
-            assert improvement_region(mu, nu) == "outside"
-            made += 1
+            points.append(((mu, nu), "outside"))
+    res = check_region(points)
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +253,19 @@ def test_csv_header_exact():
     )
 
 
-def test_csv_roundtrip_idempotent(tmp_path):
-    records, _ = average_sweep(16, 4, 2, 0.1, weight_kind="unit", seed=9)
-    records += run_experiment(13, M=4, N=5, weight_kind="pm1", seed=2)
-    path = tmp_path / "records.csv"
-    emit_csv(records, path)
-    first = path.read_text()
-    parsed = parse_csv(path)
-    emit_csv(parsed, path)
-    assert path.read_text() == first
-    assert len(first.splitlines()) == len(records) + 1
-    # row order: by q, then bound name
-    rows = [ln.split(",") for ln in first.splitlines()[1:]]
-    keys = [(int(r[0]), r[11]) for r in rows]
-    assert keys == sorted(keys)
+def test_csv_roundtrip_idempotent():
+    # the experiments of average_sweep(16, 4, 2, 0.1, weight_kind="unit",
+    # seed=9), then the default bounds of a prime, with and without an offset
+    sweep = [BoundSpec("thm22", r=2, epsilon=0.1)]
+    grid = [
+        dict(q=q, M=Modulus.of(q).phi, N=4, weight_kind="unit", seed=derive_seed(9, q),
+             bounds=sweep)
+        for q in range(16, 33)
+    ]
+    grid += [dict(q=13, M=4, N=5, weight_kind="pm1", seed=2)]
+    grid += [dict(q=13, M=4, N=5, L=1, weight_kind="pm1", seed=3)]
+    res = check_csv_roundtrip(grid)
+    assert res.passed, res.detail
 
 
 def test_csv_rejects_garbage(tmp_path):
@@ -377,6 +371,8 @@ def test_cli_error_category():
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
         # |X|**r = 10000**4 is far past the FFT route's rounding certificate
         ("count", "--kind", "jr", "--q", "10007", "--K", "10000", "--r", "4", "--method", "fft"),
+        # FFT refused (padded size 2**22), fold refused: 2 * 999982 * 999983 adds
+        ("count", "--kind", "jr", "--q", "999983", "--K", "999982", "--r", "3"),
         ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
         ("gauss", "--q", "4294967296", "--chi", "1", "--n", "1"),
         ("gauss", "--q", str(2**63), "--chi", "1", "--n", "1"),  # int64 conductors
@@ -462,5 +458,12 @@ def test_cli_verify():
     proc = _run_cli("verify")
     assert proc.returncode == 0
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 10
-    assert all(ln.startswith("PASS") for ln in lines)
+    assert all(ln.startswith("PASS  ") for ln in lines)
+    names = [ln[len("PASS  "):].split(":")[0] for ln in lines]
+    assert len(names) == len(ALL_CHECKS) == 11
+    assert set(names) == {
+        "inverse involution", "additive orthogonality", "multiplicative shift identity",
+        "row vs direct sums", "primitive Gauss magnitude", "bilinear path agreement",
+        "gamma bound and partition", "moment identity", "counting oracle equivalence",
+        "improvement region", "CSV round trip",
+    }

@@ -18,6 +18,7 @@ from kgsums import (
     unit_mask,
     unit_residues,
 )
+from kgsums.verify import check_inverses, check_orthogonality
 
 moduli = st.integers(min_value=2, max_value=600)
 
@@ -63,16 +64,10 @@ def test_mod_inv_examples():
     assert err.value.gcd == 2
 
 
-@given(q=moduli, data=st.data())
-@settings(max_examples=100)
-def test_mod_inv_involution(q, data):
-    mod = Modulus.of(q)
-    units = unit_residues(mod)
-    x = int(units[data.draw(st.integers(0, len(units) - 1))])
-    xb = mod_inv(x, mod)
-    assert 1 <= xb <= q - 1
-    assert x * xb % q == 1
-    assert mod_inv(xb, mod) == x
+def test_mod_inv_involution():
+    # every unit of every modulus in the range the other properties draw from
+    res = check_inverses(range(2, 601))
+    assert res.passed, res.detail
 
 
 def test_eq_exp_examples():
@@ -92,16 +87,10 @@ def test_eq_exp_periodic_and_unimodular(q, z):
 def test_additive_orthogonality_grid():
     # sum_t e_q(m t) is exactly q when q | m and tiny otherwise; residues
     # m mod q cover every |m| <= 2q because reduction is exact.
-    worst = 0.0
     for q in range(2, 501):
-        t = np.arange(q)
-        for m in range(q):
-            s = np.sum(np.exp(2j * np.pi * (m * t % q) / q))
-            if m == 0:
-                assert s == q
-            else:
-                worst = max(worst, abs(s))
-    assert worst <= 500 * 2**-40
+        assert np.sum(np.exp(2j * np.pi * (0 * np.arange(q) % q) / q)) == q
+    res = check_orthogonality(range(2, 501))
+    assert res.passed, res.detail
 
 
 def test_eq_exp_large_m_matches_reduced():
