@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,11 @@ from kgsums import (
     DirichletCharacter,
     Modulus,
     RunPlan,
+    SumResult,
     average_sweep,
     bfkmm_condition,
     bound_value,
     default_plan,
-    derive_seed,
     exceptional_budget,
     load_config,
     max_kloosterman_abs,
@@ -29,7 +30,18 @@ from kgsums import (
 )
 from kgsums.csvio import CSV_HEADER
 from kgsums.prng import SplitMix64
-from kgsums.verify import ALL_CHECKS, check_csv_roundtrip, check_region
+from kgsums import verify
+from kgsums.verify import (
+    ALL_CHECKS,
+    check_csv_roundtrip,
+    check_gamma_dyadic,
+    check_gauss_modulus,
+    check_identity,
+    check_moment,
+    check_paths,
+    check_region,
+    check_row_consistency,
+)
 
 # ---------------------------------------------------------------------------
 # bound formulas
@@ -254,18 +266,34 @@ def test_csv_header_exact():
 
 
 def test_csv_roundtrip_idempotent():
-    # the experiments of average_sweep(16, 4, 2, 0.1, weight_kind="unit",
-    # seed=9), then the default bounds of a prime, with and without an offset
-    sweep = [BoundSpec("thm22", r=2, epsilon=0.1)]
-    grid = [
-        dict(q=q, M=Modulus.of(q).phi, N=4, weight_kind="unit", seed=derive_seed(9, q),
-             bounds=sweep)
-        for q in range(16, 33)
-    ]
-    grid += [dict(q=13, M=4, N=5, weight_kind="pm1", seed=2)]
-    grid += [dict(q=13, M=4, N=5, L=1, weight_kind="pm1", seed=3)]
-    res = check_csv_roundtrip(grid)
+    records, _ = average_sweep(16, 4, 2, 0.1, weight_kind="unit", seed=9)
+    records += run_experiment(13, M=4, N=5, weight_kind="pm1", seed=2)
+    records += run_experiment(13, M=4, N=5, L=1, weight_kind="pm1", seed=3)
+    res = check_csv_roundtrip(records)
     assert res.passed, res.detail
+
+
+def _nan_row(q, *_):
+    return np.full(int(q), math.nan + 0j)
+
+
+@pytest.mark.parametrize(
+    "target, fake, check, grid",
+    [
+        ("kloosterman_row", _nan_row, check_identity, ((5,),)),
+        ("kloosterman_row", _nan_row, check_row_consistency, ((5,),)),
+        ("gauss_row", _nan_row, check_gauss_modulus, ((5,),)),
+        ("bilinear_kloosterman", lambda w, J, m: SumResult(math.nan, 1.0, 1), check_paths,
+         (20240405, 3)),
+        ("_gamma_over_units", lambda J: np.array([math.nan]), check_gamma_dyadic, ((7,), ())),
+        ("moment_check", lambda *a, **k: (math.nan, 1.0), check_moment, ((5,), 1, 0, 0)),
+    ],
+    ids=["identity", "row", "gauss", "paths", "gamma", "moment"],
+)
+def test_checks_fail_on_nan(monkeypatch, target, fake, check, grid):
+    # a NaN from the library must fail the check, not vanish into its max
+    monkeypatch.setattr(verify, target, fake)
+    assert not check(*grid).passed
 
 
 def test_csv_rejects_garbage(tmp_path):
@@ -438,7 +466,7 @@ def test_cli_generalized_kernel(monkeypatch, capsys):
     assert payload["category"] == "domain_restriction"
 
     # routes that disagree beyond their summed budgets fail verification
-    from kgsums import SumResult, cli
+    from kgsums import cli
 
     real = cli.bilinear_generalized
 
