@@ -347,7 +347,7 @@ def _gamma_over_units(J: Interval) -> np.ndarray:
     Same reduced-angle evaluation as :func:`gamma_sum`.
     """
     q = J.modulus.q
-    xs = unit_residues(J.modulus).astype(np.int64)
+    xs = unit_residues(J.modulus)
     r = np.where(2 * xs > q, xs - q, xs)
 
     def sym2q(v: np.ndarray) -> np.ndarray:

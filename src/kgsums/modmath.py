@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -119,9 +120,41 @@ class Modulus:
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
-        """inv over [0, q): inv[x] = x^-1 = x^(lambda(q) - 1) mod q at units, else 0."""
-        inv = np.zeros(self.q, dtype=np.int64)
-        inv[self.units] = pow_mod(self.units, self.carmichael - 1, self.q)
+        """inv over [0, q): inv[x] = x^-1 mod q at units, else 0.
+
+        Built from power tables, with no modular exponentiation.  Let a be
+        the largest prime-power factor of q.  Modulo a the units are g^k
+        (and -g^k when a = 2^e, e >= 3, with g = 3), so the inverse
+        (+-g^k)^-1 = +-g^(o-k) is the power table of g read backwards
+        (:func:`_prime_power_inverse`).  When q = a*b with b > 1, the inverse
+        mod b is the cached ``Modulus.of(b).inverse``, built the same way,
+        and the Chinese remainder theorem joins the two: with the idempotents
+        e_a = b*(b^-1 mod a) and e_b = a*(a^-1 mod b),
+
+            inv[x] = e_a * inv_a[x mod a] + e_b * inv_b[x mod b]  (mod q)
+
+        is the one class that is x^-1 both mod a and mod b.  The inverse of
+        a unit is unique, so every entry equals x^(lambda(q) - 1) mod q, the
+        square-and-multiply definition this replaces.  The int64 arithmetic
+        is exact: each product is below q * max(a, b) and their sum below
+        q * (a + b) <= q * q < 2**63 (:meth:`_table_length`).  Building the
+        table also caches ``Modulus.of(b)`` and its table, b <= q/2 entries
+        (and so on down the cofactors).
+        """
+        q = self._table_length()
+        top = max(self.group.components, key=lambda c: c.prime_power)
+        a = top.prime_power
+        inv_a = _prime_power_inverse(top)
+        if a == q:
+            return _shared(inv_a)
+        b = q // a
+        inv = np.empty(q, dtype=np.int64)
+        # x = i*b + j sits at [i, j] of the (a, b) view, so x mod b is its column
+        np.multiply(Modulus.of(b).inverse, a * pow(a, -1, b), out=inv.reshape(a, b))
+        by_a = inv.reshape(b, a)  # ... and x mod a is the column of the (b, a) view
+        by_a += inv_a * (b * pow(b, -1, a))
+        inv %= q
+        inv *= self.mask
         return _shared(inv)
 
     @functools.cached_property
@@ -174,15 +207,43 @@ def pow_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
     return out
 
 
+def _geometric(r: int, n: int, m: int) -> np.ndarray:
+    """r^j mod m for j = 0..n-1, by a Python integer loop."""
+    steps = accumulate(range(n - 1), lambda t, _: t * r % m, initial=1)
+    return np.array(list(steps), dtype=np.int64)
+
+
 def _powers(g: int, n: int, m: int) -> np.ndarray:
-    """g^a mod m for a = 0..n-1, each step doubling the filled prefix."""
-    pw = np.ones(n, dtype=np.int64)
-    done = 1
-    while done < n:
-        step = min(done, n - done)
-        pw[done : done + step] = pw[:step] * pow(g, done, m) % m
-        done += step
-    return pw
+    """g^a mod m for a = 0..n-1.
+
+    With c = ceil(sqrt(n)), row i, column j of the outer product of the
+    giant steps g^(c*i) and the baby steps g^j is g^(c*i + j), so the rows
+    read in order list the powers.  The two step lists take about 2*sqrt(n)
+    Python multiplications, and the product is one vectorized pass.  Exact
+    while m * m < 2**63.
+    """
+    c = math.isqrt(n - 1) + 1
+    giant = _geometric(pow(g, c, m), -(-n // c), m)
+    return (giant[:, None] * _geometric(g, c, m) % m).reshape(-1)[:n]
+
+
+def _prime_power_inverse(comp: "UnitGroupComponent") -> np.ndarray:
+    """inv over [0, p^e) for one component: x^-1 mod p^e at units, else 0.
+
+    The units are g^k for k < o, where g is the component's last generator
+    and o its order, times +-1 when p^e = 2^e with e >= 3 (generators -1
+    and 3).  (g^k)^-1 = g^(o-k), so the inverses of the listed powers are
+    the same list reversed after its leading 1, and (-y)^-1 = -(y^-1).
+    """
+    pe = comp.prime_power
+    inv = np.zeros(pe, dtype=np.int64)
+    inv[1] = 1
+    if comp.generators:
+        pw = _powers(comp.generators[-1], comp.orders[-1], pe)
+        inv[pw[1:]] = pw[:0:-1]
+        if len(comp.generators) == 2:
+            inv[pe - pw] = pe - inv[pw]
+    return inv
 
 
 @functools.cache
@@ -261,6 +322,7 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found for {p}")
 
 
+@functools.cache  # the cofactor moduli of inverse tables repeat the prime powers of q
 def _component_generators(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     pe = p**e
     if p == 2:

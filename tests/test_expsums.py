@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +146,99 @@ def test_kloosterman_argument_reduction(q, m, n):
     a = kloosterman(q, m, n)
     b = kloosterman(q, m % q, n % q)
     assert a.value == b.value
+
+
+# ---------------------------------------------------------------------------
+# exact_sum: bit for bit the value (or the exception) of math.fsum
+# ---------------------------------------------------------------------------
+
+FSUM = math.fsum  # the oracle, kept before any test patches math.fsum
+
+
+def _outcome(fn, xs):
+    try:
+        return "value", struct.pack("<d", fn(np.array(xs, dtype=np.float64)))
+    except (OverflowError, ValueError) as exc:
+        return "raises", type(exc)
+
+
+def _assert_matches_fsum(xs):
+    want = _outcome(FSUM, xs)
+    assert _outcome(expsums.exact_sum, xs) == want
+    with pytest.MonkeyPatch.context() as mp:  # many blocks: per-block exponents combined
+        mp.setattr(expsums, "_EXACT_BLOCK", 7)
+        assert _outcome(expsums.exact_sum, xs) == want
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_matches_fsum_any_finite(xs):
+    _assert_matches_fsum(xs)
+
+
+@given(st.lists(st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-80, 80)),
+                max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_matches_fsum_within_limb_budget(xs):
+    # spans of at most 53 + 160 bits: the limb route, never the fallback
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
+        got = _outcome(expsums.exact_sum, xs)
+    assert got == _outcome(FSUM, xs)
+
+
+_rng = np.random.default_rng(11)
+_cancel = _rng.standard_normal(4096) * 10.0 ** _rng.integers(-12, 12, 4096)
+
+EXACT_SUM_CASES = {
+    "cancel-to-zero": [3.0, 1e-20, -3.0, -1e-20] * 300,
+    "cancel-shuffled": list(_rng.permutation(np.concatenate([_cancel, -_cancel]))),
+    "tie-to-even-down": [1.0, 2**-53],
+    "tie-broken-up": [1.0, 2**-53, 2**-106],
+    "tie-to-even-up": [1.0 + 2**-52, 2**-53],
+    "tie-negative": [-1.0, -(2**-53), 2**-200],
+    "subnormals": [5e-324, -0.0, 0.0, 2.5e-323, -5e-324, 1e-310],
+    "normal-subnormal-edge": [2.2250738585072014e-308, -5e-324],
+    "negative-zeros": [-0.0, -0.0],
+    "zeros-and-tiny": [0.0, -0.0, 5e-324, -5e-324],
+    "large-exponents": [2.0**900, 3.0 * 2.0**850, -(2.0**900), 2.0**700],  # lo >= 0
+    "past-limb-budget": [1e150, 1e-150, -1e150, 3.0],
+    "intermediate-overflow": [1e308, 1e308, -1e308],
+    "nan": [1.0, float("nan"), 2.0],
+    "inf": [1.0, float("inf"), 2.0],
+    "neg-inf": [float("-inf"), -1.0, float("-inf")],
+    "inf-minus-inf": [float("inf"), 1.0, float("-inf")],
+}
+
+
+#: the cases exact_sum hands to math.fsum
+FSUM_FALLBACK = {
+    "past-limb-budget", "intermediate-overflow", "nan", "inf", "neg-inf", "inf-minus-inf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SUM_CASES))
+def test_exact_sum_adversarial(name, monkeypatch):
+    _assert_matches_fsum(EXACT_SUM_CASES[name])
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda x: calls.append(x) or FSUM(x))
+    _outcome(expsums.exact_sum, EXACT_SUM_CASES[name])
+    assert bool(calls) == (name in FSUM_FALLBACK)
+
+
+def test_exact_sum_route_data_stays_off_fsum(monkeypatch):
+    # the outer sum of a fast-route experiment takes the limb route
+    from kgsums.bilinear import _gamma_over_units, _fast_values
+    from kgsums import Interval, WeightVector
+
+    q = 10007
+    rng = np.random.default_rng(3)
+    A = WeightVector(q, {int(m): float(rng.choice([-1.0, 1.0])) for m in range(1, 101)})
+    terms = _fast_values(A, 1) * _gamma_over_units(Interval.of(q, 0, 100))
+    want = (FSUM(terms.real), FSUM(terms.imag))
+    monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
+    got = (expsums.exact_sum(terms.real), expsums.exact_sum(terms.imag))
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
 # ---------------------------------------------------------------------------

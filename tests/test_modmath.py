@@ -18,6 +18,7 @@ from kgsums import (
     unit_mask,
     unit_residues,
 )
+from kgsums.modmath import pow_mod
 from kgsums.verify import check_inverses, check_orthogonality
 
 moduli = st.integers(min_value=2, max_value=600)
@@ -163,7 +164,10 @@ def test_inverse_table_and_mask():
                 assert x * int(inv[x]) % q == 1
             else:
                 assert inv[x] == 0
-    for q in (1000003, 2**20, 10**6, 720720, 3**12):
+    # each branch of the power-table construction: an odd prime, 2^e, a
+    # trivial mod-2 cofactor, 4 * odd, 8 * several odd primes, 2^e * 3^k
+    for q in (1000003, 2**20, 10**6, 720720, 3**12,
+              2 * 3**11, 4 * 5**6, 8 * 3**2 * 5 * 7 * 11, 2**13 * 3**4):
         inv = inverse_table(q)
         mask = unit_mask(q)
         units = unit_residues(q)
@@ -172,3 +176,7 @@ def test_inverse_table_and_mask():
         assert np.array_equal(units, idx[mask])
         assert np.all(units * inv[units] % q == 1)
         assert not np.any(inv[~mask])
+        # the square-and-multiply construction, x^(lambda(q) - 1), as the oracle
+        oracle = np.zeros(q, dtype=np.int64)
+        oracle[units] = pow_mod(units, Modulus.of(q).carmichael - 1, q)
+        assert np.array_equal(inv, oracle)
