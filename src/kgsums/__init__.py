@@ -8,13 +8,11 @@ from .bilinear import (
     Interval,
     WeightVector,
     bilinear_gauss,
-    bilinear_generalized,
     bilinear_kloosterman,
     dyadic_decomposition,
     dyadic_partition,
     gamma_sum,
     make_weights,
-    moment_check,
     representative,
 )
 from .bounds import (
@@ -32,6 +30,7 @@ from .counting import (
     j2_reference_ratio,
     jr_congruence,
     jr_equation,
+    moment_check,
     product_table,
     reciprocal_table,
     rr_congruence,

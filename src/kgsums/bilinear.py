@@ -12,6 +12,9 @@ The double sum over (weight support) x (interval) admits three routes:
                     weight vector followed by the inversion permutation.
                     O(q log q + q).
 
+:func:`bilinear_kloosterman` takes the kernel power k of e_q(m x^-k + n x);
+k = 1 is Kloosterman, and the naive oracle runs at k = 1 only.
+
 Weights are stored as arrays: :class:`WeightVector` holds a sorted int64
 support with aligned complex128 coefficients, :class:`CharWeightVector` the
 sorted exponent rows of its characters; both are read-only, and the
@@ -24,24 +27,23 @@ deterministic pairwise reduction, so results are reproducible bit for bit;
 the x-loop partitions cleanly (see the dyadic decomposition) if a caller
 wants to parallelize by range.
 
-The interval sums gamma_x are localized by a dyadic-scale partition of the
-unit representatives in (-q/2, q/2]; on scale i the magnitude of gamma_x is
-at most C * exp(-i) * N with the documented constant C = e * pi / 2 (the
-tight constant is e/2 for i >= 1 and 1 for i = 0; the larger C keeps one
-uniform, empirically asserted value).
+The interval sums gamma_x, one kernel for a residue or for every unit, are
+localized by a dyadic-scale partition of the unit representatives in
+(-q/2, q/2]; on scale i the magnitude of gamma_x is at most C * exp(-i) * N
+with the documented constant C = e * pi / 2 (the tight constant is e/2 for
+i >= 1 and 1 for i = 0; the larger C keeps one uniform, empirically
+asserted value).  The 2r-th moment identity lives in :mod:`kgsums.counting`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .counting import _check_fold_cost, _rotation_sum
 from .errors import (
     DomainRestriction,
     InvalidWeight,
@@ -73,9 +75,6 @@ GAMMA_SCALE_C = math.e * math.pi / 2
 
 #: naive double-sum oracle cap on M * N * phi(q)
 NAIVE_COST_CAP = 10**9
-
-#: exhaustive moment-identity enumeration cap on |X|^(2r)
-MOMENT_TUPLE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -312,52 +311,45 @@ def make_weights(keys, kind: str, seed: int) -> np.ndarray:
 GAMMA_EVAL_ERR = 32.0
 
 
+def _centered(v, m: int):
+    """v mod m in (-m/2, m/2], for a Python int or elementwise on an int64 array."""
+    h = (m - 1) // 2
+    return (v + h) % m - h
+
+
+def _gamma_at(J: Interval, r):
+    """gamma_x at centered representatives r != 0 of x: a Python int or an int64 array.
+
+    Angles are integer multiples of pi/q reduced exactly into (-q, q], in
+    Python ints for a scalar (any q) and int64 for an array, so the rounding
+    error stays below GAMMA_EVAL_ERR * eps * N uniformly in x (an unreduced
+    phase N*x*pi/q would lose ~eps*q*N near x = q).
+    """
+    q = J.modulus.q
+    num_t = _centered(J.N * r, 2 * q)
+    # a numpy value even for a scalar: Python's complex division by q rounds
+    # differently from numpy's, so a scalar would drift from the array entries
+    phase_t = np.asarray(_centered((2 * J.L + J.N + 1) * r, 2 * q))
+    ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
+    return np.exp(1j * np.pi * phase_t / q) * ratio
+
+
 def gamma_sum(J: Interval, x: int) -> complex:
     """Closed-form geometric sum of e_q(n*x) over n in J.
 
     Magnitude satisfies |gamma_x| <= min(N, q / (2 * dist_q(x))) by the
-    sine bound sin(pi*t) >= 2*t on [0, 1/2].
-
-    All angles are exact integer multiples of pi/q, reduced symmetrically
-    mod 2q against the symmetric representative of x, so every trig
-    argument lies in (-pi, pi] and the rounding error stays below
-    GAMMA_EVAL_ERR * eps * N uniformly in x (an unreduced phase N*x*pi/q
-    would lose ~eps*q*N near x = q).
+    sine bound sin(pi*t) >= 2*t on [0, 1/2].  Evaluated by the same kernel
+    as the outer sums, so it equals :func:`_gamma_over_units` bit for bit.
     """
-    q = J.modulus.q
-    r = x % q
+    r = _centered(x, J.modulus.q)
     if r == 0:
         raise DomainRestriction("gamma_sum is undefined for x = 0 mod q")
-    if 2 * r > q:
-        r -= q  # symmetric representative in (-q/2, q/2]
-
-    def sym2q(v: int) -> int:  # reduce into (-q, q] so angles stay in (-pi, pi]
-        t = v % (2 * q)
-        return t - 2 * q if t > q else t
-
-    num_t = sym2q(J.N * r)
-    phase_t = sym2q((2 * J.L + J.N + 1) * r)
-    ratio = math.sin(math.pi * num_t / q) / math.sin(math.pi * r / q)
-    return cmath.exp(complex(0.0, math.pi * phase_t / q)) * ratio
+    return complex(_gamma_at(J, r))
 
 
 def _gamma_over_units(J: Interval) -> np.ndarray:
-    """gamma_x for every unit x, aligned with unit_residues(q).
-
-    Same reduced-angle evaluation as :func:`gamma_sum`.
-    """
-    q = J.modulus.q
-    xs = unit_residues(J.modulus)
-    r = np.where(2 * xs > q, xs - q, xs)
-
-    def sym2q(v: np.ndarray) -> np.ndarray:
-        t = v % (2 * q)
-        return np.where(t > q, t - 2 * q, t)
-
-    num_t = sym2q(J.N * r)
-    phase_t = sym2q((2 * J.L + J.N + 1) * r)
-    ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
-    return np.exp(1j * np.pi * phase_t / q) * ratio
+    """gamma_x for every unit x, aligned with unit_residues(q)."""
+    return _gamma_at(J, _centered(unit_residues(J.modulus), J.modulus.q))
 
 
 @dataclass(frozen=True)
@@ -406,9 +398,7 @@ def dyadic_partition(q: "Modulus | int", N: int) -> list[DyadicSet]:
 
 def representative(x: int, q: "Modulus | int") -> int:
     """The representative of x mod q in (-q/2, q/2]."""
-    mod = Modulus.of(q)
-    r = x % mod.q
-    return r if 2 * r <= mod.q else r - mod.q
+    return _centered(x, Modulus.of(q).q)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +407,6 @@ def representative(x: int, q: "Modulus | int") -> int:
 
 _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
-_GENERALIZED_METHODS = ("transformed", "fast")
 
 #: entries of the phase matrix built per block of the transformed inner product
 _BLOCK_ENTRIES = 1 << 22
@@ -533,33 +522,26 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     )
 
 
-def bilinear_kloosterman(A: WeightVector, J: Interval, method: str = "fast") -> SumResult:
-    """Weighted double sum of Kloosterman values over supp(A) x J."""
+def bilinear_kloosterman(
+    A: WeightVector, J: Interval, method: str = "fast", k: int = 1
+) -> SumResult:
+    """Weighted double sum over supp(A) x J of the kernel sum_x e_q(m * x^-k + n * x).
+
+    k = 1 is the Kloosterman sum K_q(m, n); every k >= 1 has the
+    ``transformed`` and ``fast`` routes, and the ``naive`` oracle runs at
+    k = 1 only.
+    """
+    if k < 1:
+        raise ValueError(f"kernel power k must be >= 1, got {k}")
     if method not in _KLOOSTERMAN_METHODS:
         raise ValueError(f"method must be one of {_KLOOSTERMAN_METHODS}, got {method!r}")
+    if method == "naive" and k != 1:
+        raise DomainRestriction(f"the naive route needs k = 1, got k = {k}")
     _check_shared_modulus(A, J)
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
         return _naive_double_sum(A, J, kloosterman)
-    return _ROUTES[method](A, J, 1)
-
-
-def bilinear_generalized(
-    A: WeightVector, J: Interval, k: int, method: str = "transformed"
-) -> SumResult:
-    """Bilinear form with kernel e_q(m * x^-k + n * x).
-
-    ``method`` is ``transformed`` or ``fast``; k = 1 reduces to the same
-    route of :func:`bilinear_kloosterman`.
-    """
-    if k < 1:
-        raise ValueError(f"kernel power k must be >= 1, got {k}")
-    if method not in _GENERALIZED_METHODS:
-        raise ValueError(f"method must be one of {_GENERALIZED_METHODS}, got {method!r}")
-    _check_shared_modulus(A, J)
-    if A.support_size == 0:
-        return SumResult(value=0j, error_bound=0.0, terms=0)
     return _ROUTES[method](A, J, k)
 
 
@@ -607,80 +589,6 @@ def _combined_char_values(W: CharWeightVector) -> np.ndarray:
         np.multiply(coeffs[start : start + rows, None], chi_rows, out=chi_rows)
         block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
     return block[0].copy()
-
-
-# ---------------------------------------------------------------------------
-# Moment identity
-# ---------------------------------------------------------------------------
-
-
-def moment_check(
-    q: "Modulus | int",
-    X: Iterable[int],
-    gamma: Mapping[int, complex],
-    r: int,
-    method: str = "auto",
-) -> tuple[float, float]:
-    """Both sides of the exact 2r-th moment identity over the full ring.
-
-    lhs = sum over all residues m of |sum_{x in X} gamma_x e_q(m x^-1)|^(2r);
-    rhs = q * sum over 2r-tuples from X whose first-r and last-r inverse sums
-    agree mod q of the product gamma_{x_1}..gamma_{x_r} *
-    conj(gamma_{x_{r+1}}..gamma_{x_2r}), real part.  With m ranging over the
-    whole ring this is an equality, which makes it a sharp cross-check of
-    the transformed machinery.
-
-    ``method`` selects the rhs route: ``exhaustive`` enumerates all
-    |X|^(2r) tuples (capped), ``convolution`` folds the gamma-weighted
-    inverse indicator r times, each fold a gamma-weighted sum of |X|
-    rotations (cost (r-1)*|X|*q, under the fold's ``FOLD_COST_CAP``);
-    ``auto`` picks by size.  Both caps are checked before any length-q array
-    is built.
-    """
-    mod = Modulus.of(q)
-    if r < 1:
-        raise ValueError(f"moment order r must be >= 1, got {r}")
-    xs = sorted({int(x) % mod.q for x in X})
-    for x in xs:
-        if math.gcd(x, mod.q) != 1:
-            raise DomainRestriction(f"moment_check requires X inside Z_{mod.q}^*")
-    if not xs:
-        return 0.0, 0.0
-    n_tuples = len(xs) ** (2 * r)
-    if method == "auto":
-        method = "exhaustive" if n_tuples <= 250_000 else "convolution"
-    if method == "exhaustive":
-        if n_tuples > MOMENT_TUPLE_CAP:
-            raise ResourceLimit(
-                f"|X|^(2r) = {n_tuples} exceeds exhaustive cap {MOMENT_TUPLE_CAP}"
-            )
-    elif method == "convolution":
-        _check_fold_cost(mod.q, len(xs), r)
-    else:
-        raise ValueError(f"unknown moment method {method!r}")
-
-    g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
-    inv = inverse_table(mod)
-    xbars = inv[np.array(xs, dtype=np.int64)]
-    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
-    h[xbars] = g
-    # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
-    lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
-
-    if method == "exhaustive":
-        sums = xbars.astype(np.int64)
-        prods = g.copy()
-        for _ in range(r - 1):
-            sums = (sums[:, None] + xbars[None, :]).reshape(-1) % mod.q
-            prods = (prods[:, None] * g[None, :]).reshape(-1)
-        match = (sums[:, None] - sums[None, :]) % mod.q == 0
-        rhs_c = mod.q * np.sum(match * (prods[:, None] * np.conj(prods)[None, :]))
-        return lhs, float(rhs_c.real)
-    # cyclic convolution with h: H <- sum_x gamma_x * (H rotated by x^-1)
-    H = h
-    for _ in range(r - 1):
-        H = _rotation_sum(H, xbars, g)
-    return lhs, float(mod.q * np.sum(np.abs(H) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bilinear import _GENERALIZED_METHODS, Interval, bilinear_generalized
+from .bilinear import _KLOOSTERMAN_METHODS, Interval, bilinear_kloosterman
 from .bounds import improvement_region
 from .counting import (
     _COUNT_METHODS,
@@ -144,17 +144,15 @@ def _cmd_bilinear(args) -> int:
     if args.k != 1:
         if args.family != "kloosterman":
             raise DomainRestriction("--k applies to the kloosterman family only")
-        if set(methods) - set(_GENERALIZED_METHODS):
-            raise DomainRestriction(
-                f"--k {args.k} has the routes {', '.join(_GENERALIZED_METHODS)}, "
-                f"got --method {args.method}"
-            )
-        # the requested routes first (the first one is reported), then the rest
-        methods += tuple(m for m in _GENERALIZED_METHODS if m not in methods)
+        if args.out:
+            raise DomainRestriction("--k other than 1 has no bound records to write to --out")
+        # the requested routes first (the first one is reported), then every
+        # route the kernel has; bilinear_kloosterman refuses naive at k != 1
+        methods += tuple(m for m in _KLOOSTERMAN_METHODS if m != "naive" and m not in methods)
         mod = Modulus.of(args.q)
         weights = build_weight_vector(mod, args.M, args.weights, args.seed)
         J = Interval.of(mod, args.L, args.N)
-        results = [bilinear_generalized(weights, J, args.k, m) for m in methods]
+        results = [bilinear_kloosterman(weights, J, m, k=args.k) for m in methods]
         cross_check(methods, results, mod.q)
         res = results[0]
         print(f"S_{{{args.k},{args.q}}} = {res.value:.15g}, |S| = {abs(res.value):.15g}")

@@ -2,7 +2,9 @@
 
 Counts the 2r-tuples from {x <= K : gcd(x, q) = 1} whose r-fold inverse
 sums (or r-fold products) agree mod q, plus the integer-equation analogues
-over [1, K] without a modulus.  Three routes give the congruence counts:
+over [1, K] without a modulus, and the 2r-th moment identity
+(`moment_check`), whose rhs is the same count weighted by gamma.  Three
+routes give the congruence counts:
 
 * ``"fft"``, the certified group DFT: the r-th power of the base set's
   transform on the lattice Z/o_1 x .. x Z/o_k it lives on (Z/q for
@@ -19,9 +21,9 @@ over [1, K] without a modulus.  Three routes give the congruence counts:
 * ``"exhaustive"``, the oracle: literal enumeration of the tuples.
 
 By default the FFT route runs wherever its certificate holds and its
-padded lattice fits ``FFT_SIZE_CAP``, and the fold runs otherwise; both
-rules are arithmetic on the inputs, decided before anything is allocated.
-Final tallies are Python ints on every route.
+padded lattice fits ``FFT_SIZE_CAP``, and the fold runs otherwise.  Every
+rule is arithmetic on the inputs and on |X| (by inclusion-exclusion),
+decided before anything is allocated.  Final tallies are Python ints.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ResourceLimit, VerificationError
+from .errors import DomainRestriction, ResourceLimit, VerificationError
 from .modmath import MACHINE_EPS, Modulus, inverse_table
 
-#: exhaustive oracles refuse beyond this many tuple comparisons
+#: the exhaustive oracle (counts and moment rhs) refuses past this many comparisons
 EXHAUSTIVE_TUPLE_CAP = 10**8
 
 #: the folded (convolution) route's tables are length q; it refuses larger q
@@ -79,11 +82,21 @@ class CountTable:
         return self.total() == self.base_size**self.depth
 
 
-def _admissible(q: Modulus, K: int) -> np.ndarray:
-    if not 1 <= K <= q.q:
-        raise ValueError(f"K must lie in [1, q] = [1, {q.q}], got {K}")
+def _admissible_count(mod: Modulus, K: int) -> int:
+    """|X| for X = {x <= K : gcd(x, q) = 1}, by inclusion-exclusion over the
+    primes of q; arithmetic only, so refusals can be decided before X is built."""
+    if not 1 <= K <= mod.q:
+        raise ValueError(f"K must lie in [1, q] = [1, {mod.q}], got {K}")
+    terms = [(1, 1)]  # (squarefree d | q with d <= K, mobius(d))
+    for p, _ in mod.factors:
+        terms += [(d * p, -mu) for d, mu in terms if d * p <= K]
+    return sum(mu * (K // d) for d, mu in terms)
+
+
+def _admissible(mod: Modulus, K: int) -> np.ndarray:
+    """X as an int64 array; callers size it with `_admissible_count` first."""
     xs = np.arange(1, K + 1, dtype=np.int64)
-    return xs[np.gcd(xs, q.q) == 1]
+    return xs[np.gcd(xs, mod.q) == 1]
 
 
 def _rotation_sum(
@@ -217,14 +230,10 @@ def _convolution_power(
     certificate |X|^r < 2^47, so the rounded counts fit int64.
 
     sum(T**2) is an int64 dot while max(T) |X|^r, which bounds it, is
-    below the overflow line, and a Python-int dot above.  Raises
-    ResourceLimit when the certificate or ``FFT_SIZE_CAP`` refuses, before
-    any array is built.
+    below the overflow line, and a Python-int dot above.  The caller has
+    checked `_fft_refusal` before building ``points``.
     """
     size = points.shape[0]
-    reason = _fft_refusal(shape, r, size)
-    if reason:
-        raise ResourceLimit(reason)
     lattice = shape or (1,)  # units mod 2: a one-point lattice with no axes
     padded = _fft_padding(lattice, r)
     axes = tuple(range(len(lattice)))
@@ -256,31 +265,45 @@ def _convolution_power(
     return counts, int(flat @ flat)
 
 
-def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc) -> int:
-    """Literal 2r-tuple enumeration: fold r-tuples with ``op`` (np.add or
-    np.multiply) mod q directly, compare all pairs."""
-    n = int(vals.size)
-    if n**(2 * r) > EXHAUSTIVE_TUPLE_CAP:
+def _check_tuple_cap(size: int, r: int) -> None:
+    """Refuse the 2r-tuples of ``size`` values past EXHAUSTIVE_TUPLE_CAP, before any table."""
+    if size ** (2 * r) > EXHAUSTIVE_TUPLE_CAP:
         raise ResourceLimit(
-            f"exhaustive oracle needs {n ** (2 * r)} tuple comparisons, "
+            f"exhaustive oracle needs {size ** (2 * r)} tuple comparisons, "
             f"cap is {EXHAUSTIVE_TUPLE_CAP}"
         )
-    folded = vals.copy()
+
+
+def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weights=None):
+    """Literal 2r-tuple enumeration: fold the r-tuples of ``vals`` with ``op``
+    (np.add or np.multiply) mod q and compare every pair, in blocks of about
+    10**6 comparisons.  Returns the number of agreeing pairs, or with complex
+    ``weights`` aligned with ``vals`` the sum over them of
+    w_1 .. w_r * conj(w_{r+1} .. w_{2r}).
+    """
+    _check_tuple_cap(vals.size, r)
+    folded, prods = vals, weights
     for _ in range(r - 1):
         folded = op.outer(folded, vals).reshape(-1) % q
+        if weights is not None:
+            prods = np.multiply.outer(prods, weights).reshape(-1)
+    conj = None if weights is None else np.conj(prods)
     total = 0
-    chunk = max(1, 10**7 // max(folded.size, 1))
-    for start in range(0, folded.size, chunk):
-        block = folded[start : start + chunk]
-        total += int(np.sum(block[:, None] == folded[None, :]))
+    rows = max(1, 10**6 // folded.size)
+    for start in range(0, folded.size, rows):
+        match = folded[start : start + rows, None] == folded[None, :]
+        if weights is None:
+            total += int(np.count_nonzero(match))
+        else:
+            total += prods[start : start + rows] @ (match @ conj)
     return total
 
 
 def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold inverse sums of admissible x <= K."""
     mod = Modulus.of(q)
+    _check_fold_cost(mod.q, _admissible_count(mod, K), r)
     base = _admissible(mod, K)
-    _check_fold_cost(mod.q, base.size, r)
     counts = _fold(mod.q, inverse_table(mod)[base], r, _rotation_sum)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
@@ -288,8 +311,8 @@ def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
 def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
     mod = Modulus.of(q)
+    _check_fold_cost(mod.q, _admissible_count(mod, K), r)
     base = _admissible(mod, K)
-    _check_fold_cost(mod.q, base.size, r)
     counts = _fold(mod.q, base, r, _permutation_sum)
     return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
 
@@ -310,16 +333,23 @@ def _congruence_count(
         raise ValueError(f"r must be >= 1, got {r}")
     if method not in (None, *_COUNT_METHODS):
         raise ValueError(f"method must be one of {_COUNT_METHODS} or None, got {method!r}")
-    base = _admissible(mod, K)
+    size = _admissible_count(mod, K)
     if method == "exhaustive":
-        if reciprocal:
-            return _exhaustive_pair_count(inverse_table(mod)[base], mod.q, r, np.add)
-        return _exhaustive_pair_count(base, mod.q, r, np.multiply)
+        _check_tuple_cap(size, r)
+        # its own residues and inverses: independent of the routes' tables
+        xs = [x for x in range(1, K + 1) if math.gcd(x, mod.q) == 1]
+        vals = [pow(x, -1, mod.q) for x in xs] if reciprocal else xs
+        op = np.add if reciprocal else np.multiply
+        return _exhaustive_pair_count(np.array(vals, dtype=np.int64), mod.q, r, op)
     # inverse sums live on Z/q; products on the unit group, through the logs
     shape = (mod.q,) if reciprocal else mod.group.orders
+    reason = _fft_refusal(shape, r, size)
     if method is None:
-        method = "convolution" if _fft_refusal(shape, r, base.size) else "fft"
+        method = "convolution" if reason else "fft"
     if method == "fft":
+        if reason:
+            raise ResourceLimit(reason)
+        base = _admissible(mod, K)
         points = inverse_table(mod)[base] if reciprocal else mod.logs[base]
         return _convolution_power(points, shape, r)[1]
     if mod.q > CONVOLUTION_Q_CAP:
@@ -391,6 +421,62 @@ def rr_equation(K: int, r: int) -> int:
     if K**r > EQUATION_TUPLE_CAP:
         raise ResourceLimit(f"K^r = {K ** r} exceeds cap {EQUATION_TUPLE_CAP}")
     return _equation_count(list(range(1, K + 1)), r, np.multiply, wide=K**r >= _INT64_SAFE)
+
+
+def moment_check(
+    q: "Modulus | int",
+    X: Iterable[int],
+    gamma: Mapping[int, complex],
+    r: int,
+    method: str = "auto",
+) -> tuple[float, float]:
+    """Both sides of the exact 2r-th moment identity over the full ring.
+
+    lhs = sum over all residues m of |sum_{x in X} gamma_x e_q(m x^-1)|^(2r);
+    rhs = q * sum over 2r-tuples from X whose first-r and last-r inverse sums
+    agree mod q of the product gamma_{x_1}..gamma_{x_r} *
+    conj(gamma_{x_{r+1}}..gamma_{x_2r}), real part.  With m ranging over the
+    whole ring this is an equality, which makes it a sharp cross-check of
+    the transformed machinery; gamma = 1 on the admissible x <= K gives
+    rhs = q * `jr_congruence`.
+
+    ``method`` selects the rhs route: ``exhaustive``, the counts' oracle
+    weighted by gamma; ``convolution``, the fold's `_rotation_sum` weighted
+    by gamma, r - 1 times (cost (r-1)*|X|*q); ``auto`` picks by size.  Both
+    caps are checked before any length-q array is built.
+    """
+    mod = Modulus.of(q)
+    if r < 1:
+        raise ValueError(f"moment order r must be >= 1, got {r}")
+    xs = sorted({int(x) % mod.q for x in X})
+    for x in xs:
+        if math.gcd(x, mod.q) != 1:
+            raise DomainRestriction(f"moment_check requires X inside Z_{mod.q}^*")
+    if not xs:
+        return 0.0, 0.0
+    if method == "auto":
+        method = "exhaustive" if len(xs) ** (2 * r) <= 250_000 else "convolution"
+    if method == "exhaustive":
+        _check_tuple_cap(len(xs), r)
+    elif method == "convolution":
+        _check_fold_cost(mod.q, len(xs), r)
+    else:
+        raise ValueError(f"unknown moment method {method!r}")
+
+    g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
+    xbars = inverse_table(mod)[np.array(xs, dtype=np.int64)]
+    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
+    h[xbars] = g
+    # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
+    lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
+
+    if method == "exhaustive":
+        return lhs, float((mod.q * _exhaustive_pair_count(xbars, mod.q, r, np.add, g)).real)
+    # cyclic convolution with h: H <- sum_x gamma_x * (H rotated by x^-1)
+    H = h
+    for _ in range(r - 1):
+        H = _rotation_sum(H, xbars, g)
+    return lhs, float(mod.q * np.sum(np.abs(H) ** 2))
 
 
 def dyadic_average(

@@ -93,7 +93,7 @@ def cross_check(methods: tuple[str, ...], results: list[SumResult], q: int) -> N
     for (m1, r1), (m2, r2) in itertools.combinations(zip(methods, results), 2):
         gap = abs(r1.value - r2.value)
         budget = r1.error_bound + r2.error_bound
-        if gap > budget:
+        if not gap <= budget:  # a NaN gap or budget fails too
             raise VerificationError(
                 f"methods {m1} and {m2} differ by {gap:.3e} "
                 f"with combined budget {budget:.3e} (q={q})"
@@ -190,7 +190,7 @@ def run_experiment(
     norm1, norm2, norm_inf = weights.norm1, weights.norm2, weights.norm_inf
 
     trivial_value = norm1 * N * max_term
-    if abs_sum > trivial_value + primary.error_bound:
+    if not abs_sum <= trivial_value + primary.error_bound:  # so does a NaN sum
         raise VerificationError(
             f"|sum| = {abs_sum:.6e} exceeds the exact trivial bound "
             f"{trivial_value:.6e} beyond the error budget (q={mod.q})"

@@ -28,7 +28,6 @@ bound keeps the uniform formula.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -379,14 +378,13 @@ def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
     ]
 
 
-@functools.lru_cache(maxsize=2048)
 def char_values(chi: DirichletCharacter) -> np.ndarray:
-    """chi(x) for x = 0..q-1 as a read-only complex vector (0 at non-units)."""
+    """chi(x) for x = 0..q-1 as a new read-only complex vector (0 at non-units); uncached."""
     mod = chi.modulus
     t = angle_numerators(mod, chi.exponents)
     vals = roots_of_unity(mod.carmichael)[t]
     vals[~mod.mask] = 0.0
-    vals.flags.writeable = False  # cached: every caller shares this array
+    vals.flags.writeable = False  # read-only, like every table the package hands out
     return vals
 
 

@@ -26,10 +26,9 @@ from .bilinear import (
     bilinear_kloosterman,
     dyadic_partition,
     make_weights,
-    moment_check,
 )
 from .bounds import REGION_VERTICES, improvement_region
-from .counting import jr_congruence, rr_congruence
+from .counting import jr_congruence, moment_check, rr_congruence
 from .csvio import emit_csv, parse_csv, render_csv
 from .experiments import ExperimentRecord, primes_in_range, run_experiment
 from .expsums import characters, gauss, gauss_row, kloosterman_row

@@ -19,7 +19,6 @@ from kgsums import (
     SplitMix64,
     WeightVector,
     bilinear_gauss,
-    bilinear_generalized,
     bilinear_kloosterman,
     char_values,
     character,
@@ -290,12 +289,31 @@ def test_gamma_rejects_zero_class():
         gamma_sum(Interval.of(7, 0, 3), 14)
 
 
+def _gamma_reference(J, x):
+    """The closed form in Python floats: angles reduced in Python ints to
+    (-pi, pi], then math/cmath trig (independent of the numpy kernel)."""
+    q = J.modulus.q
+    r = x % q
+    if 2 * r > q:
+        r -= q
+
+    def sym2q(v):
+        t = v % (2 * q)
+        return t - 2 * q if t > q else t
+
+    num_t = sym2q(J.N * r)
+    phase_t = sym2q((2 * J.L + J.N + 1) * r)
+    ratio = math.sin(math.pi * num_t / q) / math.sin(math.pi * r / q)
+    return cmath.exp(complex(0.0, math.pi * phase_t / q)) * ratio
+
+
 def test_gamma_scalar_matches_vectorized():
-    # the scalar gamma_sum and the vectorized route behind every outer sum
-    # evaluate the same reduced angles with different trig calls; they must
-    # agree within the documented GAMMA_EVAL_ERR * eps * N on every unit,
-    # with intervals at both ends and the middle of [1, q-1].  Criterion 07
-    # checks the magnitude bound on the full grid.
+    # gamma_sum and the vectorized route behind every outer sum share one
+    # kernel, so they agree exactly on every unit, with intervals at both
+    # ends and the middle of [1, q-1]; the Python-float closed form agrees
+    # within the documented GAMMA_EVAL_ERR * eps * N, also at q ~ 10^12,
+    # where int64 products N * x would overflow.  Criterion 07 checks the
+    # magnitude bound on the full grid.
     from kgsums.bilinear import GAMMA_EVAL_ERR, _gamma_over_units
 
     for q in range(3, 501, 11):
@@ -306,10 +324,18 @@ def test_gamma_scalar_matches_vectorized():
                 continue
             for L in sorted({0, (q - 1 - N) // 2, q - 1 - N}):
                 J = Interval.of(mod, L, N)
-                vec = _gamma_over_units(J)
                 scalar = np.array([gamma_sum(J, x) for x in xs])
-                gap = float(np.max(np.abs(vec - scalar)))
+                assert np.array_equal(_gamma_over_units(J), scalar), f"q={q}, L={L}, N={N}"
+                gap = float(np.max(np.abs(scalar - [_gamma_reference(J, x) for x in xs])))
                 assert gap <= GAMMA_EVAL_ERR * MACHINE_EPS * N, f"q={q}, L={L}, N={N}"
+    for q, L, N, x in (
+        (10**12, 5, 10**6, 123456789),
+        (10**12 + 39, 0, 10**11, 10**12 - 3),
+        (10**12 + 39, 10**12 - 10**11, 10**11 - 1, 5 * 10**11 + 7),
+    ):
+        J = Interval.of(q, L, N)
+        gap = abs(gamma_sum(J, x) - _gamma_reference(J, x))
+        assert gap <= GAMMA_EVAL_ERR * MACHINE_EPS * N, f"q={q}, x={x}"
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +595,7 @@ def test_generalized_reduces_to_kloosterman():
         keys = [int(u) for u in units[:4]]
         w = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 3))))
         J = Interval.of(mod, 0, min(6, q - 2))
-        a = bilinear_generalized(w, J, 1)
+        a = bilinear_kloosterman(w, J, "transformed", k=1)
         b = bilinear_kloosterman(w, J, "fast")
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
@@ -578,7 +604,7 @@ def test_generalized_k2_direct_oracle():
     mod = Modulus.of(5)
     w = WeightVector(mod, {1: 1.0})
     J = Interval.of(mod, 0, 1)
-    res = bilinear_generalized(w, J, 2)
+    res = bilinear_kloosterman(w, J, "transformed", k=2)
     expected = sum(
         eq_exp(mod_inv(x, mod) ** 2 + x, mod) for x in (1, 2, 3, 4)
     )
@@ -599,7 +625,7 @@ def test_generalized_routes_match_direct_sum():
                 for n in J.values()
                 for x in units
             )
-            results = [bilinear_generalized(A, J, k, method) for method in ("transformed", "fast")]
+            results = [bilinear_kloosterman(A, J, m, k=k) for m in ("transformed", "fast")]
             for res in results:
                 assert abs(res.value - expected) < 1e-10
             gap = abs(results[0].value - results[1].value)
@@ -610,10 +636,10 @@ def test_generalized_rejects_bad_k():
     w = WeightVector(Modulus.of(7), {1: 1.0})
     J = Interval.of(Modulus.of(7), 0, 2)
     with pytest.raises(ValueError):
-        bilinear_generalized(w, J, 0)
+        bilinear_kloosterman(w, J, "transformed", k=0)
     with pytest.raises(ValueError):
-        bilinear_generalized(w, J, 2, "naive")
-    assert bilinear_generalized(WeightVector(Modulus.of(7), {}), J, 3).value == 0
+        bilinear_kloosterman(w, J, "naive", k=2)
+    assert bilinear_kloosterman(WeightVector(Modulus.of(7), {}), J, "transformed", k=3).value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +713,7 @@ def test_moment_convolution_cap_precedes_tables(monkeypatch):
         raise AssertionError("a length-q table was built before the cost cap")
 
     monkeypatch.setattr(counting, "FOLD_COST_CAP", 100)
-    monkeypatch.setattr(bilinear, "inverse_table", no_tables)
+    monkeypatch.setattr(counting, "inverse_table", no_tables)
     # (r - 1) * |X| * q = 1 * 2 * 101
     with pytest.raises(ResourceLimit, match="202"):
         moment_check(101, [1, 2], {1: 1.0, 2: 1.0}, 2, method="convolution")

@@ -22,6 +22,7 @@ from kgsums import (
     inverse_table,
     jr_congruence,
     jr_equation,
+    moment_check,
     product_table,
     reciprocal_table,
     rr_congruence,
@@ -318,6 +319,50 @@ def test_rejects_bad_inputs():
         jr_equation(100, 5)
     with pytest.raises(ResourceLimit):
         rr_equation(100, 5)
+
+
+def test_admissible_count_by_inclusion_exclusion():
+    for q in (2, 12, 30, 97, 210, 1001, 2310):
+        count = 0
+        for K in range(1, q + 1):
+            count += math.gcd(K, q) == 1
+            assert counting._admissible_count(Modulus.of(q), K) == count
+
+
+def test_refusals_precede_the_admissible_set(monkeypatch):
+    # |X| comes from q's primes, so a count the caps refuse allocates nothing
+    # (at K = q = 10^9 + 7, X alone is 8 GB), and the exhaustive oracle
+    # enumerates and inverts its own residues without the routes' tables
+    def no_tables(*args):
+        raise AssertionError("a table was built before the caps decided")
+
+    monkeypatch.setattr(counting, "_admissible", no_tables)
+    monkeypatch.setattr(counting, "inverse_table", no_tables)
+    q = 1_000_000_007
+    for count in (jr_congruence, rr_congruence):
+        with pytest.raises(ResourceLimit):
+            count(q, q, 2)
+        with pytest.raises(ResourceLimit):
+            count(q, q, 2, method="fft")
+        with pytest.raises(ResourceLimit):
+            count(q, 10**4, 2, method="exhaustive")
+    assert jr_congruence(q, 5, 2, "exhaustive") == jr_equation(5, 2) == 45
+
+
+def test_moment_identity_counts_with_unit_gamma():
+    # gamma = 1 on the admissible x <= K turns the moment identity's rhs into
+    # q * J_r(q; K), by both rhs routes and exactly
+    cases = 0
+    for q in range(3, 61):
+        for K in range(1, min(8, q - 1) + 1):
+            X = _admissible(q, K)
+            gamma = dict.fromkeys(X, 1.0)
+            for r in (1, 2, 3):
+                count = q * jr_congruence(q, K, r)
+                for method in ("exhaustive", "convolution"):
+                    assert moment_check(q, X, gamma, r, method)[1] == count, (q, K, r, method)
+                    cases += 1
+    assert cases == 2658
 
 
 # ---------------------------------------------------------------------------

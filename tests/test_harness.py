@@ -29,6 +29,7 @@ from kgsums import (
     save_config,
 )
 from kgsums.csvio import CSV_HEADER
+from kgsums.errors import VerificationError
 from kgsums.prng import SplitMix64
 from kgsums import verify
 from kgsums.verify import (
@@ -189,6 +190,23 @@ def test_experiment_trivial_bound_hard_assertion():
         recs = run_experiment(q, M=M, N=N, weight_kind="pm1", seed=rng.next_u64())
         trivial = next(r for r in recs if r.bound_name == "trivial")
         assert trivial.abs_sum <= trivial.bound_value + trivial.error_bound
+
+
+def test_nan_sum_fails_the_experiment(monkeypatch, capsys):
+    # a NaN from a route must fail the trivial-bound assert (one route) and
+    # the cross-check (two routes), not pass both comparisons as False
+    from kgsums import cli, experiments
+
+    def nan_route(A, J, method="fast", k=1):
+        return SumResult(complex(math.nan, 0.0), 1.0, 1)
+
+    monkeypatch.setattr(experiments, "bilinear_kloosterman", nan_route)
+    for methods in (None, ("fast", "transformed")):
+        with pytest.raises(VerificationError):
+            run_experiment(101, 10, 10, weight_kind="pm1", seed=1, methods=methods)
+    assert cli.main(["bilinear", "--q", "101", "--M", "10", "--N", "10", "--weights", "pm1"]) == 5
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["category"] == "verification_failed"
 
 
 def test_average_sweep_shape_and_consistency():
@@ -444,7 +462,7 @@ def test_cli_bilinear_gauss_default_method():
     assert "thm23" in proc.stdout
 
 
-def test_cli_generalized_kernel(monkeypatch, capsys):
+def test_cli_generalized_kernel(monkeypatch, capsys, tmp_path):
     proc = _run_cli(
         "bilinear", "--q", "11", "--M", "3", "--N", "4", "--k", "2", "--seed", "1"
     )
@@ -459,24 +477,27 @@ def test_cli_generalized_kernel(monkeypatch, capsys):
     assert proc.returncode == 0
     assert "routes fast, transformed agree" in proc.stdout
 
-    # k != 1 has no naive route
-    proc = _run_cli("bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2", "--method", "naive")
-    assert proc.returncode == 2
-    payload = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert payload["category"] == "domain_restriction"
+    # k != 1 has no naive route, and no bound records for --out
+    out = tmp_path / "k2.csv"
+    for extra in (("--method", "naive"), ("--out", str(out))):
+        proc = _run_cli("bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2", *extra)
+        assert proc.returncode == 2
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["category"] == "domain_restriction"
+    assert not out.exists()
 
     # routes that disagree beyond their summed budgets fail verification
     from kgsums import cli
 
-    real = cli.bilinear_generalized
+    real = cli.bilinear_kloosterman
 
-    def skewed(A, J, k, method):
-        res = real(A, J, k, method)
+    def skewed(A, J, method="fast", k=1):
+        res = real(A, J, method, k=k)
         if method == "fast":
             res = SumResult(res.value + 1e-6, res.error_bound, res.terms)
         return res
 
-    monkeypatch.setattr(cli, "bilinear_generalized", skewed)
+    monkeypatch.setattr(cli, "bilinear_kloosterman", skewed)
     assert cli.main(["bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2"]) == 5
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["category"] == "verification_failed"
