@@ -109,15 +109,34 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     int64 matrix with one row per key).  Exact-zero inputs are skipped; each
     key's weight is 0 plus its inputs in input order, as a dict merge adds
     them, and keys whose merged weight is exactly 0 are dropped.
+
+    Keys already strictly increasing (rows in lexicographic order) are
+    distinct and sorted, so each weight is 0 plus its one nonzero input,
+    which is never 0; that sum, which turns a -0.0 part into +0.0, is all
+    that is computed, with no sort and no scatter.
     """
     nonzero = values != 0
-    keys, slot = np.unique(
-        keys[nonzero], axis=0 if keys.ndim > 1 else None, return_inverse=True
-    )
+    keys, values = keys[nonzero], values[nonzero]
+    if _strictly_increasing(keys):
+        return _shared(keys), _shared(values + 0j)
+    keys, slot = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
     merged = np.zeros(len(keys), dtype=np.complex128)
-    np.add.at(merged, slot.reshape(-1), values[nonzero])
+    np.add.at(merged, slot.reshape(-1), values)
     kept = merged != 0
     return _shared(keys[kept]), _shared(merged[kept])
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether each key (or row, compared lexicographically) exceeds the one before."""
+    if len(keys) < 2:
+        return True  # also rows with no columns (units mod 2), which argmax refuses
+    later, earlier = keys[1:], keys[:-1]
+    if keys.ndim > 1:
+        # rows compare at their first differing column; equal rows compare equal at column 0
+        col = np.argmax(later != earlier, axis=1)
+        at = np.arange(len(col))
+        later, earlier = later[at, col], earlier[at, col]
+    return bool(np.all(later > earlier))
 
 
 def _norms(coeffs: np.ndarray) -> tuple[float, float, float]:

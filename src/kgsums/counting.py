@@ -41,7 +41,7 @@ from .modmath import MACHINE_EPS, Modulus, inverse_table
 #: the exhaustive oracle (counts and moment rhs) refuses past this many comparisons
 EXHAUSTIVE_TUPLE_CAP = 10**8
 
-#: the folded (convolution) route's tables are length q; it refuses larger q
+#: the fold and moment_check build length-q tables; they refuse larger q
 CONVOLUTION_Q_CAP = 10**6
 
 #: the fold, and moment_check's convolution rhs on the same rotation sum,
@@ -114,6 +114,18 @@ def _rotation_sum(
     for i, row in enumerate((q - shifts).tolist()):
         out += window[row] if weights is None else weights[i] * window[row]
     return out
+
+
+def _check_q_cap(q: int) -> None:
+    """Refuse a length-q table route (the fold, moment_check) above CONVOLUTION_Q_CAP.
+
+    Arithmetic on q only, so it runs before any table is built, whatever
+    the route's cost (a fold at r = 1 costs 0 adds).
+    """
+    if q > CONVOLUTION_Q_CAP:
+        raise ResourceLimit(
+            f"length-q table routes capped at q <= {CONVOLUTION_Q_CAP}, got q = {q}"
+        )
 
 
 def _check_fold_cost(q: int, size: int, r: int) -> None:
@@ -302,6 +314,7 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weigh
 def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold inverse sums of admissible x <= K."""
     mod = Modulus.of(q)
+    _check_q_cap(mod.q)
     _check_fold_cost(mod.q, _admissible_count(mod, K), r)
     base = _admissible(mod, K)
     counts = _fold(mod.q, inverse_table(mod)[base], r, _rotation_sum)
@@ -311,6 +324,7 @@ def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
 def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
     mod = Modulus.of(q)
+    _check_q_cap(mod.q)
     _check_fold_cost(mod.q, _admissible_count(mod, K), r)
     base = _admissible(mod, K)
     counts = _fold(mod.q, base, r, _permutation_sum)
@@ -352,10 +366,6 @@ def _congruence_count(
         base = _admissible(mod, K)
         points = inverse_table(mod)[base] if reciprocal else mod.logs[base]
         return _convolution_power(points, shape, r)[1]
-    if mod.q > CONVOLUTION_Q_CAP:
-        raise ResourceLimit(
-            f"convolution route capped at q <= {CONVOLUTION_Q_CAP}, got q = {mod.q}"
-        )
     table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
     return sum(c * c for c in table.counts)
 
@@ -442,8 +452,9 @@ def moment_check(
 
     ``method`` selects the rhs route: ``exhaustive``, the counts' oracle
     weighted by gamma; ``convolution``, the fold's `_rotation_sum` weighted
-    by gamma, r - 1 times (cost (r-1)*|X|*q); ``auto`` picks by size.  Both
-    caps are checked before any length-q array is built.
+    by gamma, r - 1 times (cost (r-1)*|X|*q); ``auto`` picks by size.  The
+    route's cap and CONVOLUTION_Q_CAP, which the lhs needs as well, are
+    checked before any length-q array is built.
     """
     mod = Modulus.of(q)
     if r < 1:
@@ -462,6 +473,7 @@ def moment_check(
         _check_fold_cost(mod.q, len(xs), r)
     else:
         raise ValueError(f"unknown moment method {method!r}")
+    _check_q_cap(mod.q)
 
     g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
     xbars = inverse_table(mod)[np.array(xs, dtype=np.int64)]

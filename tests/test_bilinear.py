@@ -238,6 +238,57 @@ def test_weight_vector_arrays():
         WeightVector(mod, [1, 2])
 
 
+def _sorting_merge(keys, values):
+    """The merge every input takes without the sorted-keys shortcut: np.unique, np.add.at."""
+    nonzero = values != 0
+    keys, slot = np.unique(keys[nonzero], axis=0 if keys.ndim > 1 else None, return_inverse=True)
+    merged = np.zeros(len(keys), dtype=np.complex128)
+    np.add.at(merged, slot.reshape(-1), values[nonzero])
+    kept = merged != 0
+    return keys[kept], merged[kept]
+
+
+def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
+    nz = -0.0
+    values = np.array(
+        [1.5, complex(nz, 2.0), complex(-3.0, nz), 0.0, complex(nz, nz), complex(0.0, nz),
+         complex(nz, -1.0), 2.0 - 0.5j],
+        dtype=np.complex128,
+    )
+    rows = np.array([[0, 1], [0, 3], [1, 0], [1, 2], [2, 0], [2, 1], [3, 3], [4, 0]])
+    cases = {
+        "sorted 1-D": (np.array([1, 2, 4, 5, 7, 8, 10, 11]), True),
+        "sorted rows": (rows, True),
+        "unsorted 1-D": (np.array([5, 2, 4, 1, 7, 8, 10, 11]), False),
+        "unsorted rows": (rows[[1, 0, 2, 3, 4, 5, 6, 7]], False),
+        "duplicated 1-D": (np.array([1, 2, 2, 5, 7, 8, 10, 10]), False),
+        "duplicated rows": (rows[[0, 1, 1, 3, 4, 5, 6, 6]], False),
+    }
+    for name, (keys, shortcut) in cases.items():
+        assert bilinear._strictly_increasing(keys) == shortcut, name
+        got_keys, got_coeffs = bilinear._merge(keys, values)
+        ref_keys, ref_coeffs = _sorting_merge(keys, values)
+        assert got_keys.shape == ref_keys.shape and np.array_equal(got_keys, ref_keys), name
+        # tobytes tells -0.0 from +0.0, which == does not
+        assert got_coeffs.tobytes() == ref_coeffs.tobytes(), name
+        assert bilinear._norms(got_coeffs) == bilinear._norms(ref_coeffs), name
+    # a sorted input's -0.0 parts come out +0.0, as 0 + v turns them
+    _, coeffs = bilinear._merge(cases["sorted 1-D"][0], values)
+    assert np.signbit(coeffs.real).tolist() == [False, False, True, False, False]
+    assert np.signbit(coeffs.imag).tolist() == [False, False, False, True, True]
+    # the sweep's inputs: full-support units and primitive exponent rows
+    for q in (97, 100, 128):
+        mod = Modulus.of(q)
+        units = unit_residues(mod)
+        vals = make_weights(units, "pm1", q)
+        for got, ref in zip(bilinear._merge(units, vals), _sorting_merge(units, vals)):
+            assert got.tobytes() == ref.tobytes()
+        prim = primitive_exponents(mod)
+        vals = make_weights(prim, "unit", q)
+        for got, ref in zip(bilinear._merge(prim, vals), _sorting_merge(prim, vals)):
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_weight_vector_scaled_and_add_norms():
     mod = Modulus.of(101)
     keys = [int(u) for u in unit_residues(mod)]

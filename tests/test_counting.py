@@ -204,6 +204,24 @@ def test_fold_cost_refusal_precedes_tables(monkeypatch):
             table(101, 60, 3)
 
 
+def test_q_cap_refuses_length_q_routes_before_tables(monkeypatch):
+    # at r = 1 a fold costs 0 adds and moment_check's exhaustive rhs 4
+    # comparisons, so only the q cap stands between them and length-q tables
+    def no_tables(*args):
+        raise AssertionError("a table was built before the q cap")
+
+    monkeypatch.setattr(counting, "inverse_table", no_tables)
+    monkeypatch.setattr(counting, "_admissible", no_tables)
+    q = 3_000_017
+    assert q > counting.CONVOLUTION_Q_CAP
+    for method in ("exhaustive", "convolution"):
+        with pytest.raises(ResourceLimit, match="capped at q"):
+            moment_check(q, [1, 2], {1: 1.0, 2: 1.0}, 1, method=method)
+    for table in (reciprocal_table, product_table):
+        with pytest.raises(ResourceLimit, match="capped at q"):
+            table(q, 10, 1)
+
+
 # ---------------------------------------------------------------------------
 # the certified FFT route
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsums import (
+    MACHINE_EPS,
     BoundSpec,
     ConfigError,
     DirichletCharacter,
@@ -20,6 +21,8 @@ from kgsums import (
     bound_value,
     default_plan,
     exceptional_budget,
+    kloosterman,
+    kloosterman_row,
     load_config,
     max_kloosterman_abs,
     parse_csv,
@@ -30,6 +33,7 @@ from kgsums import (
 )
 from kgsums.csvio import CSV_HEADER
 from kgsums.errors import VerificationError
+from kgsums.experiments import max_kloosterman_floor
 from kgsums.prng import SplitMix64
 from kgsums import verify
 from kgsums.verify import (
@@ -207,6 +211,107 @@ def test_nan_sum_fails_the_experiment(monkeypatch, capsys):
     assert cli.main(["bilinear", "--q", "101", "--M", "10", "--N", "10", "--weights", "pm1"]) == 5
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["category"] == "verification_failed"
+
+
+# ---------------------------------------------------------------------------
+# when the trivial-bound assert builds the Kloosterman row
+# ---------------------------------------------------------------------------
+
+
+def _mu_sq(q):
+    return int(all(e == 1 for _, e in Modulus.of(q).factors))
+
+
+def test_row_obeys_plancherel():
+    # sum_{m=1}^{q-1} |K_q(m, 1)|^2 = q phi(q) - mu(q)^2.  Each computed entry
+    # is within d = (4 log2 q + 32) eps phi(q) of the exact one (the floor's
+    # budget), so the sum of squares is within 2 d sqrt((q - 1) S) + (q - 1) d^2
+    # of S, plus q eps S for squaring and adding the floats
+    for q in range(2, 401):
+        phi = Modulus.of(q).phi
+        row = kloosterman_row(q, 1)[1:]
+        total = math.fsum((row.real * row.real + row.imag * row.imag).tolist())
+        exact = q * phi - _mu_sq(q)
+        d = (4 * math.log2(q) + 32) * MACHINE_EPS * phi
+        budget = 2 * d * math.sqrt((q - 1) * exact) + (q - 1) * d * d + q * MACHINE_EPS * exact
+        assert abs(total - exact) <= budget, q
+
+
+def test_floor_lies_below_the_computed_maximum():
+    # [2, 2048] covers the Q = 1024 CLI sweep; at q = 2 the maximum equals the
+    # root mean square, so only the margin keeps the floor below it
+    for q in range(2, 2049):
+        assert max_kloosterman_floor(q) < max_kloosterman_abs(q), q
+    assert max_kloosterman_abs(2) == pytest.approx(math.sqrt((2 * 1 - 1) / (2 - 1)), abs=1e-15)
+    assert max_kloosterman_abs(2) - max_kloosterman_floor(2) < 1e-13
+
+
+def _counted_row(monkeypatch):
+    """Patch the row into experiments with a call log, and drop the cached maxima."""
+    from kgsums import experiments
+
+    calls = []
+
+    def row(q, n):
+        calls.append(q)
+        return kloosterman_row(q, n)
+
+    monkeypatch.setattr(experiments, "kloosterman_row", row)
+    experiments._max_kloosterman_abs.cache_clear()
+    return calls
+
+
+def test_sweep_settles_the_assert_without_the_row(monkeypatch):
+    from dataclasses import replace
+
+    from kgsums import experiments
+
+    def refuse(q, n):
+        raise AssertionError(f"the Kloosterman row was built for q = {q}")
+
+    monkeypatch.setattr(experiments, "kloosterman_row", refuse)
+    experiments._max_kloosterman_abs.cache_clear()
+    records, exceptional = average_sweep(64, 8, 2, 0.1)
+    assert len(records) == 65
+    monkeypatch.undo()
+    # a trivial record builds the row, as every experiment did before the floor
+    spec = BoundSpec("thm22", r=2, epsilon=0.1)
+    again = []
+    for rec in records:
+        with_row = run_experiment(rec.q, rec.M, rec.N, weight_kind="pm1", seed=rec.seed,
+                                  bounds=[BoundSpec("trivial"), spec])
+        assert [r.bound_name for r in with_row] == ["thm22", "trivial"]
+        again.append(replace(with_row[0], wall_time_seconds=0.0))
+    assert again == [replace(r, wall_time_seconds=0.0) for r in records]
+    assert exceptional == sum(r.ratio > 1.0 for r in again)
+
+
+def test_trivial_record_builds_the_row_once(monkeypatch):
+    calls = _counted_row(monkeypatch)
+    recs = run_experiment(101, 10, 10, weight_kind="pm1", seed=1)
+    assert calls == [101]
+    trivial = next(r for r in recs if r.bound_name == "trivial")
+    assert trivial.bound_value == trivial.norm1 * 10 * max_kloosterman_abs(101)
+    assert calls == [101]  # the maximum is cached with q
+
+
+def test_sum_above_the_floor_takes_the_exact_row(monkeypatch):
+    # with one weight 1 at m = 1 and J = {1} the sum is K_q(1, 1); find a q
+    # where it clears the floor, so only the exact row can settle the assert
+    q = next(q for q in range(3, 200)
+             if abs(kloosterman(q, 1, 1).value) > 1.01 * max_kloosterman_floor(q))
+    calls = _counted_row(monkeypatch)
+    recs = run_experiment(q, 1, 1, bounds=[BoundSpec("thm21")])
+    assert calls == [q]
+    assert recs[0].abs_sum > max_kloosterman_floor(q)
+    assert recs[0].abs_sum <= max_kloosterman_abs(q) + recs[0].error_bound
+    # a NaN sum fails the floor as well, so it reaches the exact assert and fails there
+    from kgsums import experiments
+
+    monkeypatch.setattr(experiments, "bilinear_kloosterman",
+                        lambda A, J, method="fast", k=1: SumResult(complex(math.nan, 0.0), 1.0, 1))
+    with pytest.raises(VerificationError, match="trivial bound"):
+        run_experiment(101, 10, 10, weight_kind="pm1", seed=1, bounds=[BoundSpec("thm21")])
 
 
 def test_average_sweep_shape_and_consistency():
