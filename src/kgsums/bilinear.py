@@ -53,6 +53,7 @@ from .errors import (
 from .expsums import (
     DirichletCharacter,
     SumResult,
+    angle_numerators,
     conductors,
     gauss,
     kloosterman,
@@ -336,19 +337,19 @@ def _centered(v, m: int):
     return (v + h) % m - h
 
 
-def _gamma_at(J: Interval, r):
-    """gamma_x at centered representatives r != 0 of x: a Python int or an int64 array.
+def _gamma_at(q: int, L, N, r):
+    """gamma_x over {L+1, ..., L+N} mod q at centered representatives r != 0 of x.
 
-    Angles are integer multiples of pi/q reduced exactly into (-q, q], in
-    Python ints for a scalar (any q) and int64 for an array, so the rounding
-    error stays below GAMMA_EVAL_ERR * eps * N uniformly in x (an unreduced
-    phase N*x*pi/q would lose ~eps*q*N near x = q).
+    Python ints, or int64 arrays that broadcast (N as a column gives a row
+    per length); each entry is the same elementwise arithmetic at any shape.
+    Angles are integer multiples of pi/q reduced exactly into (-q, q], so the
+    rounding error stays below GAMMA_EVAL_ERR * eps * N uniformly in x (an
+    unreduced phase N*x*pi/q would lose ~eps*q*N near x = q).
     """
-    q = J.modulus.q
-    num_t = _centered(J.N * r, 2 * q)
+    num_t = _centered(N * r, 2 * q)
     # a numpy value even for a scalar: Python's complex division by q rounds
     # differently from numpy's, so a scalar would drift from the array entries
-    phase_t = np.asarray(_centered((2 * J.L + J.N + 1) * r, 2 * q))
+    phase_t = np.asarray(_centered((2 * L + N + 1) * r, 2 * q))
     ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
     return np.exp(1j * np.pi * phase_t / q) * ratio
 
@@ -363,12 +364,13 @@ def gamma_sum(J: Interval, x: int) -> complex:
     r = _centered(x, J.modulus.q)
     if r == 0:
         raise DomainRestriction("gamma_sum is undefined for x = 0 mod q")
-    return complex(_gamma_at(J, r))
+    return complex(_gamma_at(J.modulus.q, J.L, J.N, r))
 
 
 def _gamma_over_units(J: Interval) -> np.ndarray:
     """gamma_x for every unit x, aligned with unit_residues(q)."""
-    return _gamma_at(J, _centered(unit_residues(J.modulus), J.modulus.q))
+    q = J.modulus.q
+    return _gamma_at(q, J.L, J.N, _centered(unit_residues(q), q))
 
 
 @dataclass(frozen=True)
@@ -586,23 +588,21 @@ def _combined_char_values(W: CharWeightVector) -> np.ndarray:
     """sum_chi w_chi chi(x) for every unit x, aligned with unit_residues(q).
 
     Each block of at most max(1, _BLOCK_ENTRIES // q) characters gets its
-    angle numerators t at the units from one ``logs @ angle weights``
-    product and reads chi(x) from :func:`roots_of_unity`, the table
+    angle numerators at the units from one :func:`angle_numerators` call
+    and reads chi(x) from :func:`roots_of_unity`, the table
     :func:`char_values` reads too, into rows 1.. of one buffer whose row 0
     is the running total.  The weight is the left operand, as in
     ``w * char_values(chi)``, and one reduction over axis 0 adds the rows in
     support order: bit for bit the sequential ``char_values`` accumulation.
     """
     mod = W.modulus
-    lam = mod.carmichael
-    roots = roots_of_unity(lam)
-    angle_weights = W.support() * (lam // np.array(mod.group.orders, dtype=np.int64))
-    logs_t = mod.logs[unit_residues(mod)].T
+    roots = roots_of_unity(mod.carmichael)
+    logs = mod.logs[unit_residues(mod)]
     coeffs = W.coefficients()
     rows = max(1, min(_BLOCK_ENTRIES // mod.q, coeffs.size))
     block = np.zeros((rows + 1, mod.phi), dtype=np.complex128)
     for start in range(0, coeffs.size, rows):
-        t = angle_weights[start : start + rows] @ logs_t % lam
+        t = angle_numerators(mod, W.support()[start : start + rows], logs)
         chi_rows = block[1 : len(t) + 1]
         np.take(roots, t, out=chi_rows, mode="wrap")  # t < lam already; "wrap" avoids a buffer
         np.multiply(coeffs[start : start + rows, None], chi_rows, out=chi_rows)

@@ -271,7 +271,6 @@ def average_sweep(
     weight_kind: str = "pm1",
     seed: int = 0,
     family: str = "kloosterman",
-    methods: tuple[str, ...] | None = None,
 ) -> tuple[list[ExperimentRecord], int]:
     """Sweep q over [Q, 2Q] against the averaged bound with parameters (r, eps).
 
@@ -300,7 +299,6 @@ def average_sweep(
             L=0,
             weight_kind=weight_kind,
             seed=derive_seed(seed, q),
-            methods=methods,
             family=family,
             bounds=[spec],
         )

@@ -28,6 +28,10 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 TWO_PI = 2.0 * math.pi
 
+#: largest q with tables over [0, q): one q ~ 10^6 experiment peaks near 207 MB,
+#: about 200 bytes per q, so q = 2**23 needs about 1.7 GB
+TABLE_Q_CAP = 1 << 23
+
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization by trial division.
@@ -82,13 +86,13 @@ class Modulus:
     def _table_length(self) -> int:
         """q, the length of every table over [0, q), once it is safe to build.
 
-        Tables hold residues as int64 and multiply two of them, which is
-        exact only while q * q < 2**63; larger q is refused before any
-        length-q array is allocated.
+        q above TABLE_Q_CAP is refused before any length-q array is
+        allocated.  The cap also keeps the tables' int64 products of two
+        residues exact, since q * q <= 2**46 < 2**63.
         """
-        if self.q * self.q >= 1 << 63:
+        if self.q > TABLE_Q_CAP:
             raise ResourceLimit(
-                f"tables over [0, q) need q*q < 2**63 for exact int64 products, got q = {self.q}"
+                f"tables over [0, q) are capped at q <= {TABLE_Q_CAP}, got q = {self.q}"
             )
         return self.q
 
@@ -164,9 +168,10 @@ class Modulus:
         Shape (q, number of generators).  Column j at x is the exponent of
         generator j in the component of x modulo its prime power; rows of
         non-units hold meaningless values and must be masked by callers.
+        Each component's local table over [0, p^e) is written through the
+        (q/p^e, p^e) view, whose column is x mod p^e, as in :attr:`inverse`.
         """
-        x = np.arange(self._table_length(), dtype=np.int64)
-        logs = np.empty((self.q, len(self.group.orders)), dtype=np.int64)
+        logs = np.empty((self._table_length(), len(self.group.orders)), dtype=np.int64)
         col = 0
         for comp in self.group.components:
             if not comp.generators:
@@ -179,7 +184,7 @@ class Modulus:
             n_g = len(comp.orders)
             local = np.zeros((pe, n_g), dtype=np.int64)
             local[res] = np.indices(comp.orders).reshape(n_g, -1).T
-            logs[:, col : col + n_g] = local[x % pe]
+            logs.reshape(self.q // pe, pe, -1)[:, :, col : col + n_g] = local
             col += n_g
         return _shared(logs)
 

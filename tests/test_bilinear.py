@@ -389,6 +389,22 @@ def test_gamma_scalar_matches_vectorized():
         assert gap <= GAMMA_EVAL_ERR * MACHINE_EPS * N, f"q={q}, x={x}"
 
 
+def test_gamma_kernel_broadcasts_over_lengths_bit_for_bit():
+    # every length of one modulus in one call (as criterion 07 evaluates
+    # them) gives, row by row, the bytes of the per-interval outer-sum call
+    from kgsums.bilinear import _centered, _gamma_at, _gamma_over_units
+
+    for q in [*range(3, 120, 4), 257, 499]:
+        r = _centered(unit_residues(q), q)
+        for L in sorted({0, q // 3}):
+            lengths = np.arange(1, q - L, dtype=np.int64)
+            rows = _gamma_at(q, L, lengths[:, None], r)
+            assert rows.shape == (lengths.size, r.size)
+            for N, row in zip(lengths.tolist(), rows):
+                per_n = _gamma_over_units(Interval.of(q, L, N))
+                assert row.tobytes() == per_n.tobytes(), f"q={q}, L={L}, N={N}"
+
+
 # ---------------------------------------------------------------------------
 # dyadic partition
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ def _nan_row(q, *_):
         ("gauss_row", _nan_row, check_gauss_modulus, ((5,),)),
         ("bilinear_kloosterman", lambda w, J, m: SumResult(math.nan, 1.0, 1), check_paths,
          (20240405, 3)),
-        ("_gamma_over_units", lambda J: np.array([math.nan]), check_gamma_dyadic, ((7,), ())),
+        ("_gamma_at", lambda q, L, N, r: np.array([math.nan]), check_gamma_dyadic, ((7,), ())),
         ("moment_check", lambda *a, **k: (math.nan, 1.0), check_moment, ((5,), 1, 0, 0)),
     ],
     ids=["identity", "row", "gauss", "paths", "gamma", "moment"],
@@ -524,7 +524,7 @@ def test_cli_error_category():
         ("count", "--kind", "jr", "--q", "10007", "--K", "10000", "--r", "4", "--method", "fft"),
         # FFT refused (padded size 2**22), fold refused: 2 * 999982 * 999983 adds
         ("count", "--kind", "jr", "--q", "999983", "--K", "999982", "--r", "3"),
-        ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q*q >= 2**63
+        ("bilinear", "--q", "4294967296", "--M", "1", "--N", "1"),  # q above TABLE_Q_CAP
         ("gauss", "--q", "4294967296", "--chi", "1", "--n", "1"),
         ("gauss", "--q", str(2**63), "--chi", "1", "--n", "1"),  # int64 conductors
         ("bilinear", "--family", "gauss", "--q", "2147483648", "--M", "1", "--N", "1"),
@@ -533,6 +533,35 @@ def test_cli_error_category():
         assert proc.returncode == 3
         payload = json.loads(proc.stderr.strip().splitlines()[-1])
         assert payload["category"] == "resource_limit"
+
+
+class _NoTableNumpy:
+    """numpy as kgsums.modmath sees it, except that an array allocation raises."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def _allocate(shape, *args, **kwargs):
+        raise MemoryError(f"array of shape {shape} allocated")
+
+    ones = empty = zeros = _allocate
+
+
+def test_table_cap_refuses_before_allocating(monkeypatch, capsys):
+    # q = 10^9 + 7 would need a 7.45 GiB table; the refusal precedes it
+    from kgsums import cli, modmath
+
+    monkeypatch.setattr(modmath, "np", _NoTableNumpy())
+    for argv in (
+        ["kloosterman", "--q", "1000000007", "--m", "1", "--n", "1"],
+        ["bilinear", "--q", "1000000007", "--M", "10", "--N", "10"],
+        ["gauss", "--q", "1000000007", "--chi", "1", "--n", "1"],
+    ):
+        assert cli.main(argv) == 3, argv
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["category"] == "resource_limit"
+        assert str(modmath.TABLE_Q_CAP) in payload["message"]
 
 
 def test_cli_plan_roundtrip(tmp_path):

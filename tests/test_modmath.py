@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kgsums import (
     Modulus,
     NotAUnit,
+    ResourceLimit,
     dist_q,
     eq_exp,
     factorize,
@@ -18,7 +19,7 @@ from kgsums import (
     unit_mask,
     unit_residues,
 )
-from kgsums.modmath import pow_mod
+from kgsums.modmath import TABLE_Q_CAP, _modulus, _powers, pow_mod
 from kgsums.verify import check_inverses, check_orthogonality
 
 moduli = st.integers(min_value=2, max_value=600)
@@ -180,3 +181,39 @@ def test_inverse_table_and_mask():
         oracle = np.zeros(q, dtype=np.int64)
         oracle[units] = pow_mod(units, Modulus.of(q).carmichael - 1, q)
         assert np.array_equal(inv, oracle)
+
+
+def _gathered_logs(mod):
+    """The discrete-log table by gathers over [0, q): local[x mod p^e] for each component."""
+    x = np.arange(mod.q, dtype=np.int64)
+    logs = np.empty((mod.q, len(mod.group.orders)), dtype=np.int64)
+    col = 0
+    for comp in mod.group.components:
+        if not comp.generators:
+            continue
+        pe = comp.prime_power
+        res = np.ones(1, dtype=np.int64)
+        for g, o in zip(comp.generators, comp.orders):
+            res = (res[:, None] * _powers(g, o, pe)[None, :] % pe).reshape(-1)
+        n_g = len(comp.orders)
+        local = np.zeros((pe, n_g), dtype=np.int64)
+        local[res] = np.indices(comp.orders).reshape(n_g, -1).T
+        logs[:, col : col + n_g] = local[x % pe]
+        col += n_g
+    return logs
+
+
+def test_logs_match_the_gather_oracle():
+    # the reshaped-view table against the gathers it replaced; instances are
+    # built uncached so the grid's tables are freed as it goes
+    for q in [*range(2, 3001), 720720, 10**6, 2**13 * 3**4, 2 * 3**11]:
+        mod = _modulus.__wrapped__(q)
+        assert np.array_equal(mod.logs, _gathered_logs(mod)), f"q={q}"
+        assert not mod.logs.flags.writeable
+
+
+def test_table_length_cap():
+    assert Modulus.of(TABLE_Q_CAP)._table_length() == TABLE_Q_CAP
+    for q in (TABLE_Q_CAP + 1, 1000000007, 2**32):
+        with pytest.raises(ResourceLimit, match="capped"):
+            Modulus.of(q).mask
