@@ -213,7 +213,7 @@ def test_logs_match_the_gather_oracle():
 
 
 def test_table_length_cap():
+    # the cap itself is admitted, one above it is refused
     assert Modulus.of(TABLE_Q_CAP)._table_length() == TABLE_Q_CAP
-    for q in (TABLE_Q_CAP + 1, 1000000007, 2**32):
-        with pytest.raises(ResourceLimit, match="capped"):
-            Modulus.of(q).mask
+    with pytest.raises(ResourceLimit, match="capped"):
+        Modulus.of(TABLE_Q_CAP + 1).mask
