@@ -7,17 +7,16 @@ over [1, K] without a modulus, and the 2r-th moment identity
 routes give the congruence counts:
 
 * ``"fft"``, the certified group DFT: the r-th power of the base set's
-  transform on the lattice Z/o_1 x .. x Z/o_k it lives on (Z/q for
-  inverse sums, the unit group through its discrete logs for products),
-  rounded only under an a priori bound on the rounding error (see
-  `_convolution_power`) and checked against the exact mass.
-* ``"convolution"``, the exact fold: it moves the count vector by every
-  base residue and sums the results with whole-vector numpy calls.
-  Rotations (sums) are views of a sliding window over the vector written
-  twice; unit permutations (products) are scattered into one reused
-  buffer.  Its (r - 1) * |X| * q adds are capped before any table is
-  built.  The fold tables hold machine integers while provably below the
-  int64 overflow line and Python ints in object-dtype arrays otherwise.
+  transform on the lattice Z/o_1 x .. x Z/o_k it lives on (`_lattice`:
+  Z/q for inverse sums, the unit group through its discrete logs for
+  products), rounded only under an a priori bound on the rounding error
+  (see `_convolution_power`) and checked against the exact mass.
+* ``"convolution"``, the exact fold on the same lattice: it rotates the
+  count array by every base point and sums the results with whole-array
+  numpy calls (`_rotation_sum`).  Its (r - 1) * |X| * q adds, each a
+  rotation of at most q entries, are capped before any table is built.
+  The fold tables hold machine integers while provably below the int64
+  overflow line and Python ints in object-dtype arrays otherwise.
 * ``"exhaustive"``, the oracle: literal enumeration of the tuples.
 
 By default the FFT route runs wherever its certificate holds and its
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -45,7 +44,8 @@ EXHAUSTIVE_TUPLE_CAP = 10**8
 CONVOLUTION_Q_CAP = 10**6
 
 #: the fold, and moment_check's convolution rhs on the same rotation sum,
-#: refuse more than this many rotation or permutation adds, (r - 1) * |X| * q
+#: refuse more than this many adds, (r - 1) * |X| * q: every step rotates
+#: an array of at most q entries once per base point
 FOLD_COST_CAP = 10**9
 
 #: the FFT route refuses padded lattices of more entries than this, which
@@ -102,17 +102,24 @@ def _admissible(mod: Modulus, K: int) -> np.ndarray:
 def _rotation_sum(
     vec: np.ndarray, shifts: np.ndarray, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sum over i of weights[i] * np.roll(vec, shifts[i]) (unweighted if None).
+    """Sum over i of weights[i] * ``vec`` rotated by shifts[i] (unweighted if None).
 
-    Row q - s of the sliding window over ``vec`` written twice is ``vec``
+    ``vec`` is a count array on a cyclic lattice, one dimension per axis,
+    and row i of ``shifts`` moves it along every axis.  On one axis, row
+    q - s of the sliding window over ``vec`` written twice is ``vec``
     rotated by s (0 <= s < q), so each rotation is added as a view, with no
-    modular arithmetic and no gather.
+    modular arithmetic and no gather; on more axes each is one ``np.roll``.
     """
-    q = vec.size
-    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([vec, vec]), q)
+    if vec.ndim == 1:
+        q = vec.size
+        window = np.lib.stride_tricks.sliding_window_view(np.concatenate([vec, vec]), q)
+        moved = (window[row] for row in (q - shifts.ravel()).tolist())
+    else:
+        axes = tuple(range(vec.ndim))
+        moved = (np.roll(vec, shift, axes) for shift in shifts.tolist())
     out = np.zeros_like(vec)
-    for i, row in enumerate((q - shifts).tolist()):
-        out += window[row] if weights is None else weights[i] * window[row]
+    for i, view in enumerate(moved):
+        out += view if weights is None else weights[i] * view
     return out
 
 
@@ -138,45 +145,34 @@ def _check_fold_cost(q: int, size: int, r: int) -> None:
         raise ResourceLimit(f"fold cost (r-1)*|X|*q = {cost} exceeds cap {FOLD_COST_CAP}")
 
 
-def _permutation_sum(vec: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Sum over s in ``units`` of ``vec`` moved by t -> t*s mod q.
+def _lattice(mod: Modulus, reciprocal: bool) -> tuple[tuple[int, ...], Callable]:
+    """The shape of the cyclic lattice on which r-fold inverse sums
+    (``reciprocal``) or products of units mod q add up, and ``place``, which
+    maps residues to their points on it, one row each.
 
-    One scatter per unit into a reused buffer: the index arithmetic costs
-    more than the add, so blocking the rows saves nothing here.
+    Sums live on Z/q at the inverses, products on the unit group
+    Z/o_1 x .. x Z/o_k at `Modulus.logs` (units mod 2 on a one-point axis).
+    The shape is arithmetic on q; ``place`` reads a length-q table.
     """
-    q = vec.size
-    idx = np.arange(q, dtype=np.int64)
-    ts, quo = np.empty_like(idx), np.empty_like(idx)
-    out = np.zeros_like(vec)
-    moved = np.empty_like(vec)
-    for s in units.tolist():
-        # s is a unit, so t -> t*s mod q permutes the residues.  The mod is
-        # t*s - (t*s // q) * q in preallocated buffers: numpy divides by a
-        # scalar faster than it takes %, and fresh length-q temporaries can
-        # cost a page fault per page on every unit.
-        np.multiply(idx, s, out=ts)
-        np.floor_divide(ts, q, out=quo)
-        quo *= q
-        ts -= quo
-        moved[ts] = vec
-        out += moved
-    return out
+    if reciprocal:
+        return (mod.q,), lambda xs: inverse_table(mod)[xs][:, None]
+    if not mod.group.orders:  # units mod 2: the trivial group
+        return (1,), lambda xs: np.zeros((len(xs), 1), dtype=np.int64)
+    return mod.group.orders, lambda xs: mod.logs[xs]
 
 
-def _fold(q: int, base: np.ndarray, r: int, moved_sum) -> list[int]:
-    """Counts of r-fold sums or products of ``base`` residues mod q, exact.
+def _fold(points: np.ndarray, shape: tuple[int, ...], r: int) -> np.ndarray:
+    """Counts of the r-fold sums of distinct ``points`` on the lattice ``shape``, exact.
 
-    Each fold step is ``moved_sum(acc, base)``, the sum of the count vector
-    moved by every residue of ``base``: `_rotation_sum` for sums,
-    `_permutation_sum` for products.  Counts are at most len(base)**r, so
-    they are int64 below the overflow line and Python ints in an object
-    array above it.
+    Each fold step is `_rotation_sum` of the count array by every point.
+    Counts are at most len(points)**r, so they are int64 below the overflow
+    line and Python ints in an object array above it.
     """
-    dtype = np.int64 if base.size**r < _INT64_SAFE else object
-    acc = np.bincount(base, minlength=q).astype(dtype)
+    acc = np.zeros(shape, dtype=np.int64 if len(points) ** r < _INT64_SAFE else object)
+    acc[tuple(points.T)] = 1
     for _ in range(r - 1):
-        acc = moved_sum(acc, base)
-    return acc.tolist()
+        acc = _rotation_sum(acc, points)
+    return acc
 
 
 def _fft_padding(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -210,10 +206,11 @@ def _convolution_power(
     """The exact r-fold cyclic self-convolution T of a point set, and sum(T**2).
 
     ``points`` holds one row of coordinates per distinct point of the
-    lattice Z/o_1 x .. x Z/o_k with ``shape`` (o_1, .., o_k).  Each axis is
-    zero-padded to a power of two >= r*(o_j - 1) + 1, so ``irfftn(rfftn(a)
-    ** r)`` is the linear r-fold sum; it is rounded, each axis is wrapped
-    mod o_j, and the mass sum(T) = |X|**r is checked exactly.
+    lattice Z/o_1 x .. x Z/o_k with ``shape`` (o_1, .., o_k), as `_lattice`
+    places them.  Each axis is zero-padded to a power of two
+    >= r*(o_j - 1) + 1, so ``irfftn(rfftn(a) ** r)`` is the linear r-fold
+    sum; it is rounded, each axis is wrapped mod o_j, and the mass
+    sum(T) = |X|**r is checked exactly.
 
     Rounding certificate, a priori (Percival, "Rapid multiplication modulo
     the sum and difference of highly composite numbers", Math. Comp. 72,
@@ -246,11 +243,10 @@ def _convolution_power(
     checked `_fft_refusal` before building ``points``.
     """
     size = points.shape[0]
-    lattice = shape or (1,)  # units mod 2: a one-point lattice with no axes
-    padded = _fft_padding(lattice, r)
-    axes = tuple(range(len(lattice)))
+    padded = _fft_padding(shape, r)
+    axes = tuple(range(len(shape)))
     a = np.zeros(padded)
-    a[tuple(points.reshape(size, -1).T)] = 1.0
+    a[tuple(points.T)] = 1.0
     spec = np.fft.rfftn(a, axes=axes)
     del a  # work arrays reach 2^21 entries: each is freed once it is spent
     power = spec
@@ -260,13 +256,12 @@ def _convolution_power(
     del spec, power
     counts = np.rint(approx, out=approx).astype(np.int64)
     del approx
-    for axis, o in enumerate(lattice):
+    for axis, o in enumerate(shape):
         # wrap the axis mod o: zero-fill it to whole periods, add the periods
         whole = counts.shape[:axis] + (-(-padded[axis] // o) * o,) + counts.shape[axis + 1 :]
         folded = np.zeros(whole, dtype=np.int64)
         folded[tuple(map(slice, counts.shape))] = counts
         counts = folded.reshape(whole[:axis] + (-1, o) + whole[axis + 1 :]).sum(axis)
-    counts = counts.reshape(shape)
     mass = int(counts.sum())
     if mass != size**r:
         raise VerificationError(f"FFT counts have mass {mass}, expected |X|**r = {size ** r}")
@@ -291,9 +286,8 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weigh
     (np.add or np.multiply) mod q and compare every pair, in blocks of about
     10**6 comparisons.  Returns the number of agreeing pairs, or with complex
     ``weights`` aligned with ``vals`` the sum over them of
-    w_1 .. w_r * conj(w_{r+1} .. w_{2r}).
+    w_1 .. w_r * conj(w_{r+1} .. w_{2r}).  Callers check `_check_tuple_cap` first.
     """
-    _check_tuple_cap(vals.size, r)
     folded, prods = vals, weights
     for _ in range(r - 1):
         folded = op.outer(folded, vals).reshape(-1) % q
@@ -311,24 +305,28 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weigh
     return total
 
 
-def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
-    """Distribution of r-fold inverse sums of admissible x <= K."""
+def _table(q: "Modulus | int", K: int, r: int, reciprocal: bool) -> CountTable:
+    """The fold's distribution of r-fold inverse sums or products of admissible x <= K."""
     mod = Modulus.of(q)
     _check_q_cap(mod.q)
     _check_fold_cost(mod.q, _admissible_count(mod, K), r)
+    shape, place = _lattice(mod, reciprocal)
     base = _admissible(mod, K)
-    counts = _fold(mod.q, inverse_table(mod)[base], r, _rotation_sum)
-    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
+    counts = folded = _fold(place(base), shape, r)  # on Z/q the point of s is s
+    if not reciprocal:  # a unit's count sits at its logs; non-units are never reached
+        counts = np.zeros(mod.q, dtype=folded.dtype)
+        counts[mod.units] = folded[tuple(place(mod.units).T)]
+    return CountTable(modulus=mod, counts=tuple(counts.tolist()), depth=r, base_size=base.size)
+
+
+def reciprocal_table(q: "Modulus | int", K: int, r: int) -> CountTable:
+    """Distribution of r-fold inverse sums of admissible x <= K."""
+    return _table(q, K, r, reciprocal=True)
 
 
 def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
     """Distribution of r-fold products of admissible x <= K."""
-    mod = Modulus.of(q)
-    _check_q_cap(mod.q)
-    _check_fold_cost(mod.q, _admissible_count(mod, K), r)
-    base = _admissible(mod, K)
-    counts = _fold(mod.q, base, r, _permutation_sum)
-    return CountTable(modulus=mod, counts=tuple(counts), depth=r, base_size=base.size)
+    return _table(q, K, r, reciprocal=False)
 
 
 _COUNT_METHODS = ("fft", "convolution", "exhaustive")
@@ -355,17 +353,14 @@ def _congruence_count(
         vals = [pow(x, -1, mod.q) for x in xs] if reciprocal else xs
         op = np.add if reciprocal else np.multiply
         return _exhaustive_pair_count(np.array(vals, dtype=np.int64), mod.q, r, op)
-    # inverse sums live on Z/q; products on the unit group, through the logs
-    shape = (mod.q,) if reciprocal else mod.group.orders
+    shape, place = _lattice(mod, reciprocal)
     reason = _fft_refusal(shape, r, size)
     if method is None:
         method = "convolution" if reason else "fft"
     if method == "fft":
         if reason:
             raise ResourceLimit(reason)
-        base = _admissible(mod, K)
-        points = inverse_table(mod)[base] if reciprocal else mod.logs[base]
-        return _convolution_power(points, shape, r)[1]
+        return _convolution_power(place(_admissible(mod, K)), shape, r)[1]
     table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
     return sum(c * c for c in table.counts)
 

@@ -164,31 +164,35 @@ def check_paths(seed: int, count: int) -> Check:
     return Check("bilinear path agreement", ok, worst, detail)
 
 
+#: gamma values (lengths x units) per kernel call of `check_gamma_dyadic`
+_GAMMA_BLOCK_ENTRIES = 1 << 16
+
+
 def check_gamma_dyadic(bound_qs: Sequence[int], partition_qs: Sequence[int]) -> Check:
     """|gamma_x| <= min(N, q / (2 |x|_q)) within 1e-9 for every unit x and
     N in [1, q-1], q in ``bound_qs``; for q in ``partition_qs`` and
-    N in {1, 2, 3, q/3, q/2, q-1} the dyadic sets cover every unit exactly
-    once.  Measures the largest excess over the bound; one kernel call per q
-    evaluates all lengths."""
+    N in {1, 2, 3, q/4, q/3, q/2, q-1} the dyadic sets hold representatives
+    in (-q/2, q/2] and cover every unit exactly once.  Measures the largest
+    excess over the bound; each kernel call evaluates a block of lengths at
+    every unit, about ``_GAMMA_BLOCK_ENTRIES`` values."""
     name = "gamma bound and partition"
     worst, ok = 0.0, True
     for q in bound_qs:
         xs = unit_residues(q)
-        dist = np.minimum(xs, q - xs).astype(float)
-        lengths = np.arange(1, q, dtype=np.int64)[:, None]  # row N - 1 holds N
-        mags = np.abs(_gamma_at(q, 0, lengths, _centered(xs, q)))
-        caps = np.minimum(lengths.astype(float), q / (2.0 * dist))
-        worst = max(worst, float(np.max(mags - caps)))
-        ok = ok and bool(np.all(mags <= caps + 1e-9))
+        far = q / (2.0 * np.minimum(xs, q - xs).astype(float))
+        step = max(1, _GAMMA_BLOCK_ENTRIES // xs.size)
+        for start in range(1, q, step):
+            lengths = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
+            mags = np.abs(_gamma_at(q, 0, lengths, _centered(xs, q)))
+            caps = np.minimum(lengths.astype(float), far)
+            worst = max(worst, float(np.max(mags - caps)))
+            ok = ok and bool(np.all(mags <= caps + 1e-9))
     for q in partition_qs:
         units = sorted(int(u) for u in unit_residues(q))
-        for N in sorted({1, 2, 3, q // 3, q // 2, q - 1} - {0}):
-            if not 1 <= N <= q - 1:
-                continue
-            seen = sorted(
-                x % q for ds in dyadic_partition(q, N) for x in ds.members if math.gcd(x, q) == 1
-            )
-            if seen != units:
+        for N in sorted({1, 2, 3, q // 4, q // 3, q // 2, q - 1} & set(range(1, q))):
+            members = [x for ds in dyadic_partition(q, N) for x in ds.members]
+            seen = sorted(x % q for x in members if math.gcd(x, q) == 1)
+            if seen != units or not np.array_equal(_centered(np.array(members), q), members):
                 return Check(name, False, worst, f"partition broke at q={q}, N={N}")
     return Check(name, ok, worst, f"max excess over the bound {worst:.2e}")
 

@@ -33,13 +33,13 @@ from kgsums import (
     moment_check,
     primitive_characters,
     primitive_exponents,
-    representative,
     splitmix64_block,
     unit_residues,
 )
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
 from kgsums.bilinear import GAMMA_SCALE_C
+from kgsums.verify import check_gamma_dyadic, check_paths
 
 # ---------------------------------------------------------------------------
 # Weight vectors and intervals
@@ -425,19 +425,8 @@ def test_dyadic_examples():
 
 
 def test_dyadic_partition_covers_units_exactly_once():
-    for q in (2, 7, 24, 97, 100, 101, 256, 499):
-        units = set(int(u) for u in unit_residues(q))
-        for N in {1, 2, 3, q // 4, q // 2, q - 1} - {0}:
-            if not 1 <= N <= q - 1:
-                continue
-            seen = []
-            for ds in dyadic_partition(q, N):
-                for x in ds.members:
-                    r = representative(x, q)
-                    assert r == x  # members already are representatives
-                    if math.gcd(x, q) == 1:
-                        seen.append(x % q)
-            assert sorted(seen) == sorted(units), f"q={q}, N={N}"
+    res = check_gamma_dyadic((), (2, 7, 24, 97, 100, 101, 256, 499))
+    assert res.passed, res.detail
 
 
 def test_dyadic_scale_controls_gamma():
@@ -511,23 +500,8 @@ def test_bilinear_naive_cap():
 
 
 def test_path_agreement_random_instances():
-    rng = SplitMix64(2024)
-    for _ in range(40):
-        q = 3 + rng.next_u64() % 1998
-        mod = Modulus.of(q)
-        units = unit_residues(mod)
-        M = 1 + rng.next_u64() % min(32, units.size)
-        N = 1 + rng.next_u64() % (q - 2) if q > 2 else 1
-        keys = sorted({int(units[rng.next_u64() % units.size]) for _ in range(M)})
-        vals = make_weights(keys, "unit", rng.next_u64())
-        w = WeightVector(mod, dict(zip(keys, vals)))
-        J = Interval.of(mod, 0, N)
-        rt = bilinear_kloosterman(w, J, "transformed")
-        rf = bilinear_kloosterman(w, J, "fast")
-        assert abs(rt.value - rf.value) <= rt.error_bound + rf.error_bound
-        if w.support_size * N * mod.phi <= 200_000:
-            rn = bilinear_kloosterman(w, J, "naive")
-            assert abs(rn.value - rf.value) <= rn.error_bound + rf.error_bound
+    res = check_paths(2024, 40)
+    assert res.passed, res.detail
 
 
 def test_transformed_block_budget(monkeypatch):

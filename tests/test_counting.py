@@ -186,6 +186,44 @@ def test_fold_block_edges(monkeypatch, wide):
         assert sum(c * c for c in prod) == rr_congruence(q, K, r, method="exhaustive")
 
 
+def _permutation_sum(vec, units):
+    """Sum over s in ``units`` of ``vec`` moved by t -> t*s mod q: a fold step
+    by residue multiplication, with no discrete logs."""
+    q = vec.size
+    out = np.zeros_like(vec)
+    moved = np.empty_like(vec)
+    for s in units.tolist():
+        moved[np.arange(q) * s % q] = vec
+        out += moved
+    return out
+
+
+# (q, K, r): a prime, 2 * 3^11, 2^16, 5040 and 720720 (five and seven
+# axes), q = 2 (no axes) and Python-int counts (32^13 >= 2^62)
+PRODUCT_ORACLE_CASES = (
+    (101, 100, 3),
+    (2 * 3**11, 20, 2),
+    (65536, 30, 3),
+    (5040, 200, 3),
+    (720720, 40, 2),
+    (2, 2, 3),
+    (64, 64, 13),
+)
+
+
+@pytest.mark.parametrize(
+    "q, K, r", PRODUCT_ORACLE_CASES, ids=["-".join(map(str, c)) for c in PRODUCT_ORACLE_CASES]
+)
+def test_product_table_matches_multiplication_fold(q, K, r):
+    # the fold rotates on the unit-group lattice at the logs; the oracle
+    # permutes the residues by multiplying them mod q
+    base = np.array(_admissible(q, K), dtype=np.int64)
+    acc = np.bincount(base, minlength=q).astype(np.int64 if base.size**r < 2**62 else object)
+    for _ in range(r - 1):
+        acc = _permutation_sum(acc, base)
+    assert product_table(q, K, r).counts == tuple(acc.tolist())
+
+
 def test_fold_cost_refusal_precedes_tables(monkeypatch):
     # the 60 units <= 60 mod 101 at depth 3: (r - 1) * |X| * q = 12120 adds
     monkeypatch.setattr(counting, "FOLD_COST_CAP", 12120)
@@ -247,15 +285,15 @@ def test_fft_tables_match_fold_on_group_shapes(q, K, depths):
     mod = Modulus.of(q)
     base = np.array(_admissible(q, K), dtype=np.int64)
     for r in depths:
-        recip, energy = counting._convolution_power(inverse_table(mod)[base], (q,), r)
+        recip, energy = counting._convolution_power(inverse_table(mod)[base][:, None], (q,), r)
         assert tuple(recip.tolist()) == reciprocal_table(q, K, r).counts
         assert energy == jr_congruence(q, K, r, method="convolution")
         # the lattice table read at the logs of every unit is the fold's table
-        prod, energy = counting._convolution_power(mod.logs[base], mod.group.orders, r)
-        assert prod.shape == mod.group.orders
-        units = np.flatnonzero(mod.mask)
+        shape, place = counting._lattice(mod, reciprocal=False)
+        prod, energy = counting._convolution_power(place(base), shape, r)
+        assert prod.shape == (mod.group.orders or (1,))  # q = 2: one point
         folded = np.array(product_table(q, K, r).counts)
-        assert np.all(prod[tuple(mod.logs[units].T)] == folded[units])  # q = 2: one point
+        assert np.all(prod[tuple(place(mod.units).T)] == folded[mod.units])
         assert energy == rr_congruence(q, K, r, method="convolution")
         if len(base) ** (2 * r) <= 10**6:
             assert energy == rr_congruence(q, K, r, method="exhaustive")
@@ -308,7 +346,7 @@ def test_fft_refusal_precedes_any_transform(monkeypatch, knob, value):
 def test_fft_mass_check_is_live():
     # a repeated point has mass 1 on the lattice, not |X|**r = 4
     with pytest.raises(VerificationError):
-        counting._convolution_power(np.array([3, 3]), (7,), 2)
+        counting._convolution_power(np.array([[3], [3]]), (7,), 2)
 
 
 def test_jr_equation_big_integer_path():
