@@ -13,7 +13,6 @@ from .bilinear import (
     dyadic_partition,
     gamma_sum,
     make_weights,
-    representative,
 )
 from .bounds import (
     BOUND_NAMES,
@@ -68,7 +67,6 @@ from .experiments import (
 from .expsums import (
     DirichletCharacter,
     SumResult,
-    char_eval,
     char_values,
     character,
     character_at,

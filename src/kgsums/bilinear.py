@@ -417,11 +417,6 @@ def dyadic_partition(q: "Modulus | int", N: int) -> list[DyadicSet]:
     return out
 
 
-def representative(x: int, q: "Modulus | int") -> int:
-    """The representative of x mod q in (-q/2, q/2]."""
-    return _centered(x, Modulus.of(q).q)
-
-
 # ---------------------------------------------------------------------------
 # Bilinear evaluation paths
 # ---------------------------------------------------------------------------

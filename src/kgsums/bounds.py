@@ -83,15 +83,13 @@ def bound_value(
     norm2: float,
     norm_inf: float,
     max_term: float | None = None,
-    enforce_condition: bool = False,
 ) -> float:
     """Evaluate the named formula with all constants set to 1.
 
     ``max_term`` feeds the exact form of the trivial bound (the computed
     maximum of |K_q| or |G_q| over the relevant arguments); when omitted the
-    sqrt(q) placeholder is used.  ``enforce_condition`` drops the bfkmm term
-    from ``combined`` (and zero-applicability bfkmm evaluations raise) when
-    the side condition fails.
+    sqrt(q) placeholder is used.  ``bfkmm`` and ``combined``'s bfkmm
+    candidate are evaluated whether or not :func:`bfkmm_condition` holds.
     """
     if q < 1 or M < 0 or N < 1:
         raise ValueError(f"need q >= 1, M >= 0, N >= 1; got q={q}, M={M}, N={N}")
@@ -104,18 +102,12 @@ def bound_value(
     if name == "fkm":
         return norm1 * q
     if name == "bfkmm":
-        if enforce_condition and not bfkmm_condition(q, M, N):
-            raise ValueError(
-                f"bfkmm side condition fails for q={q}, M={M}, N={N}"
-            )
         return math.sqrt(norm1 * norm2) * M ** (1 / 12) * N ** (7 / 12) * q**0.75
     if name == "shpzha":
         return norm2 * math.sqrt(N) * q
     if name == "combined":
-        candidates = [M * N * math.sqrt(q), M * q, math.sqrt(M * N) * q]
-        if not enforce_condition or bfkmm_condition(q, M, N):
-            candidates.append(M ** (5 / 6) * N ** (7 / 12) * q**0.75)
-        return norm_inf * min(candidates)
+        bfkmm = M ** (5 / 6) * N ** (7 / 12) * q**0.75
+        return norm_inf * min(M * N * math.sqrt(q), M * q, math.sqrt(M * N) * q, bfkmm)
     if name == "thm21":
         return math.sqrt(norm1 * norm2) * (N ** 0.125 * q + math.sqrt(N) * q**0.75)
     if name == "simple21":

@@ -201,9 +201,6 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(k == 0 for k in self.exponents)
 
-    def __call__(self, x: int) -> complex:
-        return char_eval(self, x)
-
 
 #: cap on the int64 entries of an exponent-row array, phi(q) * number of generators
 EXPONENT_ROWS_CAP = 1 << 25
@@ -265,14 +262,9 @@ def angle_numerators(mod: Modulus, rows, logs: np.ndarray) -> np.ndarray:
     return weights @ logs.T % mod.carmichael
 
 
-def _roots(k: np.ndarray, lam: int) -> np.ndarray:
-    """exp(2*pi*i * k / lam) elementwise: the one rounding of every character value."""
-    return np.exp(2j * np.pi * k / lam)
-
-
 def roots_of_unity(lam: int) -> np.ndarray:
     """exp(2*pi*i * k / lam) for k in [0, lam): the values every character takes."""
-    return _roots(np.arange(lam, dtype=np.int64), lam)
+    return np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
 
 
 def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
@@ -326,16 +318,12 @@ def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
     """The character at position ``index`` of :func:`characters`, without enumerating.
 
     ``index`` is read as a mixed-radix number over the generator orders with
-    the last generator fastest, the order ``itertools.product`` yields.
+    the last generator fastest, the C order of :func:`_exponent_rows`.
     """
     mod = Modulus.of(q)
     if not 0 <= index < mod.phi:
         raise ValueError(f"character index {index} outside [0, {mod.phi})")
-    exponents = []
-    for o in reversed(mod.group.orders):
-        index, k = divmod(index, o)
-        exponents.append(k)
-    return character(mod, tuple(reversed(exponents)))
+    return character(mod, np.unravel_index(index, mod.group.orders))
 
 
 def primitive_exponents(q: "Modulus | int") -> np.ndarray:
@@ -380,16 +368,6 @@ def char_values(chi: DirichletCharacter) -> np.ndarray:
     vals[~mod.mask] = 0.0
     vals.flags.writeable = False  # read-only, like every table the package hands out
     return vals
-
-
-def char_eval(chi: DirichletCharacter, x: int) -> complex:
-    """chi(x): zero at non-units, otherwise the root of unity, bit-equal to :func:`char_values`."""
-    mod = chi.modulus
-    r = x % mod.q
-    if math.gcd(r, mod.q) != 1:
-        return 0j
-    t = angle_numerators(mod, chi.exponents, mod.logs[[r]])  # shape (1,): the array path
-    return complex(_roots(t, mod.carmichael)[0])
 
 
 # ---------------------------------------------------------------------------

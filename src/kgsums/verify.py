@@ -32,7 +32,7 @@ from .bounds import REGION_VERTICES, improvement_region
 from .counting import jr_congruence, moment_check, rr_congruence
 from .csvio import emit_csv, parse_csv, render_csv
 from .experiments import ExperimentRecord, primes_in_range, run_experiment
-from .expsums import characters, gauss, gauss_row, kloosterman_row
+from .expsums import gauss, gauss_row, kloosterman_row, primitive_characters
 from .modmath import Modulus, inverse_table, mod_inv, unit_residues
 from .prng import SplitMix64
 
@@ -114,9 +114,7 @@ def check_gauss_modulus(qs: Sequence[int]) -> Check:
         mod = Modulus.of(q)
         units = unit_residues(mod)
         root = math.sqrt(q)
-        for chi in characters(mod):
-            if not chi.is_primitive:
-                continue
+        for chi in primitive_characters(mod):
             row = gauss_row(mod, chi)
             dev = float(np.max(np.abs(np.abs(row[units]) - root)))
             checked += units.size

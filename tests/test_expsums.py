@@ -13,7 +13,6 @@ from kgsums import (
     Modulus,
     ResourceLimit,
     WeightVector,
-    char_eval,
     char_values,
     character,
     character_at,
@@ -59,7 +58,7 @@ def test_cached_arrays_read_only():
 
 
 def test_character_at_matches_enumeration(monkeypatch):
-    for q in (8, 12, 45, 64):
+    for q in (2, 8, 12, 45, 64):  # q = 2: no generators, one empty exponent tuple
         chars = list(characters(q))
         assert [character_at(q, i) for i in range(len(chars))] == chars
         for bad in (-1, len(chars)):
@@ -68,16 +67,16 @@ def test_character_at_matches_enumeration(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(expsums, "_CHUNK", 5)  # chunks end mid-enumeration
             assert list(characters(q)) == chars
+    chars = list(characters(5040))  # five generators
+    phi = len(chars)
+    for i in (0, 1, phi // 2, phi - 1):
+        assert character_at(5040, i) == chars[i]
 
 
-def test_group_orders_cached_and_char_eval():
+def test_group_orders_cached():
     for q in (64, 105, 128):
         mod = Modulus.of(q)
         assert mod.group.orders is mod.group.orders
-        for chi in characters(mod):
-            vals = char_values(chi)
-            for x in range(q):
-                assert char_eval(chi, x) == vals[x]
 
 
 def test_kloosterman_real_within_budget():
@@ -260,25 +259,26 @@ def test_character_counts_match_phi_grid():
         assert len(list(characters(q))) == Modulus.of(q).phi
 
 
-def test_char_eval_examples():
+def test_char_values_examples():
     principal = next(c for c in characters(5) if c.is_principal)
-    assert char_eval(principal, 3) == 1
+    assert char_values(principal)[3] == 1
     quadratic = character(5, (2,))
-    assert abs(char_eval(quadratic, 2) - (-1)) < 1e-12
+    assert abs(char_values(quadratic)[2] - (-1)) < 1e-12
     for q in (5, 8, 12):
         for chi in characters(q):
-            assert char_eval(chi, 1) == 1
-            assert char_eval(chi, q) == 0  # gcd(q, q) > 1
+            vals = char_values(chi)
+            assert vals[1] == 1
+            assert vals[q % q] == 0  # chi(q) is entry 0; gcd(q, q) > 1
 
 
 def test_char_multiplicative_exhaustive():
     for q in (3, 5, 8, 9, 12, 15, 16, 24):
         units = [int(u) for u in unit_residues(q)]
         for chi in characters(q):
-            vals = {x: char_eval(chi, x) for x in units}
+            vals = char_values(chi)
             for x in units:
                 for y in units:
-                    assert abs(vals[x] * vals[y] - char_eval(chi, x * y)) < 1e-10
+                    assert abs(vals[x] * vals[y] - vals[x * y % q]) < 1e-10
 
 
 def test_char_vanishes_off_units():
@@ -303,21 +303,13 @@ def test_char_orthogonality_grid():
         assert float(np.max(np.abs(gram - expected))) <= 1e-8 * max(q, 10)
 
 
-def test_char_eval_matches_value_table():
-    for q in (5, 8, 24, 45, 97):
-        for chi in characters(q):
-            vals = char_values(chi)
-            for x in range(q):
-                assert abs(vals[x] - char_eval(chi, x)) < 1e-12
-
-
 def test_conductor_agrees_with_bruteforce():
     # smallest d | q such that chi is constant on classes mod d (over units)
     for q in list(range(2, 61)) + [64, 72, 81, 90, 96, 128]:
         units = [int(u) for u in unit_residues(q)]
         divisors = [d for d in range(1, q + 1) if q % d == 0]
         for chi in characters(q):
-            vals = {x: char_eval(chi, x) for x in units}
+            vals = char_values(chi)
             cond = None
             for d in divisors:
                 if all(
@@ -418,7 +410,7 @@ def test_gauss_twisting_crosscheck():
             base = gauss(q, chi, 1)
             for n in [int(u) for u in unit_residues(q)][:6]:
                 twisted = gauss(q, chi, n)
-                predicted = np.conj(char_eval(chi, n)) * base.value
+                predicted = np.conj(char_values(chi)[n]) * base.value
                 assert abs(twisted.value - predicted) < 1e-9
 
 

@@ -89,15 +89,6 @@ def test_parametric_specs_validated():
 def test_bfkmm_condition_and_combined_flag():
     assert bfkmm_condition(100, 10, 10)
     assert not bfkmm_condition(100, 2000, 10)
-    loose = bound_value(BoundSpec("combined"), 100, 2000, 10, 1.0, 1.0, 1.0)
-    strict = bound_value(
-        BoundSpec("combined"), 100, 2000, 10, 1.0, 1.0, 1.0, enforce_condition=True
-    )
-    assert strict >= loose  # dropping a min-candidate cannot shrink the bound
-    with pytest.raises(ValueError):
-        bound_value(
-            BoundSpec("bfkmm"), 100, 2000, 10, 1.0, 1.0, 1.0, enforce_condition=True
-        )
 
 
 @given(data=st.data())

@@ -1,0 +1,38 @@
+"""The benchmark's tracer (bench/spans.py) wraps program functions by name.
+
+``Tracer.install`` reads ``vars(module)[name]`` for every entry of
+``FUNCTIONS`` and ``vars(cls)[member]`` for every entry of
+``WEIGHT_MEMBERS``, so a renamed or deleted target surfaces only as a
+``KeyError`` inside a benchmark run.  This test looks every target up the
+same way.  It loads bench/spans.py and the grid scripts from their files
+without writing bytecode next to them.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name, path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = _load("_bench_spans", ROOT / "bench" / "spans.py", monkeypatch)
+    for mod_name, attr, _, _ in spans.FUNCTIONS:
+        if mod_name.startswith("kgsums"):
+            module = importlib.import_module(mod_name)
+        else:
+            module = _load(mod_name, ROOT / "scripts" / f"{mod_name}.py", monkeypatch)
+        assert attr in vars(module), f"bench/spans.py traces {mod_name}.{attr}"
+    for mod_name, cls_name, member in spans.WEIGHT_MEMBERS:
+        cls = vars(importlib.import_module(mod_name))[cls_name]
+        assert member in vars(cls), f"bench/spans.py wraps {mod_name}.{cls_name}.{member}"
