@@ -4,13 +4,11 @@ counting, and an empirical bound-measurement harness."""
 
 from .bilinear import (
     CharWeightVector,
-    DyadicSet,
     Interval,
     WeightVector,
     bilinear_gauss,
     bilinear_kloosterman,
-    dyadic_decomposition,
-    dyadic_partition,
+    dyadic_scale,
     gamma_sum,
     make_weights,
 )
@@ -79,7 +77,6 @@ from .expsums import (
     primitive_characters,
     primitive_count,
     primitive_exponents,
-    weil_ratio,
 )
 from .modmath import (
     MACHINE_EPS,
@@ -90,7 +87,6 @@ from .modmath import (
     eq_exp,
     factorize,
     inverse_table,
-    iter_unit_exponents,
     mod_inv,
     unit_group,
     unit_mask,

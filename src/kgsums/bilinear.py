@@ -24,15 +24,13 @@ All routes return a :class:`SumResult` and must agree within the sum of
 their error bounds; the cross-check is enforced by the experiment harness
 and the test suite.  Evaluation is pure and sequential with numpy's
 deterministic pairwise reduction, so results are reproducible bit for bit;
-the x-loop partitions cleanly (see the dyadic decomposition) if a caller
-wants to parallelize by range.
+the x-loop partitions cleanly if a caller wants to parallelize by range.
 
 The interval sums gamma_x, one kernel for a residue or for every unit, are
-localized by a dyadic-scale partition of the unit representatives in
-(-q/2, q/2]; on scale i the magnitude of gamma_x is at most C * exp(-i) * N
-with the documented constant C = e * pi / 2 (the tight constant is e/2 for
-i >= 1 and 1 for i = 0; the larger C keeps one uniform, empirically
-asserted value).  The 2r-th moment identity lives in :mod:`kgsums.counting`.
+localized by the dyadic scale of the representative r in (-q/2, q/2]
+(:func:`dyadic_scale`); on scale i the magnitude of gamma_x is at most
+C * exp(-i) * N with C = e/2 (GAMMA_SCALE_C).  The 2r-th moment identity
+lives in :mod:`kgsums.counting`.
 """
 
 from __future__ import annotations
@@ -71,8 +69,10 @@ from .modmath import (
 )
 from .prng import splitmix64_block
 
-#: documented uniform constant in |gamma_x| <= GAMMA_SCALE_C * exp(-i) * N
-GAMMA_SCALE_C = math.e * math.pi / 2
+#: C in |gamma_x| <= C * exp(-i) * N at the dyadic scale i of x (dyadic_scale):
+#: at i = 0, |gamma_x| <= N <= (e/2) * N; at i >= 1, |r| > e^(i-1) * q/N, so
+#: |gamma_x| <= q / (2|r|) < (e/2) * e^(-i) * N
+GAMMA_SCALE_C = math.e / 2
 
 #: naive double-sum oracle cap on M * N * phi(q)
 NAIVE_COST_CAP = 10**9
@@ -236,23 +236,6 @@ class WeightVector(_SortedWeights):
     def _keys(self) -> list[int]:
         return self._support.tolist()
 
-    def scaled(self, c: complex) -> "WeightVector":
-        c = complex(c)
-        a = self._coeffs
-        prod = np.empty_like(a)  # rounded as Python's complex product; numpy's may fuse
-        prod.real = c.real * a.real - c.imag * a.imag
-        prod.imag = c.real * a.imag + c.imag * a.real
-        return WeightVector(self.modulus, self._support, prod)
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        if other.modulus.q != self.modulus.q:
-            raise ModulusMismatch("cannot add weight vectors with different moduli")
-        return WeightVector(
-            self.modulus,
-            np.concatenate([self._support, other._support]),
-            np.concatenate([self._coeffs, other._coeffs]),
-        )
-
 
 class CharWeightVector(_SortedWeights):
     """Sparse complex weights on primitive characters mod q; storage as in WeightVector.
@@ -323,7 +306,7 @@ def make_weights(keys, kind: str, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interval sums gamma_x and the dyadic-scale partition
+# Interval sums gamma_x and their dyadic scales
 # ---------------------------------------------------------------------------
 
 
@@ -373,48 +356,22 @@ def _gamma_over_units(J: Interval) -> np.ndarray:
     return _gamma_at(q, J.L, J.N, _centered(unit_residues(q), q))
 
 
-@dataclass(frozen=True)
-class DyadicSet:
-    """Integers at one signed dyadic scale of the representative range.
+def dyadic_scale(q: int, N, x):
+    """Dyadic scale index of x's centered representative r in (-q/2, q/2].
 
-    Scale 0 holds 0 < +/-x <= q/N; scale i >= 1 holds
-    e^(i-1)*q/N < +/-x <= min(q/2, e^i*q/N).  Members are restricted to the
-    representative range (-q/2, q/2], the lower bound is strict (boundary
-    points belong to the higher scale), and all integers in range are kept,
-    units or not.
+    0 where |r| <= q/N, else ceil(ln(|r| * N / q)), so scale i >= 1 holds
+    e^(i-1) * q/N < |r| <= e^i * q/N and every residue has exactly one
+    scale, at most ceil(ln(N/2)) since |r| <= q/2.  Python ints or int64
+    arrays that broadcast as in :func:`_gamma_at` (N as a column gives a
+    row per length); N must lie in [1, q-1].
     """
-
-    index: int
-    sign: str  # "+" or "-"
-    members: tuple[int, ...]
-
-
-def dyadic_partition(q: "Modulus | int", N: int) -> list[DyadicSet]:
-    """All dyadic sets for scales i = 0..ceil(log(N/2)), both signs.
-
-    The signed sets tile (-q/2, q/2] minus zero, so every unit
-    representative lands in exactly one set.
-    """
-    mod = Modulus.of(q)
-    if not 1 <= N <= mod.q - 1:
-        raise ValueError(f"N must lie in [1, {mod.q - 1}], got {N}")
-    I = max(0, math.ceil(math.log(N / 2.0))) if N >= 2 else 0
-    half = mod.q / 2.0
-    bounds = [mod.q / N]
-    for i in range(1, I + 1):
-        bounds.append(math.exp(i) * mod.q / N)
-    out: list[DyadicSet] = []
-    lo = 0.0
-    for i in range(I + 1):
-        hi = min(bounds[i], half)
-        lo_int = math.floor(lo)  # strict lower bound: members start at lo_int + 1
-        hi_int = math.floor(hi)
-        pos = tuple(range(lo_int + 1, hi_int + 1))
-        neg = tuple(-x for x in reversed(pos) if 2 * x != mod.q)
-        out.append(DyadicSet(index=i, sign="+", members=pos))
-        out.append(DyadicSet(index=i, sign="-", members=neg))
-        lo = bounds[i]
-    return out
+    N = np.asarray(N, dtype=np.int64)
+    bad = (N < 1) | (N > q - 1)
+    if np.any(bad):
+        raise ValueError(f"N must lie in [1, {q - 1}], got {np.extract(bad, N)[0]}")
+    r = np.abs(_centered(np.asarray(x, dtype=np.int64), q))
+    # r * N <= q gives ln(1) = 0 exactly, and no log of 0 at r = 0
+    return np.ceil(np.log(np.maximum(r * N, q) / q)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -603,44 +560,3 @@ def _combined_char_values(W: CharWeightVector) -> np.ndarray:
         np.multiply(coeffs[start : start + rows, None], chi_rows, out=chi_rows)
         block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
     return block[0].copy()
-
-
-# ---------------------------------------------------------------------------
-# Dyadic decomposition of the transformed sum
-# ---------------------------------------------------------------------------
-
-
-def dyadic_decomposition(
-    A: WeightVector, J: Interval
-) -> tuple[list[DyadicSet], list[complex], complex, bool]:
-    """Per-scale partial sums of the transformed route plus a coverage check.
-
-    The transformed summands f(x^-1) * gamma_x are computed once and each
-    unit is routed to its dyadic set by representative.  Partials and total
-    are compensated sums (math.fsum), correctly rounded from the exact sums
-    of those float summands.  The exact partials add up to the exact total
-    precisely when every unit lies in exactly one set; the returned flag
-    reports that coverage.
-
-    Returns (sets, partial_sums, total, covered).
-    """
-    mod = _check_shared_modulus(A, J)
-    q = mod.q
-    xs = unit_residues(mod)
-    terms = _transformed_values(A) * _gamma_over_units(J)
-
-    sets = dyadic_partition(mod, J.N)
-    owner = np.full(q, -1, dtype=np.int64)
-    hits = np.zeros(q, dtype=np.int64)
-    for idx, ds in enumerate(sets):
-        members = np.array(ds.members, dtype=np.int64) % q
-        owner[members] = idx
-        np.add.at(hits, members, 1)
-    covered = bool(np.all(hits[xs] == 1))
-    owner = owner[xs]
-
-    def fsum(t: np.ndarray) -> complex:
-        return complex(math.fsum(t.real), math.fsum(t.imag))
-
-    partials = [fsum(terms[owner == idx]) for idx in range(len(sets))]
-    return sets, partials, fsum(terms), covered

@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainRestriction, ResourceLimit
+from .errors import ResourceLimit
 from .modmath import (
     MACHINE_EPS,
     Modulus,
@@ -401,20 +401,3 @@ def gauss_row(q: "Modulus | int", chi: DirichletCharacter) -> np.ndarray:
     if chi.modulus.q != mod.q:
         raise ValueError(f"character modulus {chi.modulus.q} != {mod.q}")
     return mod.q * np.fft.ifft(char_values(chi))
-
-
-def weil_ratio(q: "Modulus | int", m: int, n: int) -> float:
-    """|K_q(m, n)| / (2*sqrt(q)) for prime q and unit m, n.
-
-    The 2*sqrt(q) normalization is only asserted for prime modulus; for
-    composite q or non-unit arguments a :class:`DomainRestriction` is raised
-    (callers wanting composite data should report raw magnitudes instead).
-    """
-    mod = Modulus.of(q)
-    if not mod.is_prime():
-        raise DomainRestriction(f"weil_ratio requires a prime modulus, got {mod.q}")
-    if math.gcd(m * n, mod.q) != 1:
-        raise DomainRestriction(
-            f"weil_ratio requires gcd(m*n, q) = 1, got gcd = {math.gcd(m * n, mod.q)}"
-        )
-    return abs(kloosterman(mod, m, n).value) / (2.0 * math.sqrt(mod.q))

@@ -17,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
 
 import numpy as np
 
@@ -351,18 +350,6 @@ def unit_group(q: "Modulus | int") -> UnitGroupStructure:
     Computed lazily and memoized.
     """
     return Modulus.of(q).group
-
-
-def iter_unit_exponents(q: "Modulus | int") -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (unit, exponent tuple) pairs, one per unit of Z_q^*.
-
-    The exponent tuple is flattened across components in factor order; tuples
-    are enumerated lexicographically, so iteration order is reproducible.
-    """
-    mod = Modulus.of(q)
-    rows = mod.logs[mod.units].tolist()
-    for exps, x in sorted(zip(map(tuple, rows), mod.units.tolist())):
-        yield x, exps
 
 
 def unit_residues(q: "Modulus | int") -> np.ndarray:

@@ -20,20 +20,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .bilinear import (
+    GAMMA_SCALE_C,
     Interval,
     WeightVector,
     _centered,
     _gamma_at,
     bilinear_kloosterman,
-    dyadic_partition,
+    dyadic_scale,
     make_weights,
 )
 from .bounds import REGION_VERTICES, improvement_region
 from .counting import jr_congruence, moment_check, rr_congruence
 from .csvio import emit_csv, parse_csv, render_csv
-from .experiments import ExperimentRecord, primes_in_range, run_experiment
+from .experiments import (
+    ExperimentRecord,
+    max_kloosterman_floor,
+    primes_in_range,
+    run_experiment,
+)
 from .expsums import gauss, gauss_row, kloosterman_row, primitive_characters
-from .modmath import Modulus, inverse_table, mod_inv, unit_residues
+from .modmath import MACHINE_EPS, Modulus, inverse_table, mod_inv, unit_residues
 from .prng import SplitMix64
 
 
@@ -104,6 +110,34 @@ def check_row_consistency(qs: Sequence[int]) -> Check:
     return Check("row vs direct sums", ok, worst, f"max gap {worst:.2e}")
 
 
+def check_weil(qs: Sequence[int]) -> Check:
+    """`max_kloosterman_floor(q)` <= max |K_q(m, 1)| <= tau(q) sqrt(q), the
+    maximum over m in [1, q-1] of the row `kloosterman_row(q, 1)`, for each
+    q; the upper side gets the row's per-entry budget (4 log2 q + 8) eps
+    phi(q).  Measures the largest max |K| / (tau(q) sqrt(q)).
+
+    The upper bound holds for odd q by Weil and Estermann ("On Kloosterman's
+    sum", Mathematika 8, 1961): |K_q(m, n)| <= tau(q) sqrt(q) for n a unit.
+    K is twisted multiplicative, a product over coprime factors of sums
+    whose second argument stays a unit, so a power of 2 needs the same bound
+    on its own.  For 2^e with e <= 4 the trivial bound 2^(e-1) is below
+    (e+1) 2^(e/2).  For e >= 5 put j = ceil(e/2) and x = y + 2^j z with y a
+    unit mod 2^j and z mod 2^(e-j); then x^-1 = y^-1 - 2^j z y^-2 mod 2^e,
+    so the sum over z is 2^(e-j) where m y^2 = n mod 2^(e-j) and 0
+    elsewhere.  A unit has at most 4 square roots mod 2^(e-j), each lifting
+    to 2^(2j-e) values of y, so |K| <= 4 * 2^j <= 4 sqrt(2) 2^(e/2), below
+    (e+1) 2^(e/2)."""
+    worst, ok = 0.0, True
+    for q in qs:
+        mod = Modulus.of(q)
+        top = float(np.max(np.abs(kloosterman_row(mod, 1)[1:])))
+        cap = math.prod(e + 1 for _, e in mod.factors) * math.sqrt(q)
+        budget = (4.0 * math.log2(q) + 8.0) * MACHINE_EPS * mod.phi
+        worst = max(worst, top / cap)
+        ok = ok and max_kloosterman_floor(mod) <= top <= cap + budget
+    return Check("Weil bound", ok, worst, f"max |K| / (tau(q) sqrt(q)) = {worst:.5f}")
+
+
 def check_gauss_modulus(qs: Sequence[int]) -> Check:
     """|G(chi, n)| = sqrt(q) within 1e-8 at every unit n for every primitive
     chi mod q, and the Gauss row equals the direct sum within 1e-9 at one
@@ -166,16 +200,15 @@ def check_paths(seed: int, count: int) -> Check:
 _GAMMA_BLOCK_ENTRIES = 1 << 16
 
 
-def check_gamma_dyadic(bound_qs: Sequence[int], partition_qs: Sequence[int]) -> Check:
-    """|gamma_x| <= min(N, q / (2 |x|_q)) within 1e-9 for every unit x and
-    N in [1, q-1], q in ``bound_qs``; for q in ``partition_qs`` and
-    N in {1, 2, 3, q/4, q/3, q/2, q-1} the dyadic sets hold representatives
-    in (-q/2, q/2] and cover every unit exactly once.  Measures the largest
-    excess over the bound; each kernel call evaluates a block of lengths at
-    every unit, about ``_GAMMA_BLOCK_ENTRIES`` values."""
-    name = "gamma bound and partition"
-    worst, ok = 0.0, True
-    for q in bound_qs:
+def check_gamma_dyadic(qs: Sequence[int]) -> Check:
+    """|gamma_x| <= min(N, q / (2 |x|_q)) and, at the dyadic scale i of x,
+    |gamma_x| <= GAMMA_SCALE_C * e^-i * N, each within 1e-9, for every unit
+    x and N in [1, q-1], q in ``qs``.  Measures the largest excess over the
+    first bound; each kernel call evaluates a block of lengths at every
+    unit, about ``_GAMMA_BLOCK_ENTRIES`` values."""
+    worst = ratio = 0.0
+    ok = True
+    for q in qs:
         xs = unit_residues(q)
         far = q / (2.0 * np.minimum(xs, q - xs).astype(float))
         step = max(1, _GAMMA_BLOCK_ENTRIES // xs.size)
@@ -183,16 +216,13 @@ def check_gamma_dyadic(bound_qs: Sequence[int], partition_qs: Sequence[int]) -> 
             lengths = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
             mags = np.abs(_gamma_at(q, 0, lengths, _centered(xs, q)))
             caps = np.minimum(lengths.astype(float), far)
+            decay = np.exp(-dyadic_scale(q, lengths, xs)) * lengths  # e^-i * N
             worst = max(worst, float(np.max(mags - caps)))
-            ok = ok and bool(np.all(mags <= caps + 1e-9))
-    for q in partition_qs:
-        units = sorted(int(u) for u in unit_residues(q))
-        for N in sorted({1, 2, 3, q // 4, q // 3, q // 2, q - 1} & set(range(1, q))):
-            members = [x for ds in dyadic_partition(q, N) for x in ds.members]
-            seen = sorted(x % q for x in members if math.gcd(x, q) == 1)
-            if seen != units or not np.array_equal(_centered(np.array(members), q), members):
-                return Check(name, False, worst, f"partition broke at q={q}, N={N}")
-    return Check(name, ok, worst, f"max excess over the bound {worst:.2e}")
+            ratio = max(ratio, float(np.max(mags / decay)))
+            within = (mags <= caps + 1e-9) & (mags <= GAMMA_SCALE_C * decay + 1e-9)
+            ok = ok and bool(np.all(within))
+    detail = f"max excess over the bound {worst:.2e}, max |gamma| e^i / N = {ratio:.4f}"
+    return Check("gamma bound per dyadic scale", ok, worst, detail)
 
 
 def check_moment(qs: Sequence[int], max_size: int, seed: int, count: int) -> Check:
@@ -280,9 +310,10 @@ CONDENSED_GRIDS = {
     check_orthogonality: (range(2, 51),),
     check_identity: (primes_in_range(2, 31),),
     check_row_consistency: (range(2, 129),),
+    check_weil: (range(2, 257),),
     check_gauss_modulus: (range(3, 51),),
     check_paths: (20240405, 20),
-    check_gamma_dyadic: ((7, 24, 97, 100), (9, 23, 30, 100)),
+    check_gamma_dyadic: ((7, 9, 23, 24, 30, 97, 100),),
     check_moment: (range(2, 14), 2, 333, 4),
     check_counting: ((5, 7, 9, 12, 25), 8),
     check_region: (

@@ -23,8 +23,7 @@ from kgsums import (
     char_values,
     character,
     derive_seed,
-    dyadic_decomposition,
-    dyadic_partition,
+    dyadic_scale,
     eq_exp,
     gamma_sum,
     kloosterman,
@@ -38,8 +37,7 @@ from kgsums import (
 )
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
-from kgsums.bilinear import GAMMA_SCALE_C
-from kgsums.verify import check_gamma_dyadic, check_paths
+from kgsums.verify import check_paths
 
 # ---------------------------------------------------------------------------
 # Weight vectors and intervals
@@ -289,27 +287,6 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
             assert got.tobytes() == ref.tobytes()
 
 
-def test_weight_vector_scaled_and_add_norms():
-    mod = Modulus.of(101)
-    keys = [int(u) for u in unit_residues(mod)]
-    a_vals = make_weights(keys, "unit", 3)
-    b_vals = make_weights(keys[::-1], "unit", 4)
-    wa = WeightVector(mod, dict(zip(keys, a_vals)))
-    wb = WeightVector(mod, dict(zip(keys[::-1], b_vals)))
-    c = complex(0.3, -1.7)
-    scaled = _dict_reference(101, ((k, c * complex(a)) for k, a in zip(keys, a_vals)))
-    ws = wa.scaled(c)
-    assert ws.entries == scaled
-    assert (ws.norm1, ws.norm2, ws.norm_inf) == _reference_norms(scaled.values())
-    summed = dict(wa.entries)
-    for k, b in wb.entries.items():
-        summed[k] = summed.get(k, 0j) + b
-    summed = _dict_reference(101, summed.items())
-    total = wa + wb
-    assert total.entries == summed
-    assert (total.norm1, total.norm2, total.norm_inf) == _reference_norms(summed.values())
-
-
 # ---------------------------------------------------------------------------
 # gamma sums
 # ---------------------------------------------------------------------------
@@ -406,48 +383,42 @@ def test_gamma_kernel_broadcasts_over_lengths_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# dyadic partition
+# dyadic scales
 # ---------------------------------------------------------------------------
 
 
 def test_dyadic_examples():
-    sets = dyadic_partition(100, 2)
-    assert len(sets) == 2  # scale 0 only, both signs
-    plus = next(s for s in sets if s.sign == "+")
-    assert plus.members == tuple(range(1, 51))
-
-    sets10 = dyadic_partition(100, 10)
-    plus0 = next(s for s in sets10 if s.sign == "+" and s.index == 0)
-    assert plus0.members == tuple(range(1, 11))
-
-    total = sum(len(s.members) for s in dyadic_partition(101, 10))
-    assert total == 100
+    # q/N = 33.3, e q/N = 90.6, e^2 q/N = 246.3: the first |r| past each bound
+    # moves up a scale, and |r| = q/2 sits at the top scale ceil(ln(N/2)) = 3
+    r = np.array([33, 34, 90, 91, 246, 247, 500])
+    expected = [0, 1, 1, 2, 2, 3, 3]
+    for x in (r, -r, 1000 - r):
+        assert dyadic_scale(1000, 30, x).tolist() == expected
+    # at N = 2 every |r| <= q/2 = q/N
+    assert not np.any(dyadic_scale(100, 2, np.arange(100)))
 
 
 def test_dyadic_partition_covers_units_exactly_once():
-    res = check_gamma_dyadic((), (2, 7, 24, 97, 100, 101, 256, 499))
-    assert res.passed, res.detail
-
-
-def test_dyadic_scale_controls_gamma():
-    for q in (53, 100, 257):
-        for N in (2, 5, q // 3, q - 1):
-            if not 1 <= N <= q - 1:
-                continue
-            J = Interval.of(q, 0, N)
-            for ds in dyadic_partition(q, N):
-                for x in ds.members:
-                    if x % q == 0 or math.gcd(x, q) != 1:
-                        continue
-                    bound = GAMMA_SCALE_C * math.exp(-ds.index) * N
-                    assert abs(gamma_sum(J, x)) <= bound + 1e-9
+    # each unit's representative r lies in the interval of its scale i,
+    # e^(i-1) q/N < |r| <= e^i q/N (0 < |r| <= q/N at i = 0), and no scale
+    # passes ceil(ln(N/2))
+    for q in (2, 7, 24, 97, 100, 101, 256, 499):
+        units = unit_residues(q)
+        r = np.abs(bilinear._centered(units, q))
+        N = np.arange(1, q)[:, None]
+        i = dyadic_scale(q, N, units)
+        lo = np.where(i == 0, 0.0, np.exp(i - 1) * q / N)
+        assert np.all((lo < r) & (r <= np.exp(i) * q / N)), q
+        assert np.all(i <= np.maximum(0, np.ceil(np.log(N / 2)))), q
 
 
 def test_dyadic_bad_n():
     with pytest.raises(ValueError):
-        dyadic_partition(10, 0)
+        dyadic_scale(10, 0, 1)
     with pytest.raises(ValueError):
-        dyadic_partition(10, 10)
+        dyadic_scale(10, 10, 1)
+    with pytest.raises(ValueError):
+        dyadic_scale(10, np.array([[1], [10]]), np.arange(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +528,19 @@ def test_bilinear_linearity(data):
     n_keys = data.draw(st.integers(1, len(units)))
     keys = units[:n_keys]
     re = st.floats(-3, 3, allow_nan=False)
-    a_vals = [complex(data.draw(re), data.draw(re)) for _ in keys]
-    b_vals = [complex(data.draw(re), data.draw(re)) for _ in keys]
+    a_vals = np.array([complex(data.draw(re), data.draw(re)) for _ in keys])
+    b_vals = np.array([complex(data.draw(re), data.draw(re)) for _ in keys])
     c = complex(data.draw(re), data.draw(re))
     N = data.draw(st.integers(1, q - 1))
     J = Interval.of(mod, 0, N)
-    wa = WeightVector(mod, dict(zip(keys, a_vals)))
-    wb = WeightVector(mod, dict(zip(keys, b_vals)))
-    w_sum = wa + wb
+    wa = WeightVector(mod, keys, a_vals)
+    wb = WeightVector(mod, keys, b_vals)
+    w_sum = WeightVector(mod, keys, a_vals + b_vals)
     ra, rb = bilinear_kloosterman(wa, J), bilinear_kloosterman(wb, J)
     rs = bilinear_kloosterman(w_sum, J)
     tol = ra.error_bound + rb.error_bound + rs.error_bound + 1e-9
     assert abs(rs.value - (ra.value + rb.value)) <= tol
-    rc = bilinear_kloosterman(wa.scaled(c), J)
+    rc = bilinear_kloosterman(WeightVector(mod, keys, c * a_vals), J)
     assert abs(rc.value - c * ra.value) <= (1 + abs(c)) * (ra.error_bound + 1e-9) + rc.error_bound
 
 
@@ -771,23 +742,3 @@ def test_moment_exhaustive_cap():
     gamma = {x: 1.0 for x in xs}
     with pytest.raises(ResourceLimit):
         moment_check(mod, xs, gamma, 4, method="exhaustive")
-
-
-# ---------------------------------------------------------------------------
-# dyadic decomposition of the transformed sum
-# ---------------------------------------------------------------------------
-
-
-def test_dyadic_reassembly_exact():
-    for q, M, N in ((31, 5, 7), (100, 9, 37), (257, 20, 100)):
-        mod = Modulus.of(q)
-        units = unit_residues(mod)
-        keys = [int(u) for u in units[:M]]
-        w = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 11))))
-        J = Interval.of(mod, 0, N)
-        sets, partials, total, covered = dyadic_decomposition(w, J)
-        assert covered  # every unit lies in exactly one set, so partials reassemble
-        assert len(partials) == len(sets)
-        # and the correctly rounded total matches the transformed path within budget
-        ref = bilinear_kloosterman(w, J, "transformed")
-        assert abs(total - ref.value) <= ref.error_bound + 1e-9

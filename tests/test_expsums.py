@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import kgsums.expsums as expsums
 from kgsums import (
-    DomainRestriction,
     Modulus,
     ResourceLimit,
     WeightVector,
@@ -27,9 +26,7 @@ from kgsums import (
     primitive_exponents,
     unit_mask,
     unit_residues,
-    weil_ratio,
 )
-from kgsums.experiments import primes_in_range
 from kgsums.verify import check_row_consistency
 
 
@@ -421,25 +418,3 @@ def test_gauss_row_matches_direct():
             for n in range(0, q, max(1, q // 6)):
                 direct = gauss(q, chi, n)
                 assert abs(row[n] - direct.value) <= direct.error_bound + q * 2**-45
-
-
-# ---------------------------------------------------------------------------
-# Weil-normalized ratios
-# ---------------------------------------------------------------------------
-
-
-def test_weil_ratio_examples():
-    assert weil_ratio(5, 1, 1) == pytest.approx(0.0854, abs=5e-5)
-    assert weil_ratio(3, 1, 2) == pytest.approx(0.5774, abs=5e-5)
-    with pytest.raises(DomainRestriction):
-        weil_ratio(4, 1, 1)
-    with pytest.raises(DomainRestriction):
-        weil_ratio(7, 7, 1)
-
-
-def test_weil_ratio_below_one():
-    for p in primes_in_range(2, 120):
-        for m in (1, 2, p - 1):
-            for n in (1, 3 % p or 1, p - 2 or 1):
-                if m % p and n % p:
-                    assert weil_ratio(p, m, n) <= 1 + 1e-9

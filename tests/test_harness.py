@@ -46,6 +46,7 @@ from kgsums.verify import (
     check_paths,
     check_region,
     check_row_consistency,
+    check_weil,
 )
 
 # ---------------------------------------------------------------------------
@@ -399,10 +400,11 @@ def _nan_row(q, *_):
         ("gauss_row", _nan_row, check_gauss_modulus, ((5,),)),
         ("bilinear_kloosterman", lambda w, J, m: SumResult(math.nan, 1.0, 1), check_paths,
          (20240405, 3)),
-        ("_gamma_at", lambda q, L, N, r: np.array([math.nan]), check_gamma_dyadic, ((7,), ())),
+        ("kloosterman_row", _nan_row, check_weil, ((5,),)),
+        ("_gamma_at", lambda q, L, N, r: np.array([math.nan]), check_gamma_dyadic, ((7,),)),
         ("moment_check", lambda *a, **k: (math.nan, 1.0), check_moment, ((5,), 1, 0, 0)),
     ],
-    ids=["identity", "row", "gauss", "paths", "gamma", "moment"],
+    ids=["identity", "row", "gauss", "paths", "weil", "gamma", "moment"],
 )
 def test_checks_fail_on_nan(monkeypatch, target, fake, check, grid):
     # a NaN from the library must fail the check, not vanish into its max
@@ -634,10 +636,10 @@ def test_cli_verify():
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert all(ln.startswith("PASS  ") for ln in lines)
     names = [ln[len("PASS  "):].split(":")[0] for ln in lines]
-    assert len(names) == len(ALL_CHECKS) == 11
+    assert len(names) == len(ALL_CHECKS) == 12
     assert set(names) == {
         "inverse involution", "additive orthogonality", "multiplicative shift identity",
-        "row vs direct sums", "primitive Gauss magnitude", "bilinear path agreement",
-        "gamma bound and partition", "moment identity", "counting oracle equivalence",
-        "improvement region", "CSV round trip",
+        "row vs direct sums", "Weil bound", "primitive Gauss magnitude",
+        "bilinear path agreement", "gamma bound per dyadic scale", "moment identity",
+        "counting oracle equivalence", "improvement region", "CSV round trip",
     }

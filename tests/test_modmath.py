@@ -13,7 +13,6 @@ from kgsums import (
     eq_exp,
     factorize,
     inverse_table,
-    iter_unit_exponents,
     mod_inv,
     unit_group,
     unit_mask,
@@ -135,14 +134,13 @@ def test_unit_group_examples():
 
 def test_unit_exponents_bijection_small_grid():
     for q in range(2, 1001):
-        pairs = list(iter_unit_exponents(q))
-        seen = [x for x, _ in pairs]
-        assert sorted(seen) == [int(u) for u in unit_residues(q)]
-        assert len(seen) == Modulus.of(q).phi
-        tuples = [e for _, e in pairs]
-        assert all(a < b for a, b in zip(tuples, tuples[1:]))  # strictly increasing
+        mod = Modulus.of(q)
+        units = unit_residues(q)
+        rows = mod.logs[units].tolist()
+        assert len(rows) == mod.phi
+        assert len(set(map(tuple, rows))) == len(rows)  # distinct exponent rows
         comps = unit_group(q).components
-        for x, exps in pairs:
+        for x, exps in zip(units.tolist(), rows):
             # x == prod_j g_j^e_j modulo every prime-power component
             flat = iter(exps)
             for comp in comps:
