@@ -83,7 +83,6 @@ from .modmath import (
     Modulus,
     UnitGroupComponent,
     UnitGroupStructure,
-    dist_q,
     eq_exp,
     factorize,
     inverse_table,

@@ -7,6 +7,8 @@ The double sum over (weight support) x (interval) admits three routes:
 * ``transformed`` - swap summation order and substitute x -> x^-1, giving
                     sum_x f(x^-1) * gamma_x with f(t) = sum_m alpha_m e_q(mt)
                     and gamma_x the closed-form geometric interval sum.
+                    f is the character-sum kernel shared with Gauss: it
+                    reads e_q(m x^-1) from a table of roots of unity.
                     O(phi(q) * M).
 * ``fast``        - same shape, but f is one length-q DFT of the dense
                     weight vector followed by the inversion permutation.
@@ -53,6 +55,7 @@ from .expsums import (
     SumResult,
     angle_numerators,
     conductors,
+    dft_entry_error,
     gauss,
     kloosterman,
     roots_of_unity,
@@ -340,9 +343,9 @@ def _gamma_at(q: int, L, N, r):
 def gamma_sum(J: Interval, x: int) -> complex:
     """Closed-form geometric sum of e_q(n*x) over n in J.
 
-    Magnitude satisfies |gamma_x| <= min(N, q / (2 * dist_q(x))) by the
-    sine bound sin(pi*t) >= 2*t on [0, 1/2].  Evaluated by the same kernel
-    as the outer sums, so it equals :func:`_gamma_over_units` bit for bit.
+    |gamma_x| <= min(N, q / (2|r|)) at the centered representative r of x,
+    by the sine bound sin(pi*t) >= 2*t on [0, 1/2].  Evaluated by the same
+    kernel as the outer sums, so it equals :func:`_gamma_over_units` bit for bit.
     """
     r = _centered(x, J.modulus.q)
     if r == 0:
@@ -381,7 +384,7 @@ def dyadic_scale(q: int, N, x):
 _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
 
-#: entries of the phase matrix built per block of the transformed inner product
+#: a block of the character-sum kernel holds max(1, _BLOCK_ENTRIES // q) weights
 _BLOCK_ENTRIES = 1 << 22
 
 
@@ -393,31 +396,10 @@ def _check_shared_modulus(weights, J: Interval) -> Modulus:
     return J.modulus
 
 
-def _inner_exp_sums(q: int, targets: np.ndarray, ms: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """f(t) = sum_m alpha_m e_q(m t) for each t in targets, blockwise.
-
-    A block holds max(1, _BLOCK_ENTRIES // |ms|) targets, so its phase
-    matrix stays near _BLOCK_ENTRIES entries whatever the support size.
-    """
-    out = np.empty(targets.shape, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // max(ms.size, 1))
-    for start in range(0, targets.size, rows):
-        block = targets[start : start + rows]
-        phases = block[:, None] * ms[None, :] % q
-        out[start : start + block.size] = np.exp(2j * np.pi * phases / q) @ alphas
-    return out
-
-
 def _inverse_powers(mod: Modulus, inv_power: int) -> np.ndarray:
     """(x^-1)^k mod q for every unit x, aligned with unit_residues(q)."""
     inv = inverse_table(mod)[unit_residues(mod)]
     return inv if inv_power == 1 else pow_mod(inv, inv_power, mod.q)
-
-
-def _transformed_values(A: WeightVector, inv_power: int = 1) -> np.ndarray:
-    """f((x^-1)^k) for every unit x, aligned with unit_residues(q), by direct inner sums."""
-    targets = _inverse_powers(A.modulus, inv_power)
-    return _inner_exp_sums(A.modulus.q, targets, A.support(), A.coefficients())
 
 
 def _fast_values(A: WeightVector, inv_power: int) -> np.ndarray:
@@ -448,16 +430,51 @@ def _outer_sum(J: Interval, f_vals: np.ndarray, entry_err: float) -> SumResult:
     )
 
 
+def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i w_i psi_i(x) for every unit x, aligned with unit_residues(q).
+
+    ``numerators(keys)`` gives the angle numerators, reduced mod len(roots),
+    of a block of support keys at every unit, one row per key; psi_i(x) is
+    ``roots`` read at them.  A block of at most max(1, _BLOCK_ENTRIES // q)
+    weights reads its values into rows 1.. of one buffer whose row 0 is the
+    running total.  The weight is the left operand, and one reduction over
+    axis 0 adds the rows in support order: bit for bit the sequential sum
+    of w_i * psi_i, for a Gauss weight the ``w * char_values(chi)`` sum.
+    """
+    mod = weights.modulus
+    keys, coeffs = weights.support(), weights.coefficients()
+    rows = max(1, min(_BLOCK_ENTRIES // mod.q, coeffs.size))
+    block = np.zeros((rows + 1, mod.phi), dtype=np.complex128)
+    for start in range(0, coeffs.size, rows):
+        t = numerators(keys[start : start + rows])
+        psi = block[1 : len(t) + 1]
+        np.take(roots, t, out=psi, mode="wrap")  # t < len(roots) already; "wrap" avoids a buffer
+        np.multiply(coeffs[start : start + rows, None], psi, out=psi)
+        block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
+    return block[0].copy()
+
+
+def _direct_sum(weights, J: Interval, numerators, roots: np.ndarray) -> SumResult:
+    """Transformed route: each direct inner sum carries (M + 4) eps * ||w||_1."""
+    entry_err = (weights.support_size + 4) * MACHINE_EPS * weights.norm1
+    return _outer_sum(J, _character_sums(weights, numerators, roots), entry_err)
+
+
 def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
-    """Transformed route: each direct inner sum carries (M + 4) eps * ||A||_1."""
-    entry_err = (A.support_size + 4) * MACHINE_EPS * A.norm1
-    return _outer_sum(J, _transformed_values(A, inv_power), entry_err)
+    """Transformed Kloosterman route: f((x^-1)^k) = sum_m alpha_m e_q(m (x^-1)^k)."""
+    q = A.modulus.q
+    powers = _inverse_powers(A.modulus, inv_power)
+
+    def numerators(ms: np.ndarray) -> np.ndarray:
+        t = ms[:, None] * powers  # below q^2 <= 2^46
+        return np.remainder(t, q, out=t)
+
+    return _direct_sum(A, J, numerators, roots_of_unity(q))
 
 
 def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
-    """Fast route: each DFT entry carries (4 log2 q + 8) eps * ||A||_1."""
-    entry_err = (4.0 * math.log2(A.modulus.q) + 8.0) * MACHINE_EPS * A.norm1
-    return _outer_sum(J, _fast_values(A, inv_power), entry_err)
+    """Fast route: each DFT entry carries dft_entry_error(q, ||A||_1)."""
+    return _outer_sum(J, _fast_values(A, inv_power), dft_entry_error(A.modulus.q, A.norm1))
 
 
 _ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
@@ -476,23 +493,10 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
         raise ResourceLimit(
             f"naive double sum cost M*N*phi = {cost} exceeds cap {NAIVE_COST_CAP}"
         )
-    total = 0j
-    err = 0.0
-    l1 = 0.0
-    count = 0
-    for k, w in weights.entries.items():
-        for n in J.values():
-            s = scalar(mod, k, n)
-            term = w * s.value
-            total += term
-            err += abs(w) * s.error_bound
-            l1 += abs(term)
-            count += 1
-    return SumResult(
-        value=total,
-        error_bound=err + (count + 4) * MACHINE_EPS * l1,
-        terms=count,
-    )
+    sums = [(w, scalar(mod, key, n)) for key, w in weights.entries.items() for n in J.values()]
+    outer = _sum_terms(np.array([w * s.value for w, s in sums]))
+    err = math.fsum(abs(w) * s.error_bound for w, s in sums)
+    return SumResult(value=outer.value, error_bound=outer.error_bound + err, terms=outer.terms)
 
 
 def bilinear_kloosterman(
@@ -521,9 +525,9 @@ def bilinear_kloosterman(
 def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed") -> SumResult:
     """Weighted double sum of Gauss sums over supp(W) x J.
 
-    The transformed route evaluates sum_x (sum_chi w_chi chi(x)) * gamma_x;
-    no inversion permutation appears because the character already sits on
-    the summation variable.
+    The transformed route evaluates sum_x (sum_chi w_chi chi(x)) * gamma_x
+    by the Kloosterman route's kernel; no inversion permutation appears
+    because the character already sits on the summation variable.
     """
     if method not in _GAUSS_METHODS:
         raise ValueError(f"method must be one of {_GAUSS_METHODS}, got {method!r}")
@@ -532,31 +536,8 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
         return _naive_double_sum(W, J, gauss)
-    entry_err = (W.support_size + 4) * MACHINE_EPS * W.norm1
-    return _outer_sum(J, _combined_char_values(W), entry_err)
-
-
-def _combined_char_values(W: CharWeightVector) -> np.ndarray:
-    """sum_chi w_chi chi(x) for every unit x, aligned with unit_residues(q).
-
-    Each block of at most max(1, _BLOCK_ENTRIES // q) characters gets its
-    angle numerators at the units from one :func:`angle_numerators` call
-    and reads chi(x) from :func:`roots_of_unity`, the table
-    :func:`char_values` reads too, into rows 1.. of one buffer whose row 0
-    is the running total.  The weight is the left operand, as in
-    ``w * char_values(chi)``, and one reduction over axis 0 adds the rows in
-    support order: bit for bit the sequential ``char_values`` accumulation.
-    """
     mod = W.modulus
-    roots = roots_of_unity(mod.carmichael)
     logs = mod.logs[unit_residues(mod)]
-    coeffs = W.coefficients()
-    rows = max(1, min(_BLOCK_ENTRIES // mod.q, coeffs.size))
-    block = np.zeros((rows + 1, mod.phi), dtype=np.complex128)
-    for start in range(0, coeffs.size, rows):
-        t = angle_numerators(mod, W.support()[start : start + rows], logs)
-        chi_rows = block[1 : len(t) + 1]
-        np.take(roots, t, out=chi_rows, mode="wrap")  # t < lam already; "wrap" avoids a buffer
-        np.multiply(coeffs[start : start + rows, None], chi_rows, out=chi_rows)
-        block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
-    return block[0].copy()
+    return _direct_sum(
+        W, J, lambda rows: angle_numerators(mod, rows, logs), roots_of_unity(mod.carmichael)
+    )

@@ -48,8 +48,15 @@ _EXIT_CODES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on bad arguments, in its subparsers too, so `main` reports invalid_input."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgsums",
         description="Kloosterman/Gauss sums, bilinear forms, and cancellation measurement",
     )
@@ -269,9 +276,8 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except KgsumsError as exc:
         print(json.dumps({"category": exc.category, "message": str(exc)}), file=sys.stderr)

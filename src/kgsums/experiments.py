@@ -33,7 +33,13 @@ from .bilinear import (
 from .bounds import BoundSpec, bound_value
 from .counting import j2_reference_ratio
 from .errors import VerificationError
-from .expsums import SumResult, kloosterman_row, primitive_count, primitive_exponents
+from .expsums import (
+    SumResult,
+    dft_entry_error,
+    kloosterman_row,
+    primitive_count,
+    primitive_exponents,
+)
 from .modmath import MACHINE_EPS, Modulus, unit_residues
 from .prng import derive_seed
 
@@ -98,17 +104,17 @@ def max_kloosterman_floor(q: "Modulus | int") -> float:
     and K_q(0, 1) = c_q(1) = mu(q), so the maximum over m in [1, q-1] is at
     least the root mean square sqrt((q phi(q) - mu(q)^2) / (q - 1)).  The
     computed maximum can sit below the exact one by the row's rounding: per
-    entry at most (4 log2 q + 8) eps ||a||_1 for the DFT (the fast route's
-    budget) with ||a||_1 = phi(q), plus a few eps phi(q) for the phases,
-    the modulus and this formula.  The floor is the root mean square less
-    (4 log2 q + 32) eps phi(q), a relative margin of about
+    entry at most `dft_entry_error(q, phi(q))` for the DFT (the fast
+    route's budget, with ||a||_1 = phi(q)), plus a few eps phi(q) for the
+    phases, the modulus and this formula.  The floor is the root mean
+    square less that budget and 24 eps phi(q), a relative margin of about
     4 log2(q) eps sqrt(phi(q)).  At q = 2 the maximum equals the root mean
     square; above it the maximum exceeds it far beyond the margin.
     """
     mod = Modulus.of(q)
     mu_sq = int(all(e == 1 for _, e in mod.factors))
     rms = math.sqrt((mod.q * mod.phi - mu_sq) / (mod.q - 1))
-    return rms - (4.0 * math.log2(mod.q) + 32.0) * MACHINE_EPS * mod.phi
+    return rms - dft_entry_error(mod.q, mod.phi) - 24.0 * MACHINE_EPS * mod.phi
 
 
 def cross_check(methods: tuple[str, ...], results: list[SumResult], q: int) -> None:

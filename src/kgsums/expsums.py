@@ -175,6 +175,12 @@ def kloosterman_row(q: "Modulus | int", n: int) -> np.ndarray:
     return mod.q * np.fft.ifft(a)
 
 
+def dft_entry_error(q: int, norm1: float) -> float:
+    """Rounding budget (4 log2 q + 8) eps * norm1 of one entry of a length-q
+    DFT whose input has l1 norm ``norm1``; a row entry has norm1 = phi(q)."""
+    return (4.0 * math.log2(q) + 8.0) * MACHINE_EPS * norm1
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------

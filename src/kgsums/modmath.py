@@ -1,8 +1,7 @@
 """Modular arithmetic substrate.
 
-Factorization, modular inverses, unit-group generators, the additive
-character exp(2*pi*i*z/q), and the wrap-around distance to the nearest
-multiple of q.  Everything is pure.  All per-modulus state lives on
+Factorization, modular inverses, unit-group generators and the additive
+character exp(2*pi*i*z/q).  Everything is pure.  All per-modulus state lives on
 :class:`Modulus`: ``Modulus.of`` caches one instance per integer q with
 ``functools.cache``, and the unit group, unit tables and discrete logs are
 read-only cached properties of that instance, each built on first use by a
@@ -284,13 +283,6 @@ def eq_exp(z: int, q: "Modulus | int") -> complex:
     if r == 0:
         return complex(1.0, 0.0)
     return cmath.exp(complex(0.0, TWO_PI * r / mod.q))
-
-
-def dist_q(u: int, q: "Modulus | int") -> int:
-    """Distance from u to the nearest multiple of q; always in [0, q/2]."""
-    mod = Modulus.of(q)
-    r = u % mod.q
-    return min(r, mod.q - r)
 
 
 @dataclass(frozen=True)

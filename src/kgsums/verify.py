@@ -34,12 +34,13 @@ from .counting import jr_congruence, moment_check, rr_congruence
 from .csvio import emit_csv, parse_csv, render_csv
 from .experiments import (
     ExperimentRecord,
+    max_kloosterman_abs,
     max_kloosterman_floor,
     primes_in_range,
     run_experiment,
 )
-from .expsums import gauss, gauss_row, kloosterman_row, primitive_characters
-from .modmath import MACHINE_EPS, Modulus, inverse_table, mod_inv, unit_residues
+from .expsums import dft_entry_error, gauss, gauss_row, kloosterman_row, primitive_characters
+from .modmath import Modulus, inverse_table, mod_inv, unit_residues
 from .prng import SplitMix64
 
 
@@ -63,20 +64,6 @@ def check_inverses(qs: Sequence[int]) -> Check:
                 return Check(name, False, pairs, f"failed at q={q}, x={x}")
             pairs += 1
     return Check(name, True, pairs, f"{pairs} units")
-
-
-def check_orthogonality(qs: Sequence[int]) -> Check:
-    """sum_t e_q(m t) is q at m = 0 and 0 at every other residue m, within
-    q * 2**-40 for each q.  Measures the largest defect."""
-    worst, ok = 0.0, True
-    for q in qs:
-        k = np.arange(q)
-        sums = np.exp(2j * np.pi * k / q)[np.outer(k, k) % q].sum(axis=1)
-        sums[0] -= q
-        defect = float(np.max(np.abs(sums)))
-        worst = max(worst, defect)
-        ok = ok and defect <= q * 2**-40
-    return Check("additive orthogonality", ok, worst, f"max defect {worst:.2e}")
 
 
 def check_identity(primes: Sequence[int]) -> Check:
@@ -111,10 +98,10 @@ def check_row_consistency(qs: Sequence[int]) -> Check:
 
 
 def check_weil(qs: Sequence[int]) -> Check:
-    """`max_kloosterman_floor(q)` <= max |K_q(m, 1)| <= tau(q) sqrt(q), the
-    maximum over m in [1, q-1] of the row `kloosterman_row(q, 1)`, for each
-    q; the upper side gets the row's per-entry budget (4 log2 q + 8) eps
-    phi(q).  Measures the largest max |K| / (tau(q) sqrt(q)).
+    """`max_kloosterman_floor(q)` <= max |K_q(m, 1)| <= tau(q) sqrt(q) for each
+    q, the maximum over m in [1, q-1] read from `max_kloosterman_abs(q)` as
+    trivial records read it; the upper side gets the row's per-entry budget
+    `dft_entry_error(q, phi(q))`.  Measures the largest max |K| / (tau(q) sqrt(q)).
 
     The upper bound holds for odd q by Weil and Estermann ("On Kloosterman's
     sum", Mathematika 8, 1961): |K_q(m, n)| <= tau(q) sqrt(q) for n a unit.
@@ -130,11 +117,10 @@ def check_weil(qs: Sequence[int]) -> Check:
     worst, ok = 0.0, True
     for q in qs:
         mod = Modulus.of(q)
-        top = float(np.max(np.abs(kloosterman_row(mod, 1)[1:])))
+        top = max_kloosterman_abs(mod)
         cap = math.prod(e + 1 for _, e in mod.factors) * math.sqrt(q)
-        budget = (4.0 * math.log2(q) + 8.0) * MACHINE_EPS * mod.phi
         worst = max(worst, top / cap)
-        ok = ok and max_kloosterman_floor(mod) <= top <= cap + budget
+        ok = ok and max_kloosterman_floor(mod) <= top <= cap + dft_entry_error(q, mod.phi)
     return Check("Weil bound", ok, worst, f"max |K| / (tau(q) sqrt(q)) = {worst:.5f}")
 
 
@@ -307,7 +293,6 @@ def check_csv_roundtrip(records: Sequence[ExperimentRecord]) -> Check:
 #: ``kgsums verify``'s grid for each check, smaller than the tests' full grids
 CONDENSED_GRIDS = {
     check_inverses: (range(2, 201),),
-    check_orthogonality: (range(2, 51),),
     check_identity: (primes_in_range(2, 31),),
     check_row_consistency: (range(2, 129),),
     check_weil: (range(2, 257),),

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from kgsums import (
 )
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
+from kgsums.expsums import roots_of_unity
 from kgsums.verify import check_paths
 
 # ---------------------------------------------------------------------------
@@ -475,48 +477,59 @@ def test_path_agreement_random_instances():
     assert res.passed, res.detail
 
 
-def test_transformed_block_budget(monkeypatch):
-    # blocks of 1, 3 and 13 rows (phi = 100 and 96 leave partial last
-    # blocks) against the default single block and the fast route
+def _kloosterman_kernel_cases():
+    # the transformed route at k = 1, 2; reference sum_m a_m e_q(m x^-k) in support order
     for q in (101, 105):
         mod = Modulus.of(q)
-        keys = [int(u) for u in unit_residues(mod)[:7]]
-        A = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 5))))
+        units = unit_residues(mod)
+        keys = units[:29]
+        A = WeightVector(mod, keys, make_weights(keys, "unit", 5))
         J = Interval.of(mod, 3, 40)
-        entry_err = (A.support_size + 4) * np.finfo(float).eps * A.norm1
-        f_default = bilinear._transformed_values(A)
-        default = bilinear_kloosterman(A, J, "transformed")
-        fast = bilinear_kloosterman(A, J, "fast")
-        for rows in (1, 3, 13):
-            monkeypatch.setattr(bilinear, "_BLOCK_ENTRIES", rows * len(keys) + len(keys) - 1)
-            f_vals = bilinear._transformed_values(A)
-            assert f_vals.shape == f_default.shape
-            assert np.max(np.abs(f_vals - f_default)) <= 2 * entry_err
-            res = bilinear_kloosterman(A, J, "transformed")
-            assert abs(res.value - default.value) <= res.error_bound + default.error_bound
-            assert abs(res.value - fast.value) <= res.error_bound + fast.error_bound
-        monkeypatch.undo()
+        roots = roots_of_unity(q)
+        for k in (1, 2):
+            powers = np.array([pow(x, -k, q) for x in units.tolist()])
+            reference = np.zeros(units.size, dtype=np.complex128)
+            for m, a in zip(keys.tolist(), A.coefficients()):
+                reference += a * roots[m * powers % q]
+            yield q, functools.partial(bilinear_kloosterman, A, J, "transformed", k), reference
 
 
-def test_gauss_combined_block_bit_equal(monkeypatch):
-    # blocks of 1, 3 and 13 characters (80, 16 and 15 primitive characters
-    # leave partial last blocks) against the default single block and the
-    # sequential char_values accumulation, bit for bit
+def _gauss_kernel_cases():
+    # the transformed route; reference the sequential char_values accumulation
     for q in (125, 64, 105):
         mod = Modulus.of(q)
         prim = primitive_characters(mod)
         W = CharWeightVector(mod, prim, make_weights(prim, "unit", 8))
-        entries = W.entries
         reference = np.zeros(q, dtype=np.complex128)
         for chi in sorted(prim, key=lambda c: c.exponents):
-            reference += entries[chi] * char_values(chi)
-        reference = reference[unit_residues(mod)].view(np.uint64)
-        assert np.array_equal(bilinear._combined_char_values(W).view(np.uint64), reference)
-        for rows in (1, 3, 13):
-            monkeypatch.setattr(bilinear, "_BLOCK_ENTRIES", rows * q + q - 1)
-            combined = bilinear._combined_char_values(W)
-            assert np.array_equal(combined.view(np.uint64), reference)
-        monkeypatch.undo()
+            reference += W.entries[chi] * char_values(chi)
+        J = Interval.of(mod, 3, 20)
+        yield q, functools.partial(bilinear_gauss, W, J), reference[unit_residues(mod)]
+
+
+@pytest.mark.parametrize(
+    "cases", [_kloosterman_kernel_cases, _gauss_kernel_cases], ids=["kloosterman", "gauss"]
+)
+def test_character_sums_block_bit_equal(monkeypatch, cases):
+    # blocks of 1, 3 and 13 weights (29 Kloosterman weights; 80, 16 and 15
+    # primitive characters) leave partial last blocks; every block size and
+    # the default single block give the sequential reference bit for bit
+    kernel = bilinear._character_sums
+    for q, route, reference in cases():
+        for rows in (None, 1, 3, 13):
+            values = []
+
+            def spy(*args):
+                values.append(kernel(*args))
+                return values[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(bilinear, "_character_sums", spy)
+                if rows is not None:
+                    patch.setattr(bilinear, "_BLOCK_ENTRIES", rows * q + q - 1)
+                route()
+            assert len(values) == 1, (q, rows)
+            assert np.array_equal(values[0].view(np.uint64), reference.view(np.uint64)), (q, rows)
 
 
 @given(data=st.data())

@@ -400,7 +400,7 @@ def _nan_row(q, *_):
         ("gauss_row", _nan_row, check_gauss_modulus, ((5,),)),
         ("bilinear_kloosterman", lambda w, J, m: SumResult(math.nan, 1.0, 1), check_paths,
          (20240405, 3)),
-        ("kloosterman_row", _nan_row, check_weil, ((5,),)),
+        ("max_kloosterman_abs", lambda q: math.nan, check_weil, ((5,),)),
         ("_gamma_at", lambda q, L, N, r: np.array([math.nan]), check_gamma_dyadic, ((7,),)),
         ("moment_check", lambda *a, **k: (math.nan, 1.0), check_moment, ((5,), 1, 0, 0)),
     ],
@@ -505,11 +505,24 @@ def test_cli_gauss():
     assert "|G| = 2.2360" in proc.stdout
 
 
-def test_cli_error_category():
+def test_cli_error_category(tmp_path):
     proc = _run_cli("kloosterman", "--q", "1", "--m", "1", "--n", "1")
     assert proc.returncode == 2
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["category"] == "invalid_input"
+
+    # argparse errors, and the same error reached through a plan
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"command": "sweep", "Q": "abc", "N": 3}))
+    for argv in (
+        ("sweep", "--Q", "abc", "--N", "3"),
+        ("sweep", "--N", "3"),
+        ("plan", "--config", str(plan)),
+    ):
+        proc = _run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert json.loads(proc.stderr)["category"] == "invalid_input", argv
+    assert _run_cli("sweep", "--help").returncode == 0
 
     for argv in (
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
@@ -636,9 +649,9 @@ def test_cli_verify():
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert all(ln.startswith("PASS  ") for ln in lines)
     names = [ln[len("PASS  "):].split(":")[0] for ln in lines]
-    assert len(names) == len(ALL_CHECKS) == 12
+    assert len(names) == len(ALL_CHECKS) == 11
     assert set(names) == {
-        "inverse involution", "additive orthogonality", "multiplicative shift identity",
+        "inverse involution", "multiplicative shift identity",
         "row vs direct sums", "Weil bound", "primitive Gauss magnitude",
         "bilinear path agreement", "gamma bound per dyadic scale", "moment identity",
         "counting oracle equivalence", "improvement region", "CSV round trip",
