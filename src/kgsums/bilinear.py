@@ -17,10 +17,10 @@ The double sum over (weight support) x (interval) admits three routes:
 :func:`bilinear_kloosterman` takes the kernel power k of e_q(m x^-k + n x);
 k = 1 is Kloosterman, and the naive oracle runs at k = 1 only.
 
-Weights are stored as arrays: :class:`WeightVector` holds a sorted int64
-support with aligned complex128 coefficients, :class:`CharWeightVector` the
-sorted exponent rows of its characters; both are read-only, and the
-``entries`` mapping is a derived view for the naive oracle and tests.
+Weights are built from arrays and stored as arrays: :class:`WeightVector`
+takes residues with aligned values and holds a sorted int64 support with
+aligned complex128 coefficients; :class:`CharWeightVector` does the same
+with the exponent rows of its characters.  Both are read-only.
 
 All routes return a :class:`SumResult` and must agree within the sum of
 their error bounds; the cross-check is enforced by the experiment harness
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -159,18 +157,12 @@ def _norm(i: int, doc: str) -> property:
     return property(lambda self: self._norm_values[i], doc=doc)
 
 
-def _key_value_arrays(keys, values) -> tuple:
-    """(keys, weights as complex128) from a mapping or from aligned sequences."""
-    if keys is None:
-        keys = {}
-    if values is None:
-        if not isinstance(keys, Mapping):
-            raise ValueError("weight keys without values must be a mapping {key: weight}")
-        keys, values = list(keys), list(keys.values())
+def _weight_values(n: int, values) -> np.ndarray:
+    """``values`` as complex128, checked to hold one weight for each of ``n`` keys."""
     values = np.asarray(values, dtype=np.complex128).reshape(-1)
-    if len(keys) != values.size:
-        raise ValueError(f"{len(keys)} weight keys but {values.size} values")
-    return keys, values
+    if values.size != n:
+        raise ValueError(f"{n} weight keys but {values.size} values")
+    return values
 
 
 class _SortedWeights:
@@ -180,20 +172,12 @@ class _SortedWeights:
     construction, so an instance is immutable in practice.
     """
 
-    __slots__ = ("modulus", "_support", "_coeffs", "_norm_values", "_entries")
+    __slots__ = ("modulus", "_support", "_coeffs", "_norm_values")
 
     def _store(self, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> None:
         self.modulus = modulus
         self._support, self._coeffs = _merge(keys, values)
         self._norm_values = _norms(self._coeffs)
-        self._entries = None
-
-    @property
-    def entries(self) -> Mapping:
-        """Read-only {key: weight} in support order, built on first use from the arrays."""
-        if self._entries is None:
-            self._entries = MappingProxyType(dict(zip(self._keys(), self._coeffs.tolist())))
-        return self._entries
 
     @property
     def support_size(self) -> int:
@@ -209,19 +193,18 @@ class _SortedWeights:
 class WeightVector(_SortedWeights):
     """Sparse complex weights on residues coprime to q.
 
-    Built from a mapping {residue: weight} or from residues with aligned
-    ``values``.  Keys are reduced mod q and must be units; duplicates merge
-    in input order and exact zeros are dropped, so ``support()`` (sorted
-    int64) and ``coefficients()`` (complex128) hold the true support.
-    ``entries`` is a derived mapping for the naive oracle and tests.
+    Built from residues ``keys`` with aligned ``values``.  Keys are reduced
+    mod q and must be units; duplicates merge in input order and exact zeros
+    are dropped, so ``support()`` (sorted int64) and ``coefficients()``
+    (complex128) hold the true support.
     """
 
     __slots__ = ()
 
-    def __init__(self, modulus: Modulus, keys=None, values=None):
+    def __init__(self, modulus: Modulus, keys=(), values=()):
         modulus = Modulus.of(modulus)
-        keys, values = _key_value_arrays(keys, values)
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        values = _weight_values(keys.size, values)
         reduced = keys % modulus.q
         gcds = np.gcd(reduced, modulus.q)
         bad = np.flatnonzero(gcds != 1)
@@ -236,34 +219,23 @@ class WeightVector(_SortedWeights):
     norm2 = _norm(1, "sqrt of the sum of |w|^2")
     norm_inf = _norm(2, "max of |w|")
 
-    def _keys(self) -> list[int]:
-        return self._support.tolist()
-
 
 class CharWeightVector(_SortedWeights):
     """Sparse complex weights on primitive characters mod q; storage as in WeightVector.
 
-    Keys are :class:`DirichletCharacter` objects or an int64 array of
-    exponent rows, shape (M, number of generators).  Every row must lie in
-    range and have conductor q by :func:`conductors`; a character's own
-    ``conductor`` field is not trusted.  ``support()`` holds the rows in
-    lexicographic order.
+    Built from exponent ``rows``, shape (M, number of generators), with
+    aligned ``values``.  Every row must lie in range and have conductor q
+    by :func:`conductors`.  ``support()`` holds the rows in lexicographic
+    order.
     """
 
     __slots__ = ()
 
-    def __init__(self, modulus: Modulus, keys=None, values=None):
+    def __init__(self, modulus: Modulus, rows=(), values=()):
         modulus = Modulus.of(modulus)
-        keys, values = _key_value_arrays(keys, values)
+        values = _weight_values(len(rows), values)
         orders = np.array(modulus.group.orders, dtype=np.int64)
-        if isinstance(keys, np.ndarray):
-            rows = keys.astype(np.int64, copy=False)
-        else:
-            for chi in keys:
-                if chi.modulus.q != modulus.q:
-                    raise ModulusMismatch(f"character modulus {chi.modulus.q} != {modulus.q}")
-            rows = np.array([chi.exponents for chi in keys], dtype=np.int64)
-        rows = rows.reshape(len(keys), orders.size)
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(values), orders.size)
         in_range = np.all((rows >= 0) & (rows < orders), axis=1)
         bad = np.flatnonzero(~in_range | (conductors(modulus, rows) != modulus.q))
         if bad.size:
@@ -276,10 +248,6 @@ class CharWeightVector(_SortedWeights):
     norm1 = _norm(0, "sum of |w|")
     norm2 = _norm(1, "sqrt of the sum of |w|^2")
     norm_inf = _norm(2, "max of |w|")
-
-    def _keys(self) -> list[DirichletCharacter]:
-        q = self.modulus.q
-        return [DirichletCharacter(self.modulus, tuple(row), q) for row in self._support.tolist()]
 
 
 WEIGHT_KINDS = ("const", "pm1", "unit", "zero")
@@ -334,7 +302,7 @@ def _gamma_at(q: int, L, N, r):
     """
     num_t = _centered(N * r, 2 * q)
     # a numpy value even for a scalar: Python's complex division by q rounds
-    # differently from numpy's, so a scalar would drift from the array entries
+    # differently from numpy's, so a scalar would drift from the array values
     phase_t = np.asarray(_centered((2 * L + N + 1) * r, 2 * q))
     ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
     return np.exp(1j * np.pi * phase_t / q) * ratio
@@ -385,7 +353,7 @@ _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
 
 #: a block of the character-sum kernel holds max(1, _BLOCK_ENTRIES // q) weights
-_BLOCK_ENTRIES = 1 << 22
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _check_shared_modulus(weights, J: Interval) -> Modulus:
@@ -480,12 +448,13 @@ def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
 _ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
 
 
-def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
-    """Literal double sum of w * scalar(q, k, n) over supp(weights) x J.
+def _naive_double_sum(weights, J: Interval, scalar, key) -> SumResult:
+    """Literal double sum of w * scalar(q, key(k), n) over supp(weights) x J.
 
-    ``scalar`` is :func:`kloosterman` or :func:`gauss`; the support is
-    walked in sorted order through ``weights.entries``.  Exists purely as
-    an oracle.
+    ``scalar`` is :func:`kloosterman` or :func:`gauss`, and ``key`` turns a
+    support entry k (a residue or an exponent row, as a list) into its
+    argument; the support is walked in sorted order beside
+    ``coefficients()``.  Exists purely as an oracle.
     """
     mod = _check_shared_modulus(weights, J)
     cost = weights.support_size * J.N * mod.phi
@@ -493,7 +462,8 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
         raise ResourceLimit(
             f"naive double sum cost M*N*phi = {cost} exceeds cap {NAIVE_COST_CAP}"
         )
-    sums = [(w, scalar(mod, key, n)) for key, w in weights.entries.items() for n in J.values()]
+    pairs = zip(map(key, weights.support().tolist()), weights.coefficients().tolist())
+    sums = [(w, scalar(mod, k, n)) for k, w in pairs for n in J.values()]
     outer = _sum_terms(np.array([w * s.value for w, s in sums]))
     err = math.fsum(abs(w) * s.error_bound for w, s in sums)
     return SumResult(value=outer.value, error_bound=outer.error_bound + err, terms=outer.terms)
@@ -518,7 +488,7 @@ def bilinear_kloosterman(
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
-        return _naive_double_sum(A, J, kloosterman)
+        return _naive_double_sum(A, J, kloosterman, int)
     return _ROUTES[method](A, J, k)
 
 
@@ -534,9 +504,9 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
     _check_shared_modulus(W, J)
     if W.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
-    if method == "naive":
-        return _naive_double_sum(W, J, gauss)
     mod = W.modulus
+    if method == "naive":
+        return _naive_double_sum(W, J, gauss, lambda r: DirichletCharacter(mod, tuple(r), mod.q))
     logs = mod.logs[unit_residues(mod)]
     return _direct_sum(
         W, J, lambda rows: angle_numerators(mod, rows, logs), roots_of_unity(mod.carmichael)

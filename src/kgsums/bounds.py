@@ -62,8 +62,8 @@ class BoundSpec:
                 raise ValueError(f"{self.name} requires both r and epsilon")
             if self.r < 2:
                 raise ValueError(f"{self.name} requires r >= 2, got {self.r}")
-            if not self.epsilon > 0:
-                raise ValueError(f"{self.name} requires epsilon > 0, got {self.epsilon}")
+            if not 0 < self.epsilon < math.inf:
+                raise ValueError(f"{self.name} requires finite epsilon > 0, got {self.epsilon}")
         else:
             if self.r is not None or self.epsilon is not None:
                 raise ValueError(f"{self.name} takes no (r, epsilon) parameters")
@@ -140,7 +140,10 @@ def improvement_region(mu: float, nu: float) -> str:
     Returns "interior", "boundary", or "outside".  Equality is detected with
     a 1e-9 slack so vertices with non-dyadic coordinates (1/3, 3/7, ...)
     classify correctly from float inputs; intended for 0 <= mu, nu <= 1.
+    A NaN or infinite exponent raises ValueError.
     """
+    if not (math.isfinite(mu) and math.isfinite(nu)):
+        raise ValueError(f"exponents must be finite, got mu={mu}, nu={nu}")
     slacks = region_slacks(mu, nu)
     if any(s < -REGION_TOL for s in slacks):
         return "outside"

@@ -40,7 +40,7 @@ from .expsums import (
     primitive_count,
     primitive_exponents,
 )
-from .modmath import MACHINE_EPS, Modulus, unit_residues
+from .modmath import MACHINE_EPS, TABLE_Q_CAP, Modulus, unit_residues
 from .prng import derive_seed
 
 FAMILIES = ("kloosterman", "gauss")
@@ -284,7 +284,8 @@ def average_sweep(
     support (every unit, or every primitive character).  A modulus is
     exceptional when its ratio exceeds 1 under the constants-as-1
     convention; the count of exceptional moduli is returned alongside the
-    records for comparison with Q^(1 - 2*r*eps).
+    records for comparison with Q^(1 - 2*r*eps); an epsilon at which that
+    count underflows to 0.0 raises ValueError before any modulus runs.
     """
     if Q < 16:
         raise ValueError(f"sweeps require Q >= 16, got {Q}")
@@ -293,6 +294,11 @@ def average_sweep(
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     spec = BoundSpec("thm22" if family == "kloosterman" else "thm24", r=r, epsilon=epsilon)
+    # a positive count has (2 r eps - 1) ln Q < 745, so with Q >= 16 and r >= 2,
+    # eps ln(2Q) < 233 + ln(2Q) / 4 and every q**eps stays finite; past
+    # TABLE_Q_CAP no modulus runs, and Q may not even convert to a float
+    if Q <= TABLE_Q_CAP and exceptional_budget(Q, r, epsilon) == 0.0:
+        raise ValueError(f"Q^(1-2*r*eps) underflows to 0 at Q={Q}, r={r}, epsilon={epsilon}")
     records: list[ExperimentRecord] = []
     exceptional = 0
     for q in range(Q, 2 * Q + 1):

@@ -168,7 +168,7 @@ def check_paths(seed: int, count: int) -> Check:
             N = min(N, 24)
         keys = sorted({int(units[rng.next_u64() % units.size]) for _ in range(M)})
         kind = ("const", "pm1", "unit")[i % 3]
-        w = WeightVector(mod, dict(zip(keys, make_weights(keys, kind, rng.next_u64()))))
+        w = WeightVector(mod, keys, make_weights(keys, kind, rng.next_u64()))
         J = Interval.of(mod, 0, N)
         results = [bilinear_kloosterman(w, J, m) for m in ("transformed", "fast")]
         if w.support_size * N * mod.phi <= 150_000:

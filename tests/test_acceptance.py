@@ -77,7 +77,8 @@ def test_criterion_04_path_equivalence():
     # closed form: full support, constant weights, J = [1, p-1] gives p - 1
     for p in (3, 5, 7, 11, 13):
         mod = Modulus.of(p)
-        w = WeightVector(mod, {int(u): 1.0 for u in unit_residues(mod)})
+        units = unit_residues(mod)
+        w = WeightVector(mod, units, [1.0] * units.size)
         J = Interval.of(mod, 0, p - 1)
         for method in ("naive", "transformed", "fast"):
             res = bilinear_kloosterman(w, J, method)
@@ -92,7 +93,7 @@ def test_criterion_04_path_equivalence():
         for n in (1, 2):
             hand += e3(m * 1 + n * 1) + e3(m * 2 + n * 2)  # x in {1, 2}, xbar = x
     assert abs(hand - 2) < 1e-12
-    w3 = WeightVector(Modulus.of(3), {1: 1.0, 2: 1.0})
+    w3 = WeightVector(Modulus.of(3), [1, 2], [1.0, 1.0])
     res3 = bilinear_kloosterman(w3, Interval.of(3, 0, 2), "fast")
     assert abs(res3.value - hand) <= res3.error_bound + 1e-12
     print(f"\nACCEPTANCE 04 path equivalence: PASS ({paths.detail}, closed form = p-1)")

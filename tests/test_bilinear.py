@@ -31,7 +31,6 @@ from kgsums import (
     make_weights,
     mod_inv,
     moment_check,
-    primitive_characters,
     primitive_exponents,
     splitmix64_block,
     unit_residues,
@@ -49,14 +48,14 @@ from kgsums.verify import check_paths
 def test_weight_vector_rejects_non_units():
     mod = Modulus.of(6)
     with pytest.raises(InvalidWeight):
-        WeightVector(mod, {2: 1.0})
+        WeightVector(mod, [2], [1.0])
     with pytest.raises(InvalidWeight):
-        WeightVector(mod, {0: 1.0})
+        WeightVector(mod, [0], [1.0])
 
 
 def test_weight_vector_norms():
     mod = Modulus.of(7)
-    w = WeightVector(mod, {1: 3.0, 2: -4.0, 3: 0.0})
+    w = WeightVector(mod, [1, 2, 3], [3.0, -4.0, 0.0])
     assert w.support_size == 2  # exact zeros dropped
     assert w.norm1 == pytest.approx(7.0)
     assert w.norm2 == pytest.approx(5.0)
@@ -77,8 +76,8 @@ def test_weight_norms_permutation_invariant(data):
         )
     )
     keys = units[: len(vals)]
-    w1 = WeightVector(mod, dict(zip(keys, vals)))
-    w2 = WeightVector(mod, dict(zip(reversed(keys), reversed(vals))))
+    w1 = WeightVector(mod, keys, vals)
+    w2 = WeightVector(mod, keys[::-1], vals[::-1])
     assert w1.norm1 == pytest.approx(w2.norm1)
     assert w1.norm2 == pytest.approx(w2.norm2)
     assert w1.norm_inf == pytest.approx(w2.norm_inf)
@@ -99,17 +98,14 @@ def test_char_weight_vector_rejects_imprimitive():
     mod = Modulus.of(8)
     imprimitive = character(8, (1, 1))  # conductor 4
     assert not imprimitive.is_primitive
-    with pytest.raises(InvalidWeight):
-        CharWeightVector(mod, {imprimitive: 1.0})
-    # the rows decide, not a conductor field the caller filled in
+    with pytest.raises(InvalidWeight, match=r"\(1, 1\)"):
+        CharWeightVector(mod, [imprimitive.exponents], [1.0])
     m7 = Modulus.of(7)
-    forged = DirichletCharacter(m7, (0,), 7)  # principal, conductor 1
     with pytest.raises(InvalidWeight, match=r"\(0,\)"):
-        CharWeightVector(m7, {forged: 1.0})
+        CharWeightVector(m7, [(0,)], [1.0])  # principal, conductor 1
     # 99 = 3 mod 6 names the same character as (3,), outside the range
-    aliased = {DirichletCharacter(m7, (99,), 7): 1.0, DirichletCharacter(m7, (3,), 7): 1.0}
     with pytest.raises(InvalidWeight, match=r"\(99,\)"):
-        CharWeightVector(m7, aliased)
+        CharWeightVector(m7, [(99,), (3,)], [1.0, 1.0])
     rows = np.array([[0, 1], [1, 1], [0, 0]], dtype=np.int64)  # first bad row (1, 1)
     with pytest.raises(InvalidWeight, match=r"\(1, 1\)"):
         CharWeightVector(mod, rows, np.ones(3))
@@ -117,19 +113,15 @@ def test_char_weight_vector_rejects_imprimitive():
         CharWeightVector(mod, np.array([[-1, 1]]), [1.0])
 
 
-def test_char_weight_vector_row_keys_match_objects():
+def test_char_weight_vector_sorts_reversed_rows():
+    # rows given in reverse come out in primitive_exponents order, each with its weight
     for q in (5, 8, 45, 64):
         mod = Modulus.of(q)
-        rows = primitive_exponents(mod)[::-1]  # reversed, to exercise the sort
-        vals = make_weights(rows, "unit", 3)
-        from_rows = CharWeightVector(mod, rows, vals)
-        from_objects = CharWeightVector(
-            mod, [DirichletCharacter(mod, tuple(r), q) for r in rows.tolist()], vals
-        )
-        assert np.array_equal(from_rows.support(), from_objects.support())
-        assert np.array_equal(from_rows.coefficients(), from_objects.coefficients())
-        assert from_rows.entries == from_objects.entries
-        assert list(from_rows.entries) == primitive_characters(mod)
+        prim = primitive_exponents(mod)
+        vals = make_weights(prim, "unit", 3)
+        w = CharWeightVector(mod, prim[::-1], vals[::-1])
+        assert w.support().dtype == np.int64 and np.array_equal(w.support(), prim)
+        assert np.array_equal(w.coefficients(), vals)
 
 
 def test_make_weights_deterministic():
@@ -214,12 +206,7 @@ def test_weight_vector_arrays():
     assert ref == {2: 0.25 - 0.5j, 6: -1.5 + 2j}
     assert w.support().tolist() == list(ref) and w.coefficients().tolist() == list(ref.values())
     assert w.support().dtype == np.int64 and w.coefficients().dtype == np.complex128
-    assert w.entries == ref and w.entries is w.entries
-    with pytest.raises(TypeError):
-        w.entries[2] = 1.0  # a read-only view of the arrays
     assert (w.norm1, w.norm2, w.norm_inf) == _reference_norms(ref.values())
-    # the mapping constructor takes the same path
-    assert WeightVector(mod, {-1: 2j, 13: -1.5, 2: 0.25 - 0.5j, 3: 0}).entries == ref
     # all zero: empty support
     empty = WeightVector(mod, [1, 2, 3], [0.0, 0j, -0.0])
     assert empty.support_size == 0 and empty.support().size == 0
@@ -230,11 +217,11 @@ def test_weight_vector_arrays():
     # no keys at all: empty vectors of either kind
     for cls in (WeightVector, CharWeightVector):
         none = cls(mod)
-        assert none.support_size == 0 and dict(none.entries) == {}
+        assert none.support_size == 0 and none.coefficients().size == 0
         assert (none.norm1, none.norm2, none.norm_inf) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         WeightVector(mod, [1, 2], [1.0])
-    with pytest.raises(ValueError, match="must be a mapping"):
+    with pytest.raises(ValueError, match="2 weight keys but 0 values"):
         WeightVector(mod, [1, 2])
 
 
@@ -430,7 +417,7 @@ def test_dyadic_bad_n():
 
 def test_bilinear_single_weight_single_n():
     mod = Modulus.of(3)
-    w = WeightVector(mod, {1: 1.0})
+    w = WeightVector(mod, [1], [1.0])
     J = Interval.of(mod, 0, 1)
     for method in ("naive", "transformed", "fast"):
         res = bilinear_kloosterman(w, J, method)
@@ -440,7 +427,8 @@ def test_bilinear_single_weight_single_n():
 def test_bilinear_closed_form_full_support():
     for p in (3, 5, 7, 13):
         mod = Modulus.of(p)
-        w = WeightVector(mod, {int(u): 1.0 for u in unit_residues(mod)})
+        units = unit_residues(mod)
+        w = WeightVector(mod, units, np.ones(units.size))
         J = Interval.of(mod, 0, p - 1)
         for method in ("naive", "transformed", "fast"):
             res = bilinear_kloosterman(w, J, method)
@@ -449,7 +437,7 @@ def test_bilinear_closed_form_full_support():
 
 def test_bilinear_zero_weights():
     mod = Modulus.of(11)
-    w = WeightVector(mod, {})
+    w = WeightVector(mod)
     J = Interval.of(mod, 0, 5)
     for method in ("naive", "transformed", "fast"):
         res = bilinear_kloosterman(w, J, method)
@@ -458,7 +446,7 @@ def test_bilinear_zero_weights():
 
 
 def test_bilinear_modulus_mismatch():
-    w = WeightVector(Modulus.of(7), {1: 1.0})
+    w = WeightVector(Modulus.of(7), [1], [1.0])
     J = Interval.of(Modulus.of(11), 0, 3)
     with pytest.raises(ModulusMismatch):
         bilinear_kloosterman(w, J)
@@ -466,7 +454,7 @@ def test_bilinear_modulus_mismatch():
 
 def test_bilinear_naive_cap():
     mod = Modulus.of(9973)
-    w = WeightVector(mod, {int(u): 1.0 for u in unit_residues(mod)[:200]})
+    w = WeightVector(mod, unit_residues(mod)[:200], np.ones(200))
     J = Interval.of(mod, 0, 2000)
     with pytest.raises(ResourceLimit):
         bilinear_kloosterman(w, J, "naive")
@@ -498,11 +486,11 @@ def _gauss_kernel_cases():
     # the transformed route; reference the sequential char_values accumulation
     for q in (125, 64, 105):
         mod = Modulus.of(q)
-        prim = primitive_characters(mod)
+        prim = primitive_exponents(mod)
         W = CharWeightVector(mod, prim, make_weights(prim, "unit", 8))
         reference = np.zeros(q, dtype=np.complex128)
-        for chi in sorted(prim, key=lambda c: c.exponents):
-            reference += W.entries[chi] * char_values(chi)
+        for row, w in zip(W.support().tolist(), W.coefficients().tolist()):
+            reference += w * char_values(DirichletCharacter(mod, tuple(row), q))
         J = Interval.of(mod, 3, 20)
         yield q, functools.partial(bilinear_gauss, W, J), reference[unit_residues(mod)]
 
@@ -568,7 +556,7 @@ def test_trivial_bound_every_instance():
         M = 1 + rng.next_u64() % min(16, units.size)
         N = 1 + rng.next_u64() % (q - 2) if q > 2 else 1
         keys = sorted({int(units[rng.next_u64() % units.size]) for _ in range(M)})
-        w = WeightVector(mod, dict(zip(keys, make_weights(keys, "pm1", 9))))
+        w = WeightVector(mod, keys, make_weights(keys, "pm1", 9))
         J = Interval.of(mod, 0, N)
         res = bilinear_kloosterman(w, J, "fast")
         cap = w.norm1 * N * max_kloosterman_abs(mod)
@@ -583,7 +571,7 @@ def test_trivial_bound_every_instance():
 def test_bilinear_gauss_examples():
     mod = Modulus.of(5)
     quadratic = character(5, (2,))
-    w = CharWeightVector(mod, {quadratic: 1.0})
+    w = CharWeightVector(mod, [quadratic.exponents], [1.0])
     full = Interval.of(mod, 0, 4)
     for method in ("naive", "transformed"):
         res = bilinear_gauss(w, full, method)
@@ -591,17 +579,15 @@ def test_bilinear_gauss_examples():
     single = Interval.of(mod, 0, 1)
     res = bilinear_gauss(w, single, "transformed")
     assert abs(res.value - math.sqrt(5)) < 1e-9
-    empty = CharWeightVector(mod, {})
+    empty = CharWeightVector(mod)
     assert bilinear_gauss(empty, full).value == 0
 
 
 def test_bilinear_gauss_path_agreement():
     for q in (5, 7, 9, 13, 16):
         mod = Modulus.of(q)
-        prim = [c for c in __import__("kgsums").primitive_characters(mod)]
-        keys = prim[:3]
-        vals = make_weights(keys, "unit", 31)
-        w = CharWeightVector(mod, dict(zip(keys, vals)))
+        keys = primitive_exponents(mod)[:3]
+        w = CharWeightVector(mod, keys, make_weights(keys, "unit", 31))
         J = Interval.of(mod, 1, min(4, q - 2))
         a = bilinear_gauss(w, J, "naive")
         b = bilinear_gauss(w, J, "transformed")
@@ -617,8 +603,8 @@ def test_generalized_reduces_to_kloosterman():
     for q in (5, 12, 29):
         mod = Modulus.of(q)
         units = unit_residues(mod)
-        keys = [int(u) for u in units[:4]]
-        w = WeightVector(mod, dict(zip(keys, make_weights(keys, "unit", 3))))
+        keys = units[:4]
+        w = WeightVector(mod, keys, make_weights(keys, "unit", 3))
         J = Interval.of(mod, 0, min(6, q - 2))
         a = bilinear_kloosterman(w, J, "transformed", k=1)
         b = bilinear_kloosterman(w, J, "fast")
@@ -627,7 +613,7 @@ def test_generalized_reduces_to_kloosterman():
 
 def test_generalized_k2_direct_oracle():
     mod = Modulus.of(5)
-    w = WeightVector(mod, {1: 1.0})
+    w = WeightVector(mod, [1], [1.0])
     J = Interval.of(mod, 0, 1)
     res = bilinear_kloosterman(w, J, "transformed", k=2)
     expected = sum(
@@ -640,13 +626,13 @@ def test_generalized_routes_match_direct_sum():
     # both routes against sum_m sum_n alpha_m sum_x e_q(m * (x^-1)^k + n * x)
     for q in (13, 21):
         mod = Modulus.of(q)
-        A = WeightVector(mod, {1: 1.0, 2: -0.5 + 1j, 5: 2j})
+        A = WeightVector(mod, [1, 2, 5], [1.0, -0.5 + 1j, 2j])
         J = Interval.of(mod, 2, 4)
         units = [int(x) for x in unit_residues(mod)]
         for k in (2, 3):
             expected = sum(
                 a * eq_exp(m * pow(mod_inv(x, mod), k, q) + n * x, mod)
-                for m, a in A.entries.items()
+                for m, a in zip(A.support().tolist(), A.coefficients().tolist())
                 for n in J.values()
                 for x in units
             )
@@ -658,13 +644,13 @@ def test_generalized_routes_match_direct_sum():
 
 
 def test_generalized_rejects_bad_k():
-    w = WeightVector(Modulus.of(7), {1: 1.0})
+    w = WeightVector(Modulus.of(7), [1], [1.0])
     J = Interval.of(Modulus.of(7), 0, 2)
     with pytest.raises(ValueError):
         bilinear_kloosterman(w, J, "transformed", k=0)
     with pytest.raises(ValueError):
         bilinear_kloosterman(w, J, "naive", k=2)
-    assert bilinear_kloosterman(WeightVector(Modulus.of(7), {}), J, "transformed", k=3).value == 0
+    assert bilinear_kloosterman(WeightVector(Modulus.of(7)), J, "transformed", k=3).value == 0
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_cached_arrays_read_only():
     before = kloosterman(13, 1, 1).value
     chi = primitive_characters(13)[0]
     shared = (unit_residues(13), inverse_table(13), unit_mask(13), Modulus.of(13).logs)
-    weights = WeightVector(Modulus.of(13), {1: 1.0, 2: -1.0, 5: 2j})
+    weights = WeightVector(Modulus.of(13), [1, 2, 5], [1.0, -1.0, 2j])
     for arr in shared + (char_values(chi), weights.support(), weights.coefficients()):
         with pytest.raises(ValueError):
             arr[1] = arr[2]
@@ -229,7 +229,8 @@ def test_exact_sum_route_data_stays_off_fsum(monkeypatch):
 
     q = 10007
     rng = np.random.default_rng(3)
-    A = WeightVector(q, {int(m): float(rng.choice([-1.0, 1.0])) for m in range(1, 101)})
+    keys = range(1, 101)
+    A = WeightVector(q, keys, [float(rng.choice([-1.0, 1.0])) for _ in keys])
     terms = _fast_values(A, 1) * _gamma_over_units(Interval.of(q, 0, 100))
     want = (FSUM(terms.real), FSUM(terms.imag))
     monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))

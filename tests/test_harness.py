@@ -26,6 +26,7 @@ from kgsums import (
     load_config,
     max_kloosterman_abs,
     parse_csv,
+    improvement_region,
     primitive_characters,
     region_slacks,
     run_experiment,
@@ -81,6 +82,9 @@ def test_parametric_specs_validated():
         BoundSpec("thm22", r=1, epsilon=0.1)
     with pytest.raises(ValueError):
         BoundSpec("thm22", r=2, epsilon=0.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite epsilon"):
+            BoundSpec("thm24", r=2, epsilon=eps)
     with pytest.raises(ValueError):
         BoundSpec("thm21", r=2, epsilon=0.1)
     with pytest.raises(ValueError):
@@ -126,6 +130,13 @@ def test_region_center_and_outside():
     points = [((0.5, 0.5), "interior"), ((0.25, 0.5), "boundary"), ((0.1, 0.1), "outside")]
     res = check_region(points)
     assert res.passed, res.detail
+
+
+def test_region_rejects_non_finite_exponents():
+    # a NaN slack compares false both ways, so it would read as "boundary"
+    for mu, nu in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf)):
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            improvement_region(mu, nu)
 
 
 def test_region_constructed_outside_points():
@@ -359,13 +370,24 @@ def test_gauss_sweep_builds_no_character_objects(monkeypatch):
     assert records[0].M == 20
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
+    from kgsums import experiments
+
     with pytest.raises(ValueError):
         average_sweep(8, 4, 2, 0.1)
     with pytest.raises(ValueError):
         average_sweep(16, 16, 2, 0.1)
     with pytest.raises(ValueError):
         average_sweep(16, 4, 1, 0.1)
+    # 16^(1 - 4 eps) is 0.0 in float64 by eps = 67.5; 32**400 would overflow
+    assert exceptional_budget(16, 2, 67.0) > 0.0
+    assert exceptional_budget(16, 2, 68.0) == 0.0
+    records, _ = average_sweep(16, 4, 2, 67.0)
+    assert all(math.isfinite(rec.bound_value) for rec in records)
+    monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: pytest.fail("a modulus ran"))
+    for eps in (68.0, 100.0, 400.0):
+        with pytest.raises(ValueError, match="underflows"):
+            average_sweep(16, 4, 2, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +527,35 @@ def test_cli_gauss():
     assert "|G| = 2.2360" in proc.stdout
 
 
-def test_cli_error_category(tmp_path):
+def test_cli_error_category(tmp_path, capsys):
+    from kgsums import cli
+
+    # the console entry point once; every other case runs in this process
     proc = _run_cli("kloosterman", "--q", "1", "--m", "1", "--n", "1")
     assert proc.returncode == 2
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["category"] == "invalid_input"
 
-    # argparse errors, and the same error reached through a plan
+    # argparse errors, the same error reached through a plan, non-finite
+    # region exponents, and sweep epsilons whose reference count is 0.0
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"command": "sweep", "Q": "abc", "N": 3}))
     for argv in (
         ("sweep", "--Q", "abc", "--N", "3"),
         ("sweep", "--N", "3"),
         ("plan", "--config", str(plan)),
+        ("region", "--mu", "nan", "--nu", "0.5"),
+        ("region", "--mu", "0.5", "--nu", "inf"),
+        ("sweep", "--Q", "16", "--N", "4", "--epsilon", "inf"),
+        ("sweep", "--Q", "16", "--N", "4", "--epsilon", "100"),
+        ("sweep", "--Q", "16", "--N", "4", "--epsilon", "400"),
     ):
-        proc = _run_cli(*argv)
-        assert proc.returncode == 2, argv
-        assert json.loads(proc.stderr)["category"] == "invalid_input", argv
-    assert _run_cli("sweep", "--help").returncode == 0
+        assert cli.main(list(argv)) == 2, argv
+        assert json.loads(capsys.readouterr().err)["category"] == "invalid_input", argv
+    with pytest.raises(SystemExit) as help_exit:
+        cli.main(["sweep", "--help"])
+    assert help_exit.value.code == 0
+    capsys.readouterr()
 
     for argv in (
         ("count", "--kind", "jr", "--q", "2000000", "--K", "5", "--r", "2"),
@@ -535,10 +568,9 @@ def test_cli_error_category(tmp_path):
         ("gauss", "--q", str(2**63), "--chi", "1", "--n", "1"),  # int64 conductors
         ("bilinear", "--family", "gauss", "--q", "2147483648", "--M", "1", "--N", "1"),
     ):
-        proc = _run_cli(*argv)
-        assert proc.returncode == 3
-        payload = json.loads(proc.stderr.strip().splitlines()[-1])
-        assert payload["category"] == "resource_limit"
+        assert cli.main(list(argv)) == 3, argv
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["category"] == "resource_limit", argv
 
 
 class _NoTableNumpy:
