@@ -63,7 +63,6 @@ from .experiments import (
     run_experiment,
 )
 from .expsums import (
-    DirichletCharacter,
     SumResult,
     char_values,
     character,
@@ -76,7 +75,6 @@ from .expsums import (
     kloosterman_row,
     primitive_characters,
     primitive_count,
-    primitive_exponents,
 )
 from .modmath import (
     MACHINE_EPS,

@@ -49,7 +49,6 @@ from .errors import (
     ResourceLimit,
 )
 from .expsums import (
-    DirichletCharacter,
     SumResult,
     angle_numerators,
     conductors,
@@ -57,6 +56,7 @@ from .expsums import (
     gauss,
     kloosterman,
     roots_of_unity,
+    rows_in_range,
     _sum_terms,
 )
 from .modmath import (
@@ -234,14 +234,14 @@ class CharWeightVector(_SortedWeights):
     def __init__(self, modulus: Modulus, rows=(), values=()):
         modulus = Modulus.of(modulus)
         values = _weight_values(len(rows), values)
-        orders = np.array(modulus.group.orders, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64).reshape(len(values), orders.size)
-        in_range = np.all((rows >= 0) & (rows < orders), axis=1)
-        bad = np.flatnonzero(~in_range | (conductors(modulus, rows) != modulus.q))
+        orders = modulus.group.orders
+        rows = np.asarray(rows, dtype=np.int64).reshape(len(values), len(orders))
+        primitive = rows_in_range(modulus, rows) & (conductors(modulus, rows) == modulus.q)
+        bad = np.flatnonzero(~primitive)
         if bad.size:
             raise InvalidWeight(
                 f"exponent row {tuple(rows[bad[0]].tolist())} is not a primitive character "
-                f"mod {modulus.q} (generator orders {tuple(orders.tolist())})"
+                f"mod {modulus.q} (generator orders {orders})"
             )
         self._store(modulus, rows, values)
 
@@ -407,7 +407,7 @@ def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
     weights reads its values into rows 1.. of one buffer whose row 0 is the
     running total.  The weight is the left operand, and one reduction over
     axis 0 adds the rows in support order: bit for bit the sequential sum
-    of w_i * psi_i, for a Gauss weight the ``w * char_values(chi)`` sum.
+    of w_i * psi_i, for Gauss weights the sum of ``w * char_values(q, row)``.
     """
     mod = weights.modulus
     keys, coeffs = weights.support(), weights.coefficients()
@@ -448,12 +448,12 @@ def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
 _ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
 
 
-def _naive_double_sum(weights, J: Interval, scalar, key) -> SumResult:
-    """Literal double sum of w * scalar(q, key(k), n) over supp(weights) x J.
+def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
+    """Literal double sum of w * scalar(q, k, n) over supp(weights) x J.
 
-    ``scalar`` is :func:`kloosterman` or :func:`gauss`, and ``key`` turns a
-    support entry k (a residue or an exponent row, as a list) into its
-    argument; the support is walked in sorted order beside
+    ``scalar`` is :func:`kloosterman` or :func:`gauss`, and k is a support
+    entry as ``support().tolist()`` gives it: a residue, or an exponent row
+    as a list.  The support is walked in sorted order beside
     ``coefficients()``.  Exists purely as an oracle.
     """
     mod = _check_shared_modulus(weights, J)
@@ -462,7 +462,7 @@ def _naive_double_sum(weights, J: Interval, scalar, key) -> SumResult:
         raise ResourceLimit(
             f"naive double sum cost M*N*phi = {cost} exceeds cap {NAIVE_COST_CAP}"
         )
-    pairs = zip(map(key, weights.support().tolist()), weights.coefficients().tolist())
+    pairs = zip(weights.support().tolist(), weights.coefficients().tolist())
     sums = [(w, scalar(mod, k, n)) for k, w in pairs for n in J.values()]
     outer = _sum_terms(np.array([w * s.value for w, s in sums]))
     err = math.fsum(abs(w) * s.error_bound for w, s in sums)
@@ -488,7 +488,7 @@ def bilinear_kloosterman(
     if A.support_size == 0:
         return SumResult(value=0j, error_bound=0.0, terms=0)
     if method == "naive":
-        return _naive_double_sum(A, J, kloosterman, int)
+        return _naive_double_sum(A, J, kloosterman)
     return _ROUTES[method](A, J, k)
 
 
@@ -506,7 +506,7 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
         return SumResult(value=0j, error_bound=0.0, terms=0)
     mod = W.modulus
     if method == "naive":
-        return _naive_double_sum(W, J, gauss, lambda r: DirichletCharacter(mod, tuple(r), mod.q))
+        return _naive_double_sum(W, J, gauss)
     logs = mod.logs[unit_residues(mod)]
     return _direct_sum(
         W, J, lambda rows: angle_numerators(mod, rows, logs), roots_of_unity(mod.carmichael)

@@ -31,7 +31,7 @@ from .experiments import (
     exceptional_budget,
     run_experiment,
 )
-from .expsums import character_at, gauss, kloosterman
+from .expsums import character_at, conductors, gauss, kloosterman
 from .modmath import Modulus
 from .verify import run_verify
 
@@ -140,7 +140,8 @@ def _cmd_gauss(args) -> int:
         raise DomainRestriction(f"--chi must lie in [0, {mod.phi}) for q = {mod.q}")
     chi = character_at(mod, args.chi)
     res = gauss(mod, chi, args.n)
-    kind = "primitive" if chi.is_primitive else f"conductor {chi.conductor}"
+    cond = int(conductors(mod, [chi])[0])
+    kind = "primitive" if cond == mod.q else f"conductor {cond}"
     print(f"G_{args.q}(chi_{args.chi}, {args.n}) = {res.value:.15g}   [{kind}]")
     print(f"|G| = {abs(res.value):.15g}, error_bound = {res.error_bound:.3e}")
     return 0

@@ -37,8 +37,8 @@ from .expsums import (
     SumResult,
     dft_entry_error,
     kloosterman_row,
+    primitive_characters,
     primitive_count,
-    primitive_exponents,
 )
 from .modmath import MACHINE_EPS, TABLE_Q_CAP, Modulus, unit_residues
 from .prng import derive_seed
@@ -170,7 +170,7 @@ def build_char_weight_vector(
 ) -> CharWeightVector:
     """Weights on the first M primitive characters in enumeration order."""
     mod = Modulus.of(q)
-    prim = primitive_exponents(mod)
+    prim = primitive_characters(mod)
     if not 0 <= M <= len(prim):
         raise ValueError(
             f"support size M must lie in [0, {len(prim)}] for q = {mod.q}, got {M}"

@@ -4,11 +4,11 @@ Two evaluation routes exist for each family: a direct summation over the
 unit group and a DFT-based row evaluation.  The direct route is the
 correctness anchor; the row route is gated by entrywise agreement with it.
 
-Characters are exponent rows: int64 arrays with one column per generator of
-the unit group.  :func:`conductors` is the one conductor rule, vectorized
-over rows; :func:`primitive_exponents` keeps the rows it maps to q, and
-:func:`characters` / :func:`primitive_characters` are
-:class:`DirichletCharacter` object views over the same rows.
+A character mod q is its exponent row: an int64 array with one entry per
+generator of the unit group, entry j in [0, order_j).  :func:`characters`
+returns all phi(q) rows, :func:`primitive_characters` those that
+:func:`conductors`, the one conductor rule, maps to q.  A row carries no
+modulus, so each reader takes q beside it and checks the row by :func:`character`.
 
 Error accounting
 ----------------
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -186,33 +185,14 @@ def dft_entry_error(q: int, norm1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """A character mod q in exponent form against the fixed generators.
-
-    ``exponents`` is flattened across the prime-power components in factor
-    order; entry j lies in [0, order_j).  The conductor is precomputed at
-    construction; the character is primitive exactly when conductor == q.
-    """
-
-    modulus: Modulus
-    exponents: tuple[int, ...]
-    conductor: int
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.conductor == self.modulus.q
-
-    @property
-    def is_principal(self) -> bool:
-        return all(k == 0 for k in self.exponents)
-
-
 #: cap on the int64 entries of an exponent-row array, phi(q) * number of generators
 EXPONENT_ROWS_CAP = 1 << 25
 
-#: characters built per chunk of rows by :func:`characters`
-_CHUNK = 1 << 12
+
+def rows_in_range(mod: Modulus, rows: np.ndarray) -> np.ndarray:
+    """Whether entry j of each exponent row lies in [0, order_j), one bool per row."""
+    orders = np.array(mod.group.orders, dtype=np.int64)
+    return np.all((rows >= 0) & (rows < orders), axis=1)
 
 
 def conductors(mod: Modulus, rows: np.ndarray) -> np.ndarray:
@@ -273,28 +253,26 @@ def roots_of_unity(lam: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
 
 
-def character(q: "Modulus | int", exponents: tuple[int, ...]) -> DirichletCharacter:
-    """Build the character with the given exponent tuple (validated)."""
+def character(q: "Modulus | int", exponents) -> np.ndarray:
+    """The exponent row of one character mod q as a new int64 array, checked to
+    have one entry per generator of q with entry j in [0, order_j)."""
     mod = Modulus.of(q)
-    orders = mod.group.orders
-    exponents = tuple(int(k) for k in exponents)
-    if len(exponents) != len(orders):
+    row = np.array(exponents, dtype=np.int64)
+    if row.shape != (len(mod.group.orders),) or not rows_in_range(mod, row[None])[0]:
         raise ValueError(
-            f"expected {len(orders)} exponents for q={mod.q}, got {len(exponents)}"
+            f"exponent row {tuple(row.reshape(-1).tolist())} is not a character mod {mod.q} "
+            f"(generator orders {mod.group.orders})"
         )
-    for k, o in zip(exponents, orders):
-        if not 0 <= k < o:
-            raise ValueError(f"exponent {k} outside [0, {o})")
-    cond = int(conductors(mod, np.array([exponents], dtype=np.int64))[0])
-    return DirichletCharacter(modulus=mod, exponents=exponents, conductor=cond)
+    return row
 
 
-def _exponent_rows(mod: Modulus) -> np.ndarray:
-    """All phi(q) exponent rows, lexicographic with the last generator fastest.
+def characters(q: "Modulus | int") -> np.ndarray:
+    """All phi(q) exponent rows mod q, lexicographic with the last generator fastest.
 
     Raises :class:`ResourceLimit` before allocating when the rows would
     hold more than EXPONENT_ROWS_CAP entries.
     """
+    mod = Modulus.of(q)
     orders = mod.group.orders
     if mod.phi * len(orders) > EXPONENT_ROWS_CAP:
         raise ResourceLimit(
@@ -304,27 +282,11 @@ def _exponent_rows(mod: Modulus) -> np.ndarray:
     return np.indices(orders, dtype=np.int64).reshape(len(orders), mod.phi).T
 
 
-def characters(q: "Modulus | int") -> Iterator[DirichletCharacter]:
-    """All phi(q) characters mod q, in lexicographic exponent order.
-
-    Objects over :func:`_exponent_rows`, with conductors from one
-    :func:`conductors` call; rows become Python tuples a chunk at a time,
-    so memory stays near the two arrays.
-    """
-    mod = Modulus.of(q)
-    rows = _exponent_rows(mod)
-    conds = conductors(mod, rows)
-    for start in range(0, len(rows), _CHUNK):
-        chunk = zip(rows[start : start + _CHUNK].tolist(), conds[start : start + _CHUNK].tolist())
-        for exps, cond in chunk:
-            yield DirichletCharacter(modulus=mod, exponents=tuple(exps), conductor=cond)
-
-
-def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
-    """The character at position ``index`` of :func:`characters`, without enumerating.
+def character_at(q: "Modulus | int", index: int) -> np.ndarray:
+    """Row ``index`` of :func:`characters`, without enumerating.
 
     ``index`` is read as a mixed-radix number over the generator orders with
-    the last generator fastest, the C order of :func:`_exponent_rows`.
+    the last generator fastest, the C order of :func:`characters`.
     """
     mod = Modulus.of(q)
     if not 0 <= index < mod.phi:
@@ -332,19 +294,19 @@ def character_at(q: "Modulus | int", index: int) -> DirichletCharacter:
     return character(mod, np.unravel_index(index, mod.group.orders))
 
 
-def primitive_exponents(q: "Modulus | int") -> np.ndarray:
+def primitive_characters(q: "Modulus | int") -> np.ndarray:
     """Exponent rows of the primitive characters mod q, in enumeration order.
 
-    The rows of :func:`_exponent_rows` with conductor q, shape
+    The rows of :func:`characters` with conductor q, shape
     (count, number of generators); empty for q = 2 mod 4.
     """
     mod = Modulus.of(q)
-    rows = _exponent_rows(mod)
+    rows = characters(mod)
     return rows[conductors(mod, rows) == mod.q]
 
 
 def primitive_count(q: "Modulus | int") -> int:
-    """Number of primitive characters mod q, the row count of `primitive_exponents`.
+    """Number of primitive characters mod q, the row count of `primitive_characters`.
 
     Multiplicative over the prime powers p^e of q: p - 2 for e = 1 and
     p^(e-2) (p - 1)^2 for e >= 2 (for p = 2: 0, 1, 2, then 2^(e-2)).
@@ -354,22 +316,13 @@ def primitive_count(q: "Modulus | int") -> int:
     )
 
 
-def primitive_characters(q: "Modulus | int") -> list[DirichletCharacter]:
-    """The characters with conductor q, in enumeration order.
+def char_values(q: "Modulus | int", chi) -> np.ndarray:
+    """chi(x) for x = 0..q-1 as a new read-only complex vector (0 at non-units); uncached.
 
-    :class:`DirichletCharacter` objects over :func:`primitive_exponents`.
+    ``chi`` is an exponent row mod q, checked by :func:`character`.
     """
     mod = Modulus.of(q)
-    return [
-        DirichletCharacter(modulus=mod, exponents=tuple(exps), conductor=mod.q)
-        for exps in primitive_exponents(mod).tolist()
-    ]
-
-
-def char_values(chi: DirichletCharacter) -> np.ndarray:
-    """chi(x) for x = 0..q-1 as a new read-only complex vector (0 at non-units); uncached."""
-    mod = chi.modulus
-    t = angle_numerators(mod, chi.exponents, mod.logs)
+    t = angle_numerators(mod, character(mod, chi), mod.logs)
     vals = roots_of_unity(mod.carmichael)[t]
     vals[~mod.mask] = 0.0
     vals.flags.writeable = False  # read-only, like every table the package hands out
@@ -381,29 +334,25 @@ def char_values(chi: DirichletCharacter) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gauss(q: "Modulus | int", chi: DirichletCharacter, n: int) -> SumResult:
-    """Direct O(phi(q)) evaluation of sum_x chi(x) exp(2*pi*i*n*x/q).
+def gauss(q: "Modulus | int", chi, n: int) -> SumResult:
+    """Direct O(phi(q)) evaluation of sum_x chi(x) exp(2*pi*i*n*x/q), chi an exponent row.
 
     The twisting relation (for primitive chi and gcd(n, q) = 1 this equals
     conj(chi)(n) times the n = 1 value) is used as a cross-check in tests,
     never as the evaluation path.
     """
     mod = Modulus.of(q)
-    if chi.modulus.q != mod.q:
-        raise ValueError(f"character modulus {chi.modulus.q} != {mod.q}")
     units = unit_residues(mod)
-    vals = char_values(chi)
+    vals = char_values(mod, chi)
     terms = vals[units] * _unit_angles(mod.q, n, units)
     return _sum_terms(terms)
 
 
-def gauss_row(q: "Modulus | int", chi: DirichletCharacter) -> np.ndarray:
+def gauss_row(q: "Modulus | int", chi) -> np.ndarray:
     """All q Gauss sum values over n = 0..q-1 via one length-q inverse DFT.
 
     Entry n agrees with :func:`gauss` within q * 2^-45 (same gate as the
     Kloosterman row).
     """
     mod = Modulus.of(q)
-    if chi.modulus.q != mod.q:
-        raise ValueError(f"character modulus {chi.modulus.q} != {mod.q}")
-    return mod.q * np.fft.ifft(char_values(chi))
+    return mod.q * np.fft.ifft(char_values(mod, chi))

@@ -30,12 +30,16 @@ TWO_PI = 2.0 * math.pi
 #: about 200 bytes per q, so q = 2**23 needs about 1.7 GB
 TABLE_Q_CAP = 1 << 23
 
+#: largest trial divisor of factorize, so that every n <= 2**44 factors exactly
+TRIAL_DIVISION_BOUND = 1 << 22
+
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization by trial division.
+    """Sorted prime factorization by trial division up to TRIAL_DIVISION_BOUND.
 
-    Deterministic and exact; intended for desk-scale inputs (up to ~1e7,
-    cost grows like sqrt(n)).
+    Exact for every n <= 2**44; a cofactor above 2**44 with no divisor up to
+    the bound raises :class:`ResourceLimit`, for n = 2**61 - 1 after about
+    0.4 s (2 vCPU, Python 3.11).
     """
     if n < 2:
         raise ValueError(f"factorize requires an integer >= 2, got {n}")
@@ -43,6 +47,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     m = n
     d = 2
     while d * d <= m:
+        if d > TRIAL_DIVISION_BOUND:
+            raise ResourceLimit(f"factorize({n}) would trial-divide past {TRIAL_DIVISION_BOUND}")
         if m % d == 0:
             e = 0
             while m % d == 0:

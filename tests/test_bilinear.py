@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kgsums import (
     CharWeightVector,
-    DirichletCharacter,
     DomainRestriction,
     Interval,
     InvalidWeight,
@@ -23,6 +22,7 @@ from kgsums import (
     bilinear_kloosterman,
     char_values,
     character,
+    conductors,
     derive_seed,
     dyadic_scale,
     eq_exp,
@@ -31,7 +31,7 @@ from kgsums import (
     make_weights,
     mod_inv,
     moment_check,
-    primitive_exponents,
+    primitive_characters,
     splitmix64_block,
     unit_residues,
 )
@@ -96,10 +96,10 @@ def test_interval_validation():
 
 def test_char_weight_vector_rejects_imprimitive():
     mod = Modulus.of(8)
-    imprimitive = character(8, (1, 1))  # conductor 4
-    assert not imprimitive.is_primitive
+    imprimitive = character(8, (1, 1))
+    assert conductors(mod, [imprimitive]).tolist() == [4]
     with pytest.raises(InvalidWeight, match=r"\(1, 1\)"):
-        CharWeightVector(mod, [imprimitive.exponents], [1.0])
+        CharWeightVector(mod, [imprimitive], [1.0])
     m7 = Modulus.of(7)
     with pytest.raises(InvalidWeight, match=r"\(0,\)"):
         CharWeightVector(m7, [(0,)], [1.0])  # principal, conductor 1
@@ -114,10 +114,10 @@ def test_char_weight_vector_rejects_imprimitive():
 
 
 def test_char_weight_vector_sorts_reversed_rows():
-    # rows given in reverse come out in primitive_exponents order, each with its weight
+    # rows given in reverse come out in primitive_characters order, each with its weight
     for q in (5, 8, 45, 64):
         mod = Modulus.of(q)
-        prim = primitive_exponents(mod)
+        prim = primitive_characters(mod)
         vals = make_weights(prim, "unit", 3)
         w = CharWeightVector(mod, prim[::-1], vals[::-1])
         assert w.support().dtype == np.int64 and np.array_equal(w.support(), prim)
@@ -270,7 +270,7 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
         vals = make_weights(units, "pm1", q)
         for got, ref in zip(bilinear._merge(units, vals), _sorting_merge(units, vals)):
             assert got.tobytes() == ref.tobytes()
-        prim = primitive_exponents(mod)
+        prim = primitive_characters(mod)
         vals = make_weights(prim, "unit", q)
         for got, ref in zip(bilinear._merge(prim, vals), _sorting_merge(prim, vals)):
             assert got.tobytes() == ref.tobytes()
@@ -486,11 +486,11 @@ def _gauss_kernel_cases():
     # the transformed route; reference the sequential char_values accumulation
     for q in (125, 64, 105):
         mod = Modulus.of(q)
-        prim = primitive_exponents(mod)
+        prim = primitive_characters(mod)
         W = CharWeightVector(mod, prim, make_weights(prim, "unit", 8))
         reference = np.zeros(q, dtype=np.complex128)
         for row, w in zip(W.support().tolist(), W.coefficients().tolist()):
-            reference += w * char_values(DirichletCharacter(mod, tuple(row), q))
+            reference += w * char_values(mod, row)
         J = Interval.of(mod, 3, 20)
         yield q, functools.partial(bilinear_gauss, W, J), reference[unit_residues(mod)]
 
@@ -571,7 +571,7 @@ def test_trivial_bound_every_instance():
 def test_bilinear_gauss_examples():
     mod = Modulus.of(5)
     quadratic = character(5, (2,))
-    w = CharWeightVector(mod, [quadratic.exponents], [1.0])
+    w = CharWeightVector(mod, [quadratic], [1.0])
     full = Interval.of(mod, 0, 4)
     for method in ("naive", "transformed"):
         res = bilinear_gauss(w, full, method)
@@ -586,7 +586,7 @@ def test_bilinear_gauss_examples():
 def test_bilinear_gauss_path_agreement():
     for q in (5, 7, 9, 13, 16):
         mod = Modulus.of(q)
-        keys = primitive_exponents(mod)[:3]
+        keys = primitive_characters(mod)[:3]
         w = CharWeightVector(mod, keys, make_weights(keys, "unit", 31))
         J = Interval.of(mod, 1, min(4, q - 2))
         a = bilinear_gauss(w, J, "naive")

@@ -47,6 +47,8 @@ def test_jr_examples():
     assert jr_congruence(5, 2, 2) == 6  # inverse sums {2,4,4,1} -> 1+4+1
     v = jr_congruence(5, 4, 2, method="exhaustive")
     assert jr_congruence(5, 4, 2, method="convolution") == v
+    # a prime modulus near 10^9 factors below the trial-division bound
+    assert jr_congruence(1000000007, 5, 2, "exhaustive") == 45
 
 
 def test_jr_equation_examples():

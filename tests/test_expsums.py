@@ -16,6 +16,7 @@ from kgsums import (
     character,
     character_at,
     characters,
+    conductors,
     gauss,
     gauss_row,
     inverse_table,
@@ -23,7 +24,6 @@ from kgsums import (
     kloosterman_row,
     primitive_characters,
     primitive_count,
-    primitive_exponents,
     unit_mask,
     unit_residues,
 )
@@ -48,26 +48,26 @@ def test_cached_arrays_read_only():
     chi = primitive_characters(13)[0]
     shared = (unit_residues(13), inverse_table(13), unit_mask(13), Modulus.of(13).logs)
     weights = WeightVector(Modulus.of(13), [1, 2, 5], [1.0, -1.0, 2j])
-    for arr in shared + (char_values(chi), weights.support(), weights.coefficients()):
+    for arr in shared + (char_values(13, chi), weights.support(), weights.coefficients()):
         with pytest.raises(ValueError):
             arr[1] = arr[2]
     assert kloosterman(13, 1, 1).value == before
 
 
-def test_character_at_matches_enumeration(monkeypatch):
-    for q in (2, 8, 12, 45, 64):  # q = 2: no generators, one empty exponent tuple
-        chars = list(characters(q))
-        assert [character_at(q, i) for i in range(len(chars))] == chars
-        for bad in (-1, len(chars)):
+def test_character_at_matches_enumeration():
+    for q in (2, 8, 12, 45, 64):  # q = 2: no generators, one empty exponent row
+        rows = characters(q)
+        assert rows.dtype == np.int64
+        assert rows.shape == (Modulus.of(q).phi, len(Modulus.of(q).group.orders))
+        at = np.array([character_at(q, i) for i in range(len(rows))])
+        assert at.dtype == np.int64 and np.array_equal(at, rows)
+        for bad in (-1, len(rows)):
             with pytest.raises(ValueError):
                 character_at(q, bad)
-        with monkeypatch.context() as m:
-            m.setattr(expsums, "_CHUNK", 5)  # chunks end mid-enumeration
-            assert list(characters(q)) == chars
-    chars = list(characters(5040))  # five generators
-    phi = len(chars)
+    rows = characters(5040)  # five generators
+    phi = len(rows)
     for i in (0, 1, phi // 2, phi - 1):
-        assert character_at(5040, i) == chars[i]
+        assert np.array_equal(character_at(5040, i), rows[i])
 
 
 def test_group_orders_cached():
@@ -244,27 +244,28 @@ def test_exact_sum_route_data_stays_off_fsum(monkeypatch):
 
 
 def test_character_counts():
-    assert len(list(characters(5))) == 4
+    assert len(characters(5)) == 4
     assert len(primitive_characters(5)) == 3  # p - 2 for prime p
-    assert len(list(characters(3))) == 2
+    assert len(characters(3)) == 2
     assert len(primitive_characters(3)) == 1
-    assert len(list(characters(8))) == 4
-    assert len(list(characters(2))) == 1
+    assert len(characters(8)) == 4
+    assert len(characters(2)) == 1
+    assert primitive_characters(8).dtype == np.int64
 
 
 def test_character_counts_match_phi_grid():
     for q in range(2, 120):
-        assert len(list(characters(q))) == Modulus.of(q).phi
+        assert len(characters(q)) == Modulus.of(q).phi
 
 
 def test_char_values_examples():
-    principal = next(c for c in characters(5) if c.is_principal)
-    assert char_values(principal)[3] == 1
+    principal = next(c for c in characters(5) if not c.any())  # the all-zero row
+    assert char_values(5, principal)[3] == 1
     quadratic = character(5, (2,))
-    assert abs(char_values(quadratic)[2] - (-1)) < 1e-12
+    assert abs(char_values(5, quadratic)[2] - (-1)) < 1e-12
     for q in (5, 8, 12):
         for chi in characters(q):
-            vals = char_values(chi)
+            vals = char_values(q, chi)
             assert vals[1] == 1
             assert vals[q % q] == 0  # chi(q) is entry 0; gcd(q, q) > 1
 
@@ -273,7 +274,7 @@ def test_char_multiplicative_exhaustive():
     for q in (3, 5, 8, 9, 12, 15, 16, 24):
         units = [int(u) for u in unit_residues(q)]
         for chi in characters(q):
-            vals = char_values(chi)
+            vals = char_values(q, chi)
             for x in units:
                 for y in units:
                     assert abs(vals[x] * vals[y] - vals[x * y % q]) < 1e-10
@@ -283,15 +284,14 @@ def test_char_vanishes_off_units():
     for q in (8, 12, 30):
         mask = unit_mask(q)
         for chi in characters(q):
-            vals = char_values(chi)
+            vals = char_values(q, chi)
             assert np.all(vals[~mask] == 0)
 
 
 def test_char_orthogonality_grid():
     for q in range(2, 201):
         mod = Modulus.of(q)
-        chars = list(characters(mod))
-        V = np.array([char_values(c) for c in chars])
+        V = np.array([char_values(mod, c) for c in characters(mod)])
         gram = V.T @ np.conj(V)  # gram[x, y] = sum_chi chi(x) conj(chi(y))
         mask = unit_mask(mod)
         expected = np.zeros((q, q), dtype=complex)
@@ -306,8 +306,9 @@ def test_conductor_agrees_with_bruteforce():
     for q in list(range(2, 61)) + [64, 72, 81, 90, 96, 128]:
         units = [int(u) for u in unit_residues(q)]
         divisors = [d for d in range(1, q + 1) if q % d == 0]
-        for chi in characters(q):
-            vals = char_values(chi)
+        rows = characters(q)
+        for chi, conductor in zip(rows, conductors(Modulus.of(q), rows).tolist()):
+            vals = char_values(q, chi)
             cond = None
             for d in divisors:
                 if all(
@@ -318,7 +319,7 @@ def test_conductor_agrees_with_bruteforce():
                 ):
                     cond = d
                     break
-            assert chi.conductor == cond
+            assert conductor == cond
 
 
 def test_primitive_count_matches_mobius_sum():
@@ -362,20 +363,39 @@ def test_primitive_exponents_are_the_product_of_local_sets():
     for q in range(3, 1501):
         local = [_local_primitive_exponents(p, e) for p, e in Modulus.of(q).factors]
         expected = [sum(parts, ()) for parts in itertools.product(*local)]
-        rows = primitive_exponents(q)
+        rows = primitive_characters(q)
         assert rows.shape == (len(expected), len(Modulus.of(q).group.orders)), q
         assert [tuple(r) for r in rows.tolist()] == expected, q
 
 
 def test_exponent_rows_capped_before_allocating(monkeypatch):
     monkeypatch.setattr(expsums, "EXPONENT_ROWS_CAP", 16)
-    assert len(primitive_exponents(17)) == 15  # phi = 16 entries, at the cap
-    assert len(list(characters(16))) == 8  # 2 generators, 16 entries
+    assert len(primitive_characters(17)) == 15  # phi = 16 entries, at the cap
+    assert len(characters(16)) == 8  # 2 generators, 16 entries
     for q in (19, 64):
         with pytest.raises(ResourceLimit):
-            primitive_exponents(q)
+            primitive_characters(q)
         with pytest.raises(ResourceLimit):
-            next(characters(q))
+            characters(q)
+
+
+def test_single_rows_checked_against_the_generator_orders():
+    row = character(45, [3, 2])  # 45 = 9 * 5: orders (6, 4)
+    assert row.dtype == np.int64 and row.tolist() == [3, 2]
+    assert character(2, ()).shape == (0,)  # units mod 2: no generators
+    # 8 has two generators: one entry would broadcast into a wrong character
+    for bad in ((1,), (1, 1, 0), [[1, 1]]):
+        with pytest.raises(ValueError, match="generator orders"):
+            character(8, bad)
+    with pytest.raises(ValueError):
+        gauss(8, (1,), 1)
+    for q, bad in ((8, (2, 0)), (8, (0, -1)), (45, (6, 0)), (7, (6,))):
+        with pytest.raises(ValueError, match="generator orders"):
+            char_values(q, bad)
+        with pytest.raises(ValueError, match="generator orders"):
+            gauss_row(q, bad)
+        with pytest.raises(ValueError, match="generator orders"):
+            gauss(q, bad, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +428,13 @@ def test_gauss_twisting_crosscheck():
             base = gauss(q, chi, 1)
             for n in [int(u) for u in unit_residues(q)][:6]:
                 twisted = gauss(q, chi, n)
-                predicted = np.conj(char_values(chi)[n]) * base.value
+                predicted = np.conj(char_values(q, chi)[n]) * base.value
                 assert abs(twisted.value - predicted) < 1e-9
 
 
 def test_gauss_row_matches_direct():
     for q in (5, 12, 29, 48):
-        for chi in list(characters(q))[:6]:
+        for chi in characters(q)[:6]:
             row = gauss_row(q, chi)
             for n in range(0, q, max(1, q // 6)):
                 direct = gauss(q, chi, n)

@@ -12,7 +12,6 @@ from kgsums import (
     MACHINE_EPS,
     BoundSpec,
     ConfigError,
-    DirichletCharacter,
     Modulus,
     RunPlan,
     SumResult,
@@ -359,15 +358,22 @@ def test_average_sweep_gauss_runs():
 
 
 def test_gauss_sweep_builds_no_character_objects(monkeypatch):
+    # the sweep reads characters as blocks of rows; no single-row reader runs on its path
     def refuse(*args, **kwargs):
-        raise AssertionError("a DirichletCharacter was built on the sweep path")
+        raise AssertionError("a single-character reader ran on the sweep path")
 
-    monkeypatch.setattr(DirichletCharacter, "__init__", refuse)
+    for name in ("character", "char_values", "gauss"):
+        original = getattr(sys.modules["kgsums.expsums"], name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "kgsums" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
     records, _ = average_sweep(16, 4, 2, 0.1, family="gauss")
     assert len(records) == 17
     records = run_experiment(63, 20, 10, weight_kind="unit", seed=3, family="gauss",
                              methods=("transformed",))
     assert records[0].M == 20
+    with pytest.raises(AssertionError, match="single-character reader"):
+        run_experiment(13, 2, 3, family="gauss", methods=("naive",))  # the oracle reads rows
 
 
 def test_sweep_validation(monkeypatch):
@@ -602,6 +608,22 @@ def test_table_cap_refuses_before_allocating(monkeypatch, capsys):
         assert str(modmath.TABLE_Q_CAP) in payload["message"]
 
 
+def test_huge_prime_refused_by_trial_division(capsys):
+    # q = 2^61 - 1 is prime: trial division up to sqrt(q) would run for minutes
+    from kgsums import cli
+
+    q = str(2**61 - 1)
+    for argv in (
+        ["kloosterman", "--q", q, "--m", "1", "--n", "1"],
+        ["bilinear", "--q", q, "--M", "10", "--N", "10"],
+        ["sweep", "--Q", q, "--N", "4"],
+    ):
+        assert cli.main(argv) == 3, argv
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["category"] == "resource_limit"
+        assert q in payload["message"]
+
+
 def test_cli_plan_roundtrip(tmp_path):
     cfg = tmp_path / "plan.json"
     proc = _run_cli("plan", "--emit-defaults", str(cfg))
@@ -615,6 +637,27 @@ def test_cli_plan_roundtrip(tmp_path):
     proc = _run_cli("plan", "--config", str(cfg))
     assert proc.returncode == 0
     assert "thm23" in proc.stdout
+
+
+def test_plan_schemas_match_the_parser():
+    # _cmd_plan turns each plan key into --{key}, so the keys are the long options
+    import argparse
+
+    from kgsums import cli
+    from kgsums.csvio import PLAN_SCHEMAS
+
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(PLAN_SCHEMAS) == set(sub.choices) - {"plan"}
+    for command, keys in PLAN_SCHEMAS.items():
+        options = [
+            opt[2:]
+            for action in sub.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings
+            if opt.startswith("--")
+        ]
+        assert len(set(keys)) == len(keys) and set(keys) == set(options), command
 
 
 def test_cli_plan_unknown_key(tmp_path):

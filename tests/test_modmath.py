@@ -17,7 +17,7 @@ from kgsums import (
     unit_mask,
     unit_residues,
 )
-from kgsums.modmath import TABLE_Q_CAP, _modulus, _powers, pow_mod
+from kgsums.modmath import TABLE_Q_CAP, TRIAL_DIVISION_BOUND, _modulus, _powers, pow_mod
 from kgsums.verify import check_inverses
 
 moduli = st.integers(min_value=2, max_value=600)
@@ -27,6 +27,17 @@ def test_factorize_examples():
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(1024) == [(2, 10)]
+
+
+def test_factorize_trial_division_bound():
+    # every n <= TRIAL_DIVISION_BOUND**2 = 2**44 factors exactly
+    assert TRIAL_DIVISION_BOUND**2 == 2**44
+    assert factorize(274877906899) == [(274877906899, 1)]  # a 38-bit prime
+    assert factorize(17592186044399) == [(17592186044399, 1)]  # the largest prime below 2**44
+    assert factorize(2**44) == [(2, 44)]
+    # past it, a cofactor with no divisor up to the bound is refused, not searched
+    with pytest.raises(ResourceLimit, match=f"past {TRIAL_DIVISION_BOUND}"):
+        factorize(3 * (2**61 - 1))
 
 
 def test_factorize_rejects_small():
