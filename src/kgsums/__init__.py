@@ -61,6 +61,7 @@ from .experiments import (
     exceptional_budget,
     max_kloosterman_abs,
     run_experiment,
+    run_experiments,
 )
 from .expsums import (
     SumResult,

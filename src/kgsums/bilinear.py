@@ -22,7 +22,11 @@ takes residues with aligned values and holds a sorted int64 support with
 aligned complex128 coefficients; :class:`CharWeightVector` does the same
 with the exponent rows of its characters.  Both are read-only.
 
-All routes return a :class:`SumResult` and must agree within the sum of
+One core, :func:`_bilinear_sums`, takes several weight vectors on one
+modulus, one interval and one route, and returns one :class:`SumResult`
+per vector, bit for bit what the vector gives alone: the vectors share
+gamma_x and, on the fast route, one batched DFT.  The public functions are
+its one-vector case.  All routes must agree within the sum of
 their error bounds; the cross-check is enforced by the experiment harness
 and the test suite.  Evaluation is pure and sequential with numpy's
 deterministic pairwise reduction, so results are reproducible bit for bit;
@@ -356,46 +360,55 @@ _GAUSS_METHODS = ("naive", "transformed")
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _check_shared_modulus(weights, J: Interval) -> Modulus:
-    if weights.modulus.q != J.modulus.q:
-        raise ModulusMismatch(
-            f"weights mod {weights.modulus.q} but interval mod {J.modulus.q}"
-        )
-    return J.modulus
-
-
 def _inverse_powers(mod: Modulus, inv_power: int) -> np.ndarray:
     """(x^-1)^k mod q for every unit x, aligned with unit_residues(q)."""
     inv = inverse_table(mod)[unit_residues(mod)]
     return inv if inv_power == 1 else pow_mod(inv, inv_power, mod.q)
 
 
-def _fast_values(A: WeightVector, inv_power: int) -> np.ndarray:
-    """f((x^-1)^k) for every unit x, with the inner sums done by one length-q DFT."""
-    mod = A.modulus
-    dense = np.zeros(mod.q, dtype=np.complex128)
-    dense[A.support()] = A.coefficients()
-    f_all = mod.q * np.fft.ifft(dense)  # f_all[t] = sum_m alpha_m e_q(m t)
-    return f_all[_inverse_powers(mod, inv_power)]
+def _fast_values(vectors: list, inv_power: int) -> list[np.ndarray]:
+    """f((x^-1)^k) for every unit x, one row per weight vector, the inner sums
+    done by one DFT over the rows.
+
+    Each row of the batched transform, scaled in place, is byte for byte the
+    1-D ``q * ifft(row)``, so a vector's row does not depend on the others.
+    """
+    mod = vectors[0].modulus
+    dense = np.zeros((len(vectors), mod.q), dtype=np.complex128)
+    for row, A in zip(dense, vectors):
+        row[A.support()] = A.coefficients()
+    np.fft.ifft(dense, axis=-1, out=dense)
+    dense *= mod.q  # dense[s, t] = sum_m alpha_m e_q(m t) for vector s
+    powers = _inverse_powers(mod, inv_power)
+    return [row[powers] for row in dense]  # row by row: a 2-D gather costs more
 
 
-def _outer_sum(J: Interval, f_vals: np.ndarray, entry_err: float) -> SumResult:
-    """sum over units x of f_vals * gamma_x, with the inner rounding propagated.
+def _outer_sums(J: Interval, f_rows, entry_errs) -> list[SumResult]:
+    """sum over units x of f_vals * gamma_x for each f_vals in ``f_rows``, with
+    the inner rounding propagated.
 
-    ``f_vals`` is aligned with unit_residues(q) and each entry carries at
-    most ``entry_err``; each gamma value carries GAMMA_EVAL_ERR * eps * N.
+    Every f_vals is aligned with unit_residues(q), and each of its entries
+    carries at most the aligned entry of ``entry_errs``; each gamma value
+    carries GAMMA_EVAL_ERR * eps * N.  gamma and its l1 norm are computed
+    once for all rows.
     """
     gam = _gamma_over_units(J)
-    outer = _sum_terms(f_vals * gam)
-    err_inner = float(
-        entry_err * np.sum(np.abs(gam))
-        + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(f_vals))
-    )
-    return SumResult(
-        value=outer.value,
-        error_bound=outer.error_bound + err_inner,
-        terms=outer.terms,
-    )
+    gam_norm1 = np.sum(np.abs(gam))
+    results = []
+    for f_vals, entry_err in zip(f_rows, entry_errs):
+        outer = _sum_terms(f_vals * gam)
+        err_inner = float(
+            entry_err * gam_norm1
+            + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(f_vals))
+        )
+        results.append(
+            SumResult(
+                value=outer.value,
+                error_bound=outer.error_bound + err_inner,
+                terms=outer.terms,
+            )
+        )
+    return results
 
 
 def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
@@ -422,32 +435,6 @@ def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
     return block[0].copy()
 
 
-def _direct_sum(weights, J: Interval, numerators, roots: np.ndarray) -> SumResult:
-    """Transformed route: each direct inner sum carries (M + 4) eps * ||w||_1."""
-    entry_err = (weights.support_size + 4) * MACHINE_EPS * weights.norm1
-    return _outer_sum(J, _character_sums(weights, numerators, roots), entry_err)
-
-
-def _transformed_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
-    """Transformed Kloosterman route: f((x^-1)^k) = sum_m alpha_m e_q(m (x^-1)^k)."""
-    q = A.modulus.q
-    powers = _inverse_powers(A.modulus, inv_power)
-
-    def numerators(ms: np.ndarray) -> np.ndarray:
-        t = ms[:, None] * powers  # below q^2 <= 2^46
-        return np.remainder(t, q, out=t)
-
-    return _direct_sum(A, J, numerators, roots_of_unity(q))
-
-
-def _fast_sum(A: WeightVector, J: Interval, inv_power: int) -> SumResult:
-    """Fast route: each DFT entry carries dft_entry_error(q, ||A||_1)."""
-    return _outer_sum(J, _fast_values(A, inv_power), dft_entry_error(A.modulus.q, A.norm1))
-
-
-_ROUTES = {"transformed": _transformed_sum, "fast": _fast_sum}
-
-
 def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     """Literal double sum of w * scalar(q, k, n) over supp(weights) x J.
 
@@ -456,7 +443,7 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     as a list.  The support is walked in sorted order beside
     ``coefficients()``.  Exists purely as an oracle.
     """
-    mod = _check_shared_modulus(weights, J)
+    mod = J.modulus
     cost = weights.support_size * J.N * mod.phi
     if cost > NAIVE_COST_CAP:
         raise ResourceLimit(
@@ -469,6 +456,66 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     return SumResult(value=outer.value, error_bound=outer.error_bound + err, terms=outer.terms)
 
 
+def _route_sums(family: str, vectors: list, J: Interval, method: str, k: int) -> list[SumResult]:
+    """One route's sums for nonempty weight vectors on J's modulus, in order."""
+    mod = J.modulus
+    if method == "naive":
+        scalar = kloosterman if family == "kloosterman" else gauss
+        return [_naive_double_sum(w, J, scalar) for w in vectors]
+    if method == "fast":
+        # each DFT entry carries dft_entry_error(q, ||A||_1)
+        errs = [dft_entry_error(mod.q, A.norm1) for A in vectors]
+        return _outer_sums(J, _fast_values(vectors, k), errs)
+    if family == "kloosterman":
+        powers, roots = _inverse_powers(mod, k), roots_of_unity(mod.q)
+
+        def numerators(ms: np.ndarray) -> np.ndarray:  # m (x^-1)^k mod q
+            t = ms[:, None] * powers  # below q^2 <= 2^46
+            return np.remainder(t, mod.q, out=t)
+
+    else:
+        logs, roots = mod.logs[unit_residues(mod)], roots_of_unity(mod.carmichael)
+
+        def numerators(rows: np.ndarray) -> np.ndarray:
+            return angle_numerators(mod, rows, logs)
+
+    # each direct inner sum carries (M + 4) eps * ||w||_1; one row at a time
+    errs = [(w.support_size + 4) * MACHINE_EPS * w.norm1 for w in vectors]
+    rows = (_character_sums(w, numerators, roots) for w in vectors)
+    return _outer_sums(J, rows, errs)
+
+
+def _bilinear_sums(
+    family: str, vectors: list, J: Interval, method: str, k: int = 1
+) -> list[SumResult]:
+    """The weighted double sums of several weight vectors over one interval by one route.
+
+    ``family`` is "kloosterman" (WeightVector weights, kernel power k) or
+    "gauss" (CharWeightVector weights, k = 1).  Every vector must share J's
+    modulus.  The vectors share gamma_x over the units, its l1 norm and,
+    on the fast route, one batched DFT; each keeps its own inner sums, its
+    own outer sum and its own budget.  The i-th result is bit for bit what
+    ``vectors[i]`` gives alone, which is how :func:`bilinear_kloosterman`
+    and :func:`bilinear_gauss` call it.
+    """
+    methods = _KLOOSTERMAN_METHODS if family == "kloosterman" else _GAUSS_METHODS
+    if k < 1:
+        raise ValueError(f"kernel power k must be >= 1, got {k}")
+    if method not in methods:
+        raise ValueError(f"method must be one of {methods}, got {method!r}")
+    if method == "naive" and k != 1:
+        raise DomainRestriction(f"the naive route needs k = 1, got k = {k}")
+    for w in vectors:
+        if w.modulus.q != J.modulus.q:
+            raise ModulusMismatch(f"weights mod {w.modulus.q} but interval mod {J.modulus.q}")
+    live = [w for w in vectors if w.support_size]
+    sums = iter(_route_sums(family, live, J, method, k) if live else ())
+    return [
+        next(sums) if w.support_size else SumResult(value=0j, error_bound=0.0, terms=0)
+        for w in vectors
+    ]
+
+
 def bilinear_kloosterman(
     A: WeightVector, J: Interval, method: str = "fast", k: int = 1
 ) -> SumResult:
@@ -478,18 +525,7 @@ def bilinear_kloosterman(
     ``transformed`` and ``fast`` routes, and the ``naive`` oracle runs at
     k = 1 only.
     """
-    if k < 1:
-        raise ValueError(f"kernel power k must be >= 1, got {k}")
-    if method not in _KLOOSTERMAN_METHODS:
-        raise ValueError(f"method must be one of {_KLOOSTERMAN_METHODS}, got {method!r}")
-    if method == "naive" and k != 1:
-        raise DomainRestriction(f"the naive route needs k = 1, got k = {k}")
-    _check_shared_modulus(A, J)
-    if A.support_size == 0:
-        return SumResult(value=0j, error_bound=0.0, terms=0)
-    if method == "naive":
-        return _naive_double_sum(A, J, kloosterman)
-    return _ROUTES[method](A, J, k)
+    return _bilinear_sums("kloosterman", [A], J, method, k)[0]
 
 
 def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed") -> SumResult:
@@ -499,15 +535,4 @@ def bilinear_gauss(W: CharWeightVector, J: Interval, method: str = "transformed"
     by the Kloosterman route's kernel; no inversion permutation appears
     because the character already sits on the summation variable.
     """
-    if method not in _GAUSS_METHODS:
-        raise ValueError(f"method must be one of {_GAUSS_METHODS}, got {method!r}")
-    _check_shared_modulus(W, J)
-    if W.support_size == 0:
-        return SumResult(value=0j, error_bound=0.0, terms=0)
-    mod = W.modulus
-    if method == "naive":
-        return _naive_double_sum(W, J, gauss)
-    logs = mod.logs[unit_residues(mod)]
-    return _direct_sum(
-        W, J, lambda rows: angle_numerators(mod, rows, logs), roots_of_unity(mod.carmichael)
-    )
+    return _bilinear_sums("gauss", [W], J, method)[0]

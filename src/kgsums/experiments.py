@@ -9,6 +9,14 @@ Support convention: the weights sit on the first M units of Z_q^* in
 ascending order (or the first M primitive characters in enumeration order
 for the Gauss family); the seed drives only the weight values, so two seeds
 share bound values and differ in the measured sum.
+
+One pass per modulus: the seeds of one (q, M, N, L) share everything but
+their weight values, so :func:`run_experiments` runs them together.  Each
+route evaluates all their weight vectors in one call
+(``bilinear._bilinear_sums``: one gamma_x table, one batched DFT), and
+each seed keeps its own weights, cross-check, trivial-bound assert and
+records, equal to what :func:`run_experiment` gives it alone.  The
+bound-ratio grid makes one such call per prime.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .bilinear import (
     CharWeightVector,
     Interval,
     WeightVector,
+    _bilinear_sums,
     bilinear_gauss,
     bilinear_kloosterman,
     make_weights,
@@ -59,7 +68,11 @@ class ExperimentRecord:
     """One (experiment, bound) row of the CSV schema.
 
     ``ratio`` is abs_sum / bound_value; an empty-support run has every norm,
-    bound value, and ratio equal to 0 by convention.
+    bound value, and ratio equal to 0 by convention.  ``wall_time_seconds``
+    is the elapsed time of weight generation, evaluation and checks; a
+    call that runs several seeds (:func:`run_experiments`) splits its
+    elapsed time evenly over them, so every record of that call carries
+    the same value.
     """
 
     q: int
@@ -192,81 +205,115 @@ def run_experiment(
 ) -> list[ExperimentRecord]:
     """Run one seeded experiment; returns one record per bound formula.
 
-    All requested methods are evaluated and must agree within the sum of
-    their error bounds; the reported value comes from the first method.
-    The exact trivial bound is asserted unconditionally.  For the
-    Kloosterman family its max|K_q| comes from the length-q row only when
-    a ``trivial`` record reports it or the sum misses the closed-form
-    :func:`max_kloosterman_floor`, which lies below that maximum; the
-    verdict is the same either way.
+    The one-seed case of :func:`run_experiments`, which documents the checks.
+    """
+    return run_experiments(
+        q, M, N, L, weight_kind, (seed,), methods=methods, family=family, bounds=bounds
+    )[0]
+
+
+def run_experiments(
+    q: "Modulus | int",
+    M: int,
+    N: int,
+    L: int = 0,
+    weight_kind: str = "const",
+    seeds: tuple[int, ...] = (0,),
+    methods: tuple[str, ...] | None = None,
+    family: str = "kloosterman",
+    bounds: list[BoundSpec] | None = None,
+) -> list[list[ExperimentRecord]]:
+    """Run one experiment per seed on one modulus in one pass; returns one
+    record list per seed, in order, with one record per bound formula.
+
+    For each seed, all requested methods are evaluated and must agree
+    within the sum of their error bounds; the reported value comes from the
+    first method.  The exact trivial bound is asserted unconditionally.
+    For the Kloosterman family its max|K_q| comes from the length-q row
+    only when a ``trivial`` record reports it or the sum misses the
+    closed-form :func:`max_kloosterman_floor`, which lies below that
+    maximum; the verdict is the same either way.  The seeds share the
+    interval and each route's pass (:func:`bilinear._bilinear_sums`), and
+    each seed's records equal what it gives alone, but for
+    ``wall_time_seconds``: the call's elapsed time split evenly over its
+    seeds.
     """
     mod = Modulus.of(q)
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not seeds:
+        raise ValueError("an experiment needs at least one seed")
     methods = tuple(methods) if methods else _DEFAULT_METHODS[family]
     J = Interval.of(mod, L, N)
 
     specs = bounds if bounds is not None else _default_bounds(family, mod.is_prime())
+    build = build_weight_vector if family == "kloosterman" else build_char_weight_vector
     start = time.perf_counter()
-    if family == "kloosterman":
-        weights = build_weight_vector(mod, M, weight_kind, seed)
-        results = [bilinear_kloosterman(weights, J, m) for m in methods]
-    else:
-        weights = build_char_weight_vector(mod, M, weight_kind, seed)
-        results = [bilinear_gauss(weights, J, m) for m in methods]
+    vectors = [build(mod, M, weight_kind, seed) for seed in seeds]
+    by_method = [_evaluate(family, vectors, J, m) for m in methods]
+    max_terms = []
+    for weights, results in zip(vectors, zip(*by_method)):
+        cross_check(methods, list(results), mod.q)
+        primary = results[0]
+        abs_sum = abs(primary.value)
+        if family == "gauss":
+            max_term = math.sqrt(mod.q)
+        elif all(spec.name != "trivial" for spec in specs) and (
+            abs_sum <= weights.norm1 * N * max_kloosterman_floor(mod) + primary.error_bound
+        ):
+            # the floor is below the computed maximum, so the assert below would
+            # pass too, and no record reads the maximum; a sum that misses the
+            # floor, or a NaN, takes the exact row
+            max_term = None
+        else:
+            max_term = max_kloosterman_abs(mod)
+        if max_term is not None:
+            trivial_value = weights.norm1 * N * max_term
+            if not abs_sum <= trivial_value + primary.error_bound:  # so does a NaN sum
+                raise VerificationError(
+                    f"|sum| = {abs_sum:.6e} exceeds the exact trivial bound "
+                    f"{trivial_value:.6e} beyond the error budget (q={mod.q})"
+                )
+        max_terms.append(max_term)
+    wall = (time.perf_counter() - start) / len(seeds)
 
-    cross_check(methods, results, mod.q)
-
-    primary = results[0]
-    abs_sum = abs(primary.value)
-    norm1, norm2, norm_inf = weights.norm1, weights.norm2, weights.norm_inf
-
-    if family == "gauss":
-        max_term = math.sqrt(mod.q)
-    elif all(spec.name != "trivial" for spec in specs) and (
-        abs_sum <= norm1 * N * max_kloosterman_floor(mod) + primary.error_bound
-    ):
-        # the floor is below the computed maximum, so the assert below would
-        # pass too, and no record reads the maximum; a sum that misses the
-        # floor, or a NaN, takes the exact row
-        max_term = None
-    else:
-        max_term = max_kloosterman_abs(mod)
-    if max_term is not None:
-        trivial_value = norm1 * N * max_term
-        if not abs_sum <= trivial_value + primary.error_bound:  # so does a NaN sum
-            raise VerificationError(
-                f"|sum| = {abs_sum:.6e} exceeds the exact trivial bound "
-                f"{trivial_value:.6e} beyond the error budget (q={mod.q})"
+    outcomes = []
+    for seed, weights, primary, max_term in zip(seeds, vectors, by_method[0], max_terms):
+        abs_sum = abs(primary.value)
+        norm1, norm2, norm_inf = weights.norm1, weights.norm2, weights.norm_inf
+        records = []
+        for spec in sorted(specs, key=lambda s: s.name):
+            bv = bound_value(spec, mod.q, M, N, norm1, norm2, norm_inf, max_term=max_term)
+            records.append(
+                ExperimentRecord(
+                    q=mod.q,
+                    M=M,
+                    N=N,
+                    L=L,
+                    seed=seed,
+                    weight_kind=weight_kind,
+                    norm1=norm1,
+                    norm2=norm2,
+                    norm_inf=norm_inf,
+                    abs_sum=abs_sum,
+                    error_bound=primary.error_bound,
+                    bound_name=spec.name,
+                    bound_value=bv,
+                    ratio=abs_sum / bv if bv > 0 else 0.0,
+                    wall_time_seconds=wall,
+                )
             )
-    wall = time.perf_counter() - start
+        outcomes.append(records)
+    return outcomes
 
-    records = []
-    for spec in sorted(specs, key=lambda s: s.name):
-        bv = bound_value(
-            spec, mod.q, M, N, norm1, norm2, norm_inf, max_term=max_term
-        )
-        ratio = abs_sum / bv if bv > 0 else 0.0
-        records.append(
-            ExperimentRecord(
-                q=mod.q,
-                M=M,
-                N=N,
-                L=L,
-                seed=seed,
-                weight_kind=weight_kind,
-                norm1=norm1,
-                norm2=norm2,
-                norm_inf=norm_inf,
-                abs_sum=abs_sum,
-                error_bound=primary.error_bound,
-                bound_name=spec.name,
-                bound_value=bv,
-                ratio=ratio,
-                wall_time_seconds=wall,
-            )
-        )
-    return records
+
+def _evaluate(family: str, vectors: list, J: Interval, method: str) -> list[SumResult]:
+    # one vector goes through its family's public entry, the name the bench
+    # tracer times; it is the one-vector case of the same core
+    if len(vectors) > 1:
+        return _bilinear_sums(family, vectors, J, method)
+    one = bilinear_kloosterman if family == "kloosterman" else bilinear_gauss
+    return [one(vectors[0], J, method)]
 
 
 def average_sweep(
@@ -331,8 +378,7 @@ def bound_ratio_grid() -> Iterator[list[ExperimentRecord]]:
     weights.  The frozen baseline is the largest thm21 ratio."""
     for p in primes_in_range(GRID_PRIME_LO, GRID_PRIME_HI):
         m = n = min(math.isqrt(p - 1) + 1, p - 2)
-        for seed in GRID_SEEDS:
-            yield run_experiment(p, M=m, N=n, weight_kind="pm1", seed=seed)
+        yield from run_experiments(p, M=m, N=n, weight_kind="pm1", seeds=GRID_SEEDS)
 
 
 def grid_ks(q: int) -> list[int]:

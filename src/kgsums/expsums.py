@@ -171,7 +171,9 @@ def kloosterman_row(q: "Modulus | int", n: int) -> np.ndarray:
     inv = inverse_table(mod)
     a = np.zeros(mod.q, dtype=np.complex128)
     a[units] = _unit_angles(mod.q, n, inv[units])
-    return mod.q * np.fft.ifft(a)
+    np.fft.ifft(a, out=a)  # in place: no second and third length-q array
+    a *= mod.q
+    return a
 
 
 def dft_entry_error(q: int, norm1: float) -> float:

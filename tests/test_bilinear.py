@@ -1,6 +1,9 @@
 import cmath
 import functools
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from kgsums import (
     ModulusMismatch,
     ResourceLimit,
     SplitMix64,
+    SumResult,
     WeightVector,
     bilinear_gauss,
     bilinear_kloosterman,
@@ -28,6 +32,7 @@ from kgsums import (
     eq_exp,
     gamma_sum,
     kloosterman,
+    kloosterman_row,
     make_weights,
     mod_inv,
     moment_check,
@@ -741,3 +746,102 @@ def test_moment_exhaustive_cap():
     gamma = {x: 1.0 for x in xs}
     with pytest.raises(ResourceLimit):
         moment_check(mod, xs, gamma, 4, method="exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation: several weight vectors on one modulus in one pass
+# ---------------------------------------------------------------------------
+
+
+def _numpy_that_recorded_the_digests():
+    digests = json.loads((Path(__file__).parent / "csv_digests.json").read_text())
+    if np.__version__ != digests["numpy"]:
+        pytest.skip(f"byte identity recorded with numpy {digests['numpy']}, this is {np.__version__}")
+
+
+@pytest.mark.parametrize("q", [101, 1009, 1999, 1000, 1024, 720])
+def test_batched_dft_rows_equal_the_1d_transform(q):
+    # the fast route and kloosterman_row transform in place and scale by q
+    # after; every row must be byte for byte the 1-D q * ifft(row)
+    _numpy_that_recorded_the_digests()
+    rng = np.random.default_rng(q)
+    for S in (1, 2, 5):
+        rows = np.zeros((S, q), dtype=np.complex128)
+        for row in rows:
+            support = rng.choice(q, size=rng.integers(1, q), replace=False)
+            row[support] = np.exp(2j * np.pi * rng.random(support.size)) * rng.choice([1.0, 3.5], support.size)
+        dense = rows.copy()
+        np.fft.ifft(dense, axis=-1, out=dense)
+        dense *= q
+        for got, row in zip(dense, rows):
+            assert got.tobytes() == (q * np.fft.ifft(row)).tobytes(), (q, S)
+
+
+@pytest.mark.parametrize("q", [101, 1000, 720])
+def test_in_place_transforms_equal_the_out_of_place_formula(q):
+    _numpy_that_recorded_the_digests()
+    mod = Modulus.of(q)
+    units = unit_residues(mod)
+    a = np.zeros(q, dtype=np.complex128)
+    a[units] = np.exp(2j * np.pi * (3 * bilinear.inverse_table(mod)[units] % q) / q)
+    assert kloosterman_row(mod, 3).tobytes() == (q * np.fft.ifft(a)).tobytes()
+    vectors = [
+        WeightVector(mod, units[s : s + m], make_weights(units[s : s + m], kind, s))
+        for s, m, kind in ((0, units.size, "pm1"), (2, 5, "unit"), (1, 1, "const"))
+    ]
+    inv = bilinear.inverse_table(mod)[units]
+    for got, A in zip(bilinear._fast_values(vectors, 1), vectors):
+        dense = np.zeros(q, dtype=np.complex128)
+        dense[A.support()] = A.coefficients()
+        assert got.tobytes() == (q * np.fft.ifft(dense))[inv].tobytes()
+
+
+def _batch_vectors(family, mod):
+    """Weight vectors of mixed kinds and supports, empty ones included."""
+    keys = unit_residues(mod) if family == "kloosterman" else primitive_characters(mod)
+    cls = WeightVector if family == "kloosterman" else CharWeightVector
+    n = len(keys)
+    plan = [(0, n, "pm1"), (n // 3, n // 2, "unit"), (0, 0, "const"), (0, n, "zero"),
+            (n - 1, 1, "unit"), (1, min(7, n - 1), "const"), (n // 4, n // 4 + 1, "pm1")]
+    return [cls(mod, keys[s : s + m], make_weights(keys[s : s + m], kind, 11 + s))
+            for s, m, kind in plan]
+
+
+def _result_bits(res):
+    return struct.pack("<3d", res.value.real, res.value.imag, res.error_bound), res.terms
+
+
+@pytest.mark.parametrize("family", ["kloosterman", "gauss"])
+@pytest.mark.parametrize("q", [13, 45, 64, 101, 105, 1009])
+def test_batch_core_equals_one_vector_at_a_time(family, q):
+    mod = Modulus.of(q)
+    J = Interval.of(mod, 3, min(9, q - 5))
+    vectors = _batch_vectors(family, mod)
+    single = bilinear_kloosterman if family == "kloosterman" else bilinear_gauss
+    methods = [("transformed", 1)]
+    if family == "kloosterman":
+        methods += [("fast", 1), ("transformed", 2), ("fast", 3)]
+    if q <= 105:
+        methods.append(("naive", 1))
+    for method, k in methods:
+        batch = bilinear._bilinear_sums(family, vectors, J, method, k)
+        assert len(batch) == len(vectors)
+        for got, w in zip(batch, vectors):
+            alone = single(w, J, method, k) if family == "kloosterman" else single(w, J, method)
+            assert _result_bits(got) == _result_bits(alone), (method, k, w.support_size)
+            if not w.support_size:
+                assert _result_bits(got) == _result_bits(SumResult(0j, 0.0, 0))
+
+
+def test_batch_core_checks_every_vector():
+    mod = Modulus.of(13)
+    J = Interval.of(mod, 0, 5)
+    good = WeightVector(mod, [1, 2], [1.0, 1.0])
+    other = WeightVector(11, [1], [1.0])
+    with pytest.raises(ModulusMismatch):
+        bilinear._bilinear_sums("kloosterman", [good, other], J, "fast")
+    with pytest.raises(DomainRestriction):
+        bilinear._bilinear_sums("kloosterman", [good, good], J, "naive", 2)
+    with pytest.raises(ValueError, match="method must be one of"):
+        bilinear._bilinear_sums("gauss", [], J, "fast")
+    assert bilinear._bilinear_sums("kloosterman", [], J, "fast") == []

@@ -231,7 +231,7 @@ def test_exact_sum_route_data_stays_off_fsum(monkeypatch):
     rng = np.random.default_rng(3)
     keys = range(1, 101)
     A = WeightVector(q, keys, [float(rng.choice([-1.0, 1.0])) for _ in keys])
-    terms = _fast_values(A, 1) * _gamma_over_units(Interval.of(q, 0, 100))
+    terms = _fast_values([A], 1)[0] * _gamma_over_units(Interval.of(q, 0, 100))
     want = (FSUM(terms.real), FSUM(terms.imag))
     monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
     got = (expsums.exact_sum(terms.real), expsums.exact_sum(terms.imag))

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -29,8 +31,10 @@ from kgsums import (
     primitive_characters,
     region_slacks,
     run_experiment,
+    run_experiments,
     save_config,
 )
+from kgsums import experiments
 from kgsums.csvio import CSV_HEADER
 from kgsums.errors import VerificationError
 from kgsums.experiments import max_kloosterman_floor
@@ -184,6 +188,50 @@ def test_run_experiment_gauss_family():
     assert names == {"trivial", "thm23"}
     trivial = next(r for r in recs if r.bound_name == "trivial")
     assert trivial.abs_sum <= trivial.bound_value + trivial.error_bound
+
+
+def _record_bits(records):
+    """Every field but wall_time_seconds, floats by their bytes."""
+    return [
+        tuple(struct.pack("<d", v) if isinstance(v, float) else v
+              for v in dataclasses.astuple(dataclasses.replace(r, wall_time_seconds=0.0)))
+        for r in records
+    ]
+
+
+@pytest.mark.parametrize("q, M, N, L, kind, methods, family, bounds", [
+    (101, 11, 11, 0, "pm1", None, "kloosterman", None),
+    (105, 20, 7, 4, "unit", ("fast", "transformed"), "kloosterman",
+     [BoundSpec("thm22", r=2, epsilon=0.1)]),
+    (64, 0, 9, 2, "pm1", ("transformed", "fast", "naive"), "kloosterman", None),
+    (13, 3, 4, 1, "unit", ("naive", "transformed"), "gauss", None),
+    (1009, 40, 33, 5, "const", None, "gauss", None),
+])
+def test_run_experiments_equal_run_experiment_per_seed(q, M, N, L, kind, methods, family, bounds):
+    seeds = (1, 2, 3, 7, 1)
+    batch = run_experiments(q, M, N, L, kind, seeds, methods=methods, family=family, bounds=bounds)
+    assert len(batch) == len(seeds)
+    walls = {r.wall_time_seconds for records in batch for r in records}
+    assert len(walls) == 1 and walls.pop() >= 0.0  # the call's time, split evenly
+    for seed, records in zip(seeds, batch):
+        alone = run_experiment(q, M, N, L=L, weight_kind=kind, seed=seed,
+                               methods=methods, family=family, bounds=bounds)
+        assert _record_bits(records) == _record_bits(alone), seed
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_experiments(q, M, N, L, kind, ())
+
+
+def test_bound_ratio_grid_equals_the_per_seed_loop(monkeypatch):
+    monkeypatch.setattr(experiments, "GRID_PRIME_HI", 401)
+    got = list(experiments.bound_ratio_grid())
+    want = [
+        run_experiment(p, M=m, N=m, weight_kind="pm1", seed=seed)
+        for p in experiments.primes_in_range(101, 401)
+        for m in [min(math.isqrt(p - 1) + 1, p - 2)]
+        for seed in experiments.GRID_SEEDS
+    ]
+    assert len(got) == len(want) == 5 * 54
+    assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
 
 
 def test_experiment_trivial_bound_hard_assertion():
