@@ -9,14 +9,12 @@ from .bilinear import (
     bilinear_gauss,
     bilinear_kloosterman,
     dyadic_scale,
-    gamma_sum,
     make_weights,
 )
 from .bounds import (
     BOUND_NAMES,
     REGION_VERTICES,
     BoundSpec,
-    bfkmm_condition,
     bound_value,
     improvement_region,
     region_slacks,

@@ -18,9 +18,9 @@ The double sum over (weight support) x (interval) admits three routes:
 k = 1 is Kloosterman, and the naive oracle runs at k = 1 only.
 
 Weights are built from arrays and stored as arrays: :class:`WeightVector`
-takes residues with aligned values and holds a sorted int64 support with
-aligned complex128 coefficients; :class:`CharWeightVector` does the same
-with the exponent rows of its characters.  Both are read-only.
+takes strictly increasing residues with aligned values and holds an int64
+support with aligned complex128 coefficients; :class:`CharWeightVector`
+does the same with its characters' exponent rows.  Both are read-only.
 
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
@@ -108,41 +108,36 @@ class Interval:
         return range(self.L + 1, self.L + self.N + 1)
 
 
-def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys with their merged weights, as read-only arrays.
+def _checked_support(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and values of the nonzero weights, values plus 0j, as read-only arrays.
 
     ``keys`` holds one key per entry of ``values`` (an int64 vector, or an
-    int64 matrix with one row per key).  Exact-zero inputs are skipped; each
-    key's weight is 0 plus its inputs in input order, as a dict merge adds
-    them, and keys whose merged weight is exactly 0 are dropped.
-
-    Keys already strictly increasing (rows in lexicographic order) are
-    distinct and sorted, so each weight is 0 plus its one nonzero input,
-    which is never 0; that sum, which turns a -0.0 part into +0.0, is all
-    that is computed, with no sort and no scatter.
+    int64 matrix with one row per key).  The keys of nonzero values must
+    strictly increase (rows in lexicographic order); nothing is merged.
+    Adding 0j turns a -0.0 part into +0.0.
     """
     nonzero = values != 0
     keys, values = keys[nonzero], values[nonzero]
-    if _strictly_increasing(keys):
-        return _shared(keys), _shared(values + 0j)
-    keys, slot = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_inverse=True)
-    merged = np.zeros(len(keys), dtype=np.complex128)
-    np.add.at(merged, slot.reshape(-1), values)
-    kept = merged != 0
-    return _shared(keys[kept]), _shared(merged[kept])
+    i = _first_unordered(keys)
+    if i is not None:
+        raise InvalidWeight(f"weight keys must strictly increase: {keys[i].tolist()} "
+                            f"follows {keys[i - 1].tolist()}")
+    return _shared(keys), _shared(values + 0j)
 
 
-def _strictly_increasing(keys: np.ndarray) -> bool:
-    """Whether each key (or row, compared lexicographically) exceeds the one before."""
+def _first_unordered(keys: np.ndarray) -> int | None:
+    """Index of the first key (or row, compared lexicographically) that does
+    not exceed the one before it, or None when the keys strictly increase."""
     if len(keys) < 2:
-        return True  # also rows with no columns (units mod 2), which argmax refuses
+        return None  # also rows with no columns (units mod 2), which argmax refuses
     later, earlier = keys[1:], keys[:-1]
     if keys.ndim > 1:
         # rows compare at their first differing column; equal rows compare equal at column 0
         col = np.argmax(later != earlier, axis=1)
         at = np.arange(len(col))
         later, earlier = later[at, col], earlier[at, col]
-    return bool(np.all(later > earlier))
+    bad = np.flatnonzero(later <= earlier)
+    return int(bad[0]) + 1 if bad.size else None
 
 
 def _norms(coeffs: np.ndarray) -> tuple[float, float, float]:
@@ -180,7 +175,7 @@ class _SortedWeights:
 
     def _store(self, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> None:
         self.modulus = modulus
-        self._support, self._coeffs = _merge(keys, values)
+        self._support, self._coeffs = _checked_support(keys, values)
         self._norm_values = _norms(self._coeffs)
 
     @property
@@ -198,9 +193,9 @@ class WeightVector(_SortedWeights):
     """Sparse complex weights on residues coprime to q.
 
     Built from residues ``keys`` with aligned ``values``.  Keys are reduced
-    mod q and must be units; duplicates merge in input order and exact zeros
-    are dropped, so ``support()`` (sorted int64) and ``coefficients()``
-    (complex128) hold the true support.
+    mod q and must be units; exact zeros are dropped and the remaining keys
+    must strictly increase, so ``support()`` (sorted int64) and
+    ``coefficients()`` (complex128) hold the true support.
     """
 
     __slots__ = ()
@@ -229,8 +224,8 @@ class CharWeightVector(_SortedWeights):
 
     Built from exponent ``rows``, shape (M, number of generators), with
     aligned ``values``.  Every row must lie in range and have conductor q
-    by :func:`conductors`.  ``support()`` holds the rows in lexicographic
-    order.
+    by :func:`conductors`, and the rows of nonzero weights must strictly
+    increase in lexicographic order, the order of :func:`primitive_characters`.
     """
 
     __slots__ = ()
@@ -310,19 +305,6 @@ def _gamma_at(q: int, L, N, r):
     phase_t = np.asarray(_centered((2 * L + N + 1) * r, 2 * q))
     ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
     return np.exp(1j * np.pi * phase_t / q) * ratio
-
-
-def gamma_sum(J: Interval, x: int) -> complex:
-    """Closed-form geometric sum of e_q(n*x) over n in J.
-
-    |gamma_x| <= min(N, q / (2|r|)) at the centered representative r of x,
-    by the sine bound sin(pi*t) >= 2*t on [0, 1/2].  Evaluated by the same
-    kernel as the outer sums, so it equals :func:`_gamma_over_units` bit for bit.
-    """
-    r = _centered(x, J.modulus.q)
-    if r == 0:
-        raise DomainRestriction("gamma_sum is undefined for x = 0 mod q")
-    return complex(_gamma_at(J.modulus.q, J.L, J.N, r))
 
 
 def _gamma_over_units(J: Interval) -> np.ndarray:
@@ -456,35 +438,6 @@ def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
     return SumResult(value=outer.value, error_bound=outer.error_bound + err, terms=outer.terms)
 
 
-def _route_sums(family: str, vectors: list, J: Interval, method: str, k: int) -> list[SumResult]:
-    """One route's sums for nonempty weight vectors on J's modulus, in order."""
-    mod = J.modulus
-    if method == "naive":
-        scalar = kloosterman if family == "kloosterman" else gauss
-        return [_naive_double_sum(w, J, scalar) for w in vectors]
-    if method == "fast":
-        # each DFT entry carries dft_entry_error(q, ||A||_1)
-        errs = [dft_entry_error(mod.q, A.norm1) for A in vectors]
-        return _outer_sums(J, _fast_values(vectors, k), errs)
-    if family == "kloosterman":
-        powers, roots = _inverse_powers(mod, k), roots_of_unity(mod.q)
-
-        def numerators(ms: np.ndarray) -> np.ndarray:  # m (x^-1)^k mod q
-            t = ms[:, None] * powers  # below q^2 <= 2^46
-            return np.remainder(t, mod.q, out=t)
-
-    else:
-        logs, roots = mod.logs[unit_residues(mod)], roots_of_unity(mod.carmichael)
-
-        def numerators(rows: np.ndarray) -> np.ndarray:
-            return angle_numerators(mod, rows, logs)
-
-    # each direct inner sum carries (M + 4) eps * ||w||_1; one row at a time
-    errs = [(w.support_size + 4) * MACHINE_EPS * w.norm1 for w in vectors]
-    rows = (_character_sums(w, numerators, roots) for w in vectors)
-    return _outer_sums(J, rows, errs)
-
-
 def _bilinear_sums(
     family: str, vectors: list, J: Interval, method: str, k: int = 1
 ) -> list[SumResult]:
@@ -505,11 +458,38 @@ def _bilinear_sums(
         raise ValueError(f"method must be one of {methods}, got {method!r}")
     if method == "naive" and k != 1:
         raise DomainRestriction(f"the naive route needs k = 1, got k = {k}")
+    mod = J.modulus
     for w in vectors:
-        if w.modulus.q != J.modulus.q:
-            raise ModulusMismatch(f"weights mod {w.modulus.q} but interval mod {J.modulus.q}")
+        if w.modulus.q != mod.q:
+            raise ModulusMismatch(f"weights mod {w.modulus.q} but interval mod {mod.q}")
     live = [w for w in vectors if w.support_size]
-    sums = iter(_route_sums(family, live, J, method, k) if live else ())
+    if not live:
+        sums = []
+    elif method == "naive":
+        scalar = kloosterman if family == "kloosterman" else gauss
+        sums = [_naive_double_sum(w, J, scalar) for w in live]
+    elif method == "fast":
+        # each DFT entry carries dft_entry_error(q, ||A||_1)
+        errs = [dft_entry_error(mod.q, A.norm1) for A in live]
+        sums = _outer_sums(J, _fast_values(live, k), errs)
+    else:
+        if family == "kloosterman":
+            powers, roots = _inverse_powers(mod, k), roots_of_unity(mod.q)
+
+            def numerators(ms: np.ndarray) -> np.ndarray:  # m (x^-1)^k mod q
+                t = ms[:, None] * powers  # below q^2 <= 2^46
+                return np.remainder(t, mod.q, out=t)
+
+        else:
+            logs, roots = mod.logs[unit_residues(mod)], roots_of_unity(mod.carmichael)
+
+            def numerators(rows: np.ndarray) -> np.ndarray:
+                return angle_numerators(mod, rows, logs)
+
+        # each direct inner sum carries (M + 4) eps * ||w||_1; one row at a time
+        errs = [(w.support_size + 4) * MACHINE_EPS * w.norm1 for w in live]
+        sums = _outer_sums(J, (_character_sums(w, numerators, roots) for w in live), errs)
+    sums = iter(sums)
     return [
         next(sums) if w.support_size else SumResult(value=0j, error_bound=0.0, terms=0)
         for w in vectors

@@ -69,11 +69,6 @@ class BoundSpec:
                 raise ValueError(f"{self.name} takes no (r, epsilon) parameters")
 
 
-def bfkmm_condition(q: int, M: int, N: int) -> bool:
-    """Side condition M*N <= q^(3/2) and M <= N^2 for the bfkmm formula."""
-    return M * N <= q**1.5 and M <= N * N
-
-
 def bound_value(
     spec: BoundSpec,
     q: int,
@@ -89,7 +84,8 @@ def bound_value(
     ``max_term`` feeds the exact form of the trivial bound (the computed
     maximum of |K_q| or |G_q| over the relevant arguments); when omitted the
     sqrt(q) placeholder is used.  ``bfkmm`` and ``combined``'s bfkmm
-    candidate are evaluated whether or not :func:`bfkmm_condition` holds.
+    candidate are evaluated whether or not the bfkmm side condition,
+    M*N <= q^(3/2) and M <= N^2, holds.
     """
     if q < 1 or M < 0 or N < 1:
         raise ValueError(f"need q >= 1, M >= 0, N >= 1; got q={q}, M={M}, N={N}")

@@ -136,8 +136,6 @@ def _cmd_kloosterman(args) -> int:
 
 def _cmd_gauss(args) -> int:
     mod = Modulus.of(args.q)
-    if not 0 <= args.chi < mod.phi:
-        raise DomainRestriction(f"--chi must lie in [0, {mod.phi}) for q = {mod.q}")
     chi = character_at(mod, args.chi)
     res = gauss(mod, chi, args.n)
     cond = int(conductors(mod, [chi])[0])

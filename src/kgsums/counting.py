@@ -75,12 +75,6 @@ class CountTable:
     depth: int
     base_size: int
 
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def check_mass(self) -> bool:
-        return self.total() == self.base_size**self.depth
-
 
 def _admissible_count(mod: Modulus, K: int) -> int:
     """|X| for X = {x <= K : gcd(x, q) = 1}, by inclusion-exclusion over the

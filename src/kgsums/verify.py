@@ -309,8 +309,6 @@ CONDENSED_GRIDS = {
     check_csv_roundtrip: lambda: (run_experiment(13, 4, 5, L=1, weight_kind="pm1", seed=3),),
 }
 
-ALL_CHECKS = tuple(CONDENSED_GRIDS)
-
 
 def run_verify() -> list[Check]:
     return [

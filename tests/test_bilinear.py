@@ -2,6 +2,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -30,18 +31,19 @@ from kgsums import (
     derive_seed,
     dyadic_scale,
     eq_exp,
-    gamma_sum,
     kloosterman,
     kloosterman_row,
     make_weights,
     mod_inv,
     moment_check,
     primitive_characters,
+    primitive_count,
     splitmix64_block,
     unit_residues,
 )
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
+from kgsums.experiments import build_char_weight_vector, build_weight_vector
 from kgsums.expsums import roots_of_unity
 from kgsums.verify import check_paths
 
@@ -80,9 +82,9 @@ def test_weight_norms_permutation_invariant(data):
             max_size=len(units),
         )
     )
-    keys = units[: len(vals)]
+    keys = units[: len(vals)]  # a fixed sorted support; the values move over it
     w1 = WeightVector(mod, keys, vals)
-    w2 = WeightVector(mod, keys[::-1], vals[::-1])
+    w2 = WeightVector(mod, keys, data.draw(st.permutations(vals)))
     assert w1.norm1 == pytest.approx(w2.norm1)
     assert w1.norm2 == pytest.approx(w2.norm2)
     assert w1.norm_inf == pytest.approx(w2.norm_inf)
@@ -118,15 +120,19 @@ def test_char_weight_vector_rejects_imprimitive():
         CharWeightVector(mod, np.array([[-1, 1]]), [1.0])
 
 
-def test_char_weight_vector_sorts_reversed_rows():
-    # rows given in reverse come out in primitive_characters order, each with its weight
+def test_char_weight_vector_refuses_reversed_rows():
+    # rows in primitive_characters order keep their weights; reversed, the
+    # second row is the first that does not exceed the one before it
     for q in (5, 8, 45, 64):
         mod = Modulus.of(q)
         prim = primitive_characters(mod)
         vals = make_weights(prim, "unit", 3)
-        w = CharWeightVector(mod, prim[::-1], vals[::-1])
+        w = CharWeightVector(mod, prim, vals)
         assert w.support().dtype == np.int64 and np.array_equal(w.support(), prim)
         assert np.array_equal(w.coefficients(), vals)
+        message = f"{prim[-2].tolist()} follows {prim[-1].tolist()}"
+        with pytest.raises(InvalidWeight, match=re.escape(message)):
+            CharWeightVector(mod, prim[::-1], vals[::-1])
 
 
 def test_make_weights_deterministic():
@@ -185,15 +191,6 @@ def test_make_weights_matches_scalar_reference():
     assert got.tolist() == _scalar_weights(50_000, "unit", 99)
 
 
-def _dict_reference(q, pairs):
-    # the mapping semantics: reduce, skip zero inputs, add 0j + inputs in input order
-    merged = {}
-    for k, a in pairs:
-        if complex(a) != 0:
-            merged[k % q] = merged.get(k % q, 0j) + complex(a)
-    return {k: merged[k] for k in sorted(merged) if merged[k] != 0}
-
-
 def _reference_norms(values):
     mags = [abs(v) for v in values]
     if not mags:
@@ -203,12 +200,12 @@ def _reference_norms(values):
 
 def test_weight_vector_arrays():
     mod = Modulus.of(7)
-    # duplicates merge in input order: (0 + 1e16) + 1 + (-1e16) is 0, not 1
-    keys = [1, 8, -6, 3, -1, 13, 2, 9]
-    vals = [1e16, 1.0, -1e16, 0.0, 2j, -1.5, 0.25 - 0.5j, 0.0]
+    # keys reduce mod q, and exact zeros drop before the order is checked:
+    # 3 and 9 = 2 mod 7 carry 0 and leave 1, 2, 4, 6
+    keys = [8, 2, 3, -3, 13, 9]
+    vals = [1e16, 0.25 - 0.5j, 0.0, 2j, -1.5, 0.0]
     w = WeightVector(mod, keys, vals)
-    ref = _dict_reference(7, zip(keys, vals))
-    assert ref == {2: 0.25 - 0.5j, 6: -1.5 + 2j}
+    ref = {1: 1e16, 2: 0.25 - 0.5j, 4: 2j, 6: -1.5}
     assert w.support().tolist() == list(ref) and w.coefficients().tolist() == list(ref.values())
     assert w.support().dtype == np.int64 and w.coefficients().dtype == np.complex128
     assert (w.norm1, w.norm2, w.norm_inf) == _reference_norms(ref.values())
@@ -216,6 +213,11 @@ def test_weight_vector_arrays():
     empty = WeightVector(mod, [1, 2, 3], [0.0, 0j, -0.0])
     assert empty.support_size == 0 and empty.support().size == 0
     assert (empty.norm1, empty.norm2, empty.norm_inf) == (0.0, 0.0, 0.0)
+    # repeated keys are refused, never merged: 1 and 8 are both 1 mod 7
+    with pytest.raises(InvalidWeight, match="must strictly increase: 1 follows 1"):
+        WeightVector(mod, [1, 8], [1e16, 1.0])
+    with pytest.raises(InvalidWeight, match="must strictly increase: 2 follows 5"):
+        WeightVector(mod, [1, 5, 2], [1.0, 1.0, 1.0])
     # the first key that is not a unit is named
     with pytest.raises(InvalidWeight, match=r"weight key 14 is not a unit mod 21 \(gcd = 7\)"):
         WeightVector(Modulus.of(21), [1, 14, 3], [1.0, 1.0, 1.0])
@@ -231,7 +233,7 @@ def test_weight_vector_arrays():
 
 
 def _sorting_merge(keys, values):
-    """The merge every input takes without the sorted-keys shortcut: np.unique, np.add.at."""
+    """The sort-and-merge reference: np.unique, then np.add.at of the nonzero inputs."""
     nonzero = values != 0
     keys, slot = np.unique(keys[nonzero], axis=0 if keys.ndim > 1 else None, return_inverse=True)
     merged = np.zeros(len(keys), dtype=np.complex128)
@@ -248,24 +250,35 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
         dtype=np.complex128,
     )
     rows = np.array([[0, 1], [0, 3], [1, 0], [1, 2], [2, 0], [2, 1], [3, 3], [4, 0]])
-    cases = {
-        "sorted 1-D": (np.array([1, 2, 4, 5, 7, 8, 10, 11]), True),
-        "sorted rows": (rows, True),
-        "unsorted 1-D": (np.array([5, 2, 4, 1, 7, 8, 10, 11]), False),
-        "unsorted rows": (rows[[1, 0, 2, 3, 4, 5, 6, 7]], False),
-        "duplicated 1-D": (np.array([1, 2, 2, 5, 7, 8, 10, 10]), False),
-        "duplicated rows": (rows[[0, 1, 1, 3, 4, 5, 6, 6]], False),
+    sorted_1d = np.array([1, 2, 4, 5, 7, 8, 10, 11])
+    nonzero = values != 0  # entries 3, 4 and 5 are exact zeros, and their keys are not compared
+    accepted = {
+        "sorted 1-D": sorted_1d,
+        "sorted rows": rows,
+        "unsorted only under zeros": np.array([1, 2, 4, 3, 0, 99, 10, 11]),
     }
-    for name, (keys, shortcut) in cases.items():
-        assert bilinear._strictly_increasing(keys) == shortcut, name
-        got_keys, got_coeffs = bilinear._merge(keys, values)
+    for name, keys in accepted.items():
+        assert bilinear._first_unordered(keys[nonzero]) is None, name
+        got_keys, got_coeffs = bilinear._checked_support(keys, values)
         ref_keys, ref_coeffs = _sorting_merge(keys, values)
         assert got_keys.shape == ref_keys.shape and np.array_equal(got_keys, ref_keys), name
         # tobytes tells -0.0 from +0.0, which == does not
         assert got_coeffs.tobytes() == ref_coeffs.tobytes(), name
         assert bilinear._norms(got_coeffs) == bilinear._norms(ref_coeffs), name
+    # unsorted or repeated keys (or rows) are refused, naming the first that
+    # does not exceed the nonzero key before it
+    refused = {
+        "unsorted 1-D": (np.array([5, 2, 4, 1, 7, 8, 10, 11]), "2 follows 5"),
+        "unsorted rows": (rows[[1, 0, 2, 3, 4, 5, 6, 7]], "[0, 1] follows [0, 3]"),
+        "duplicated 1-D": (np.array([1, 2, 2, 5, 7, 8, 10, 10]), "2 follows 2"),
+        "duplicated rows": (rows[[0, 1, 1, 3, 4, 5, 6, 6]], "[0, 3] follows [0, 3]"),
+        "duplicated across zeros": (np.array([1, 2, 4, 3, 0, 99, 4, 11]), "4 follows 4"),
+    }
+    for name, (keys, message) in refused.items():
+        with pytest.raises(InvalidWeight, match=re.escape(message)):
+            bilinear._checked_support(keys, values)
     # a sorted input's -0.0 parts come out +0.0, as 0 + v turns them
-    _, coeffs = bilinear._merge(cases["sorted 1-D"][0], values)
+    _, coeffs = bilinear._checked_support(sorted_1d, values)
     assert np.signbit(coeffs.real).tolist() == [False, False, True, False, False]
     assert np.signbit(coeffs.imag).tolist() == [False, False, False, True, True]
     # the sweep's inputs: full-support units and primitive exponent rows
@@ -273,12 +286,22 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
         mod = Modulus.of(q)
         units = unit_residues(mod)
         vals = make_weights(units, "pm1", q)
-        for got, ref in zip(bilinear._merge(units, vals), _sorting_merge(units, vals)):
+        for got, ref in zip(bilinear._checked_support(units, vals), _sorting_merge(units, vals)):
             assert got.tobytes() == ref.tobytes()
         prim = primitive_characters(mod)
         vals = make_weights(prim, "unit", q)
-        for got, ref in zip(bilinear._merge(prim, vals), _sorting_merge(prim, vals)):
+        for got, ref in zip(bilinear._checked_support(prim, vals), _sorting_merge(prim, vals)):
             assert got.tobytes() == ref.tobytes()
+
+
+def test_built_weights_pass_the_order_check():
+    # the program's own weights, at full support, are never refused
+    for q in range(2, 301):
+        mod = Modulus.of(q)
+        w = build_weight_vector(mod, mod.phi, "pm1", q)
+        assert np.array_equal(w.support(), unit_residues(mod)), q
+        c = build_char_weight_vector(mod, primitive_count(mod), "unit", q)
+        assert np.array_equal(c.support(), primitive_characters(mod)), q
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +309,22 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 
+def _gamma(J, x):
+    """gamma_x over J at one residue x != 0 mod q, read from the kernel."""
+    q = J.modulus.q
+    return complex(bilinear._gamma_at(q, J.L, J.N, bilinear._centered(x, q)))
+
+
 def test_gamma_examples():
     mod7 = Modulus.of(7)
-    g = gamma_sum(Interval.of(mod7, 0, 3), 1)
+    g = _gamma(Interval.of(mod7, 0, 3), 1)
     assert abs(g) == pytest.approx(
         abs(math.sin(3 * math.pi / 7) / math.sin(math.pi / 7)), abs=1e-9
     )
     assert abs(g) == pytest.approx(2.2470, abs=5e-4)
-    full = gamma_sum(Interval.of(mod7, 0, 6), 1)
+    full = _gamma(Interval.of(mod7, 0, 6), 1)
     assert abs(full - (-1)) < 1e-12
-    pair = gamma_sum(Interval.of(Modulus.of(10), 0, 2), 5)
+    pair = _gamma(Interval.of(Modulus.of(10), 0, 2), 5)
     assert abs(pair) < 1e-12
 
 
@@ -303,12 +332,7 @@ def test_gamma_matches_direct_sum():
     for q, L, N, x in ((11, 2, 5, 3), (12, 0, 7, 5), (97, 10, 40, 13)):
         J = Interval.of(q, L, N)
         direct = sum(eq_exp(n * x, q) for n in J.values())
-        assert abs(gamma_sum(J, x) - direct) < 1e-10
-
-
-def test_gamma_rejects_zero_class():
-    with pytest.raises(DomainRestriction):
-        gamma_sum(Interval.of(7, 0, 3), 14)
+        assert abs(_gamma(J, x) - direct) < 1e-10
 
 
 def _gamma_reference(J, x):
@@ -330,8 +354,8 @@ def _gamma_reference(J, x):
 
 
 def test_gamma_scalar_matches_vectorized():
-    # gamma_sum and the vectorized route behind every outer sum share one
-    # kernel, so they agree exactly on every unit, with intervals at both
+    # the kernel read at one residue and read at every unit, as the outer
+    # sums read it, agree exactly on every unit, with intervals at both
     # ends and the middle of [1, q-1]; the Python-float closed form agrees
     # within the documented GAMMA_EVAL_ERR * eps * N, also at q ~ 10^12,
     # where int64 products N * x would overflow.  Criterion 07 checks the
@@ -346,7 +370,7 @@ def test_gamma_scalar_matches_vectorized():
                 continue
             for L in sorted({0, (q - 1 - N) // 2, q - 1 - N}):
                 J = Interval.of(mod, L, N)
-                scalar = np.array([gamma_sum(J, x) for x in xs])
+                scalar = np.array([_gamma(J, x) for x in xs])
                 assert np.array_equal(_gamma_over_units(J), scalar), f"q={q}, L={L}, N={N}"
                 gap = float(np.max(np.abs(scalar - [_gamma_reference(J, x) for x in xs])))
                 assert gap <= GAMMA_EVAL_ERR * MACHINE_EPS * N, f"q={q}, L={L}, N={N}"
@@ -356,7 +380,7 @@ def test_gamma_scalar_matches_vectorized():
         (10**12 + 39, 10**12 - 10**11, 10**11 - 1, 5 * 10**11 + 7),
     ):
         J = Interval.of(q, L, N)
-        gap = abs(gamma_sum(J, x) - _gamma_reference(J, x))
+        gap = abs(_gamma(J, x) - _gamma_reference(J, x))
         assert gap <= GAMMA_EVAL_ERR * MACHINE_EPS * N, f"q={q}, x={x}"
 
 
@@ -707,7 +731,7 @@ def test_gamma_magnitude_independent_of_offset():
             mags = set()
             for L in range(0, q - N, max(1, q // 9)):
                 J = Interval.of(q, L, N)
-                mags.add(round(abs(gamma_sum(J, 3 if math.gcd(3, q) == 1 else 1)), 9))
+                mags.add(round(abs(_gamma(J, 3 if math.gcd(3, q) == 1 else 1)), 9))
             assert len(mags) == 1  # |gamma| depends only on N and x
 
 

@@ -18,7 +18,6 @@ from kgsums import (
     RunPlan,
     SumResult,
     average_sweep,
-    bfkmm_condition,
     bound_value,
     default_plan,
     exceptional_budget,
@@ -41,7 +40,6 @@ from kgsums.experiments import max_kloosterman_floor
 from kgsums.prng import SplitMix64
 from kgsums import verify
 from kgsums.verify import (
-    ALL_CHECKS,
     check_csv_roundtrip,
     check_gamma_dyadic,
     check_gauss_modulus,
@@ -92,11 +90,6 @@ def test_parametric_specs_validated():
         BoundSpec("thm21", r=2, epsilon=0.1)
     with pytest.raises(ValueError):
         BoundSpec("nope")
-
-
-def test_bfkmm_condition_and_combined_flag():
-    assert bfkmm_condition(100, 10, 10)
-    assert not bfkmm_condition(100, 2000, 10)
 
 
 @given(data=st.data())
@@ -603,6 +596,9 @@ def test_cli_error_category(tmp_path, capsys):
         ("sweep", "--Q", "16", "--N", "4", "--epsilon", "inf"),
         ("sweep", "--Q", "16", "--N", "4", "--epsilon", "100"),
         ("sweep", "--Q", "16", "--N", "4", "--epsilon", "400"),
+        # character_at makes the one range check of --chi, in [0, phi(q))
+        ("gauss", "--q", "7", "--chi", "6", "--n", "1"),
+        ("gauss", "--q", "7", "--chi", "-1", "--n", "1"),
     ):
         assert cli.main(list(argv)) == 2, argv
         assert json.loads(capsys.readouterr().err)["category"] == "invalid_input", argv
@@ -772,7 +768,7 @@ def test_cli_verify():
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert all(ln.startswith("PASS  ") for ln in lines)
     names = [ln[len("PASS  "):].split(":")[0] for ln in lines]
-    assert len(names) == len(ALL_CHECKS) == 11
+    assert len(names) == len(verify.CONDENSED_GRIDS) == 11
     assert set(names) == {
         "inverse involution", "multiplicative shift identity",
         "row vs direct sums", "Weil bound", "primitive Gauss magnitude",
