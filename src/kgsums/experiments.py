@@ -99,7 +99,7 @@ def max_kloosterman_abs(q: "Modulus | int") -> float:
     for every unit m and every n in [1, q-1], which is exactly the range a
     weighted form can touch; it feeds the exact trivial bound.  It is read
     from the whole length-q row `kloosterman_row(q, 1)`, so
-    :func:`run_experiment` computes it only when a record reports the
+    :func:`run_experiments` computes it only when a record reports the
     trivial bound or :func:`max_kloosterman_floor` cannot settle the assert.
     """
     return _max_kloosterman_abs(Modulus.of(q).q)
@@ -372,13 +372,14 @@ def exceptional_budget(Q: int, r: int, epsilon: float) -> float:
     return Q ** (1.0 - 2.0 * r * epsilon)
 
 
-def bound_ratio_grid() -> Iterator[list[ExperimentRecord]]:
+def bound_ratio_grid(bounds: list[BoundSpec] | None = None) -> Iterator[list[ExperimentRecord]]:
     """The bound-ratio regression grid: the records of one experiment per
     grid prime p and seed in GRID_SEEDS, with M = N = ceil(sqrt(p)) and pm1
-    weights.  The frozen baseline is the largest thm21 ratio."""
+    weights, reporting ``bounds`` (None: the defaults) as :func:`run_experiments`
+    does.  The frozen baseline is the largest thm21 ratio."""
     for p in primes_in_range(GRID_PRIME_LO, GRID_PRIME_HI):
         m = n = min(math.isqrt(p - 1) + 1, p - 2)
-        yield from run_experiments(p, M=m, N=n, weight_kind="pm1", seeds=GRID_SEEDS)
+        yield from run_experiments(p, M=m, N=n, weight_kind="pm1", seeds=GRID_SEEDS, bounds=bounds)
 
 
 def grid_ks(q: int) -> list[int]:

@@ -47,10 +47,6 @@ class SplitMix64:
         # top 53 bits -> dyadic rational in [0, 1)
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def sign(self) -> int:
-        """+1 or -1 from the top output bit."""
-        return 1 if self.next_u64() >> 63 == 0 else -1
-
 
 def splitmix64_block(seed: int, n: int) -> np.ndarray:
     """Outputs 1..n of ``SplitMix64(seed)`` as one uint64 array."""

@@ -169,7 +169,7 @@ def _scalar_weights(n, kind, seed):
         if kind == "const":
             out.append(1.0 + 0j)
         elif kind == "pm1":
-            out.append(complex(rng.sign(), 0.0))
+            out.append(complex(1 if rng.next_u64() >> 63 == 0 else -1, 0.0))
         elif kind == "unit":
             out.append(cmath.exp(complex(0.0, 2.0 * math.pi * rng.uniform01())))
         else:

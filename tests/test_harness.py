@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,32 @@ def test_bound_ratio_grid_equals_the_per_seed_loop(monkeypatch):
     ]
     assert len(got) == len(want) == 5 * 54
     assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
+
+
+def test_thm21_grid_settles_every_trivial_check_by_the_floor(monkeypatch):
+    # asked for thm21 alone, the grid gives the thm21 records of the full grid
+    # and builds no Kloosterman row: the floor settles every trivial-bound check
+    monkeypatch.setattr(experiments, "GRID_PRIME_HI", 401)
+    full = [[r for r in recs if r.bound_name == "thm21"] for recs in experiments.bound_ratio_grid()]
+
+    def refuse(q, n):
+        raise AssertionError(f"the Kloosterman row was built for q = {q}")
+
+    experiments._max_kloosterman_abs.cache_clear()
+    monkeypatch.setattr(experiments, "kloosterman_row", refuse)
+    got = list(experiments.bound_ratio_grid([BoundSpec("thm21")]))
+    assert len(got) == 5 * 54
+    assert [_record_bits(r) for r in got] == [_record_bits(r) for r in full]
+    # the script's records and worst ratio are those of the old filter over the full grid
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bound_ratio_grid.py"
+    spec = importlib.util.spec_from_file_location("_bound_ratio_grid", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    records, worst = script.run_grid()
+    want = [r for recs in full for r in recs]
+    assert _record_bits(records) == _record_bits(want)
+    assert worst == max(r.ratio for r in want)
 
 
 def test_experiment_trivial_bound_hard_assertion():

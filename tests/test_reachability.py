@@ -1,8 +1,15 @@
-"""Every module-level name in src/kgsums is reached by the program, not only by tests.
+"""Every name defined in src/kgsums is reached by the program, not only by tests.
 
-A ``def``, ``class`` or assigned name at the top level of a module under
-src/kgsums (``__init__.py`` aside, whose re-exports reach nothing) counts
-as reached when it is read, as a name, an attribute or an imported name:
+Two kinds of name are checked, in the modules under src/kgsums
+(``__init__.py`` aside, whose re-exports reach nothing):
+
+* a ``def``, ``class`` or assigned name at the top level of a module;
+* a ``def`` or assigned name in a class body, dunders aside.  A bare
+  annotation such as a dataclass field is not an assignment: the record's
+  readers (``dataclasses.fields``, tuple unpacking) reach it by position.
+
+A name counts as reached when it is read, as a name, an attribute or an
+imported name:
 
 * in another module under src/kgsums, again without ``__init__.py``;
 * in its own module, outside the statement that defines it;
@@ -27,7 +34,7 @@ def _parse(path):
 
 
 def _defined(statement):
-    """The names a top-level statement defines."""
+    """The names a top-level or class-body statement defines."""
     if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return {statement.name}
     if isinstance(statement, ast.Assign):
@@ -39,9 +46,20 @@ def _defined(statement):
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
-def _read(tree, strings=False):
-    """The names a tree reads: loaded names and attributes, imported names and,
-    with ``strings``, string constants that are not docstrings."""
+def _walk(tree, skip=None):
+    """The nodes of a tree, as ``ast.walk`` gives them, less the subtree of ``skip``."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is not skip:
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _read(tree, strings=False, skip=None):
+    """The names a tree, less the subtree of ``skip``, reads: loaded names and
+    attributes, imported names and, with ``strings``, string constants that
+    are not docstrings."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -51,7 +69,7 @@ def _read(tree, strings=False):
         and isinstance(node.body[0].value, ast.Constant)
     }
     found = set()
-    for node in ast.walk(tree):
+    for node in _walk(tree, skip):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -64,7 +82,9 @@ def _read(tree, strings=False):
     return found
 
 
-def test_every_module_level_name_is_reached():
+def _program():
+    """The parsed modules under src/kgsums by name, and the names bench/ and
+    scripts/ read."""
     modules = {
         path.stem: _parse(path)
         for path in sorted((ROOT / "src" / "kgsums").glob("*.py"))
@@ -75,6 +95,11 @@ def test_every_module_level_name_is_reached():
         outside |= _read(_parse(path), strings=True)
     for path in sorted((ROOT / "scripts").glob("*.py")):
         outside |= _read(_parse(path))
+    return modules, outside
+
+
+def test_every_module_level_name_is_reached():
+    modules, outside = _program()
     reads = {name: [_read(s) for s in tree.body] for name, tree in modules.items()}
     unreached = []
     for name, tree in modules.items():
@@ -83,4 +108,22 @@ def test_every_module_level_name_is_reached():
             for defined in sorted(_defined(statement) - elsewhere - set(ALLOWED)):
                 if not any(defined in r for j, r in enumerate(reads[name]) if j != i):
                     unreached.append(f"{name}.{defined}")
+    assert not unreached, f"reached only by tests, or by nothing: {unreached}"
+
+
+def test_every_class_member_is_reached():
+    modules, outside = _program()
+    reads = {name: _read(tree) for name, tree in modules.items()}
+    unreached = []
+    for name, tree in modules.items():
+        elsewhere = outside.union(*(reads[other] for other in modules if other != name))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for statement in cls.body:
+                if isinstance(statement, ast.AnnAssign) and statement.value is None:
+                    continue
+                for defined in sorted(_defined(statement) - elsewhere - set(ALLOWED)):
+                    if defined.startswith("__") and defined.endswith("__"):
+                        continue
+                    if defined not in _read(tree, skip=statement):
+                        unreached.append(f"{name}.{cls.name}.{defined}")
     assert not unreached, f"reached only by tests, or by nothing: {unreached}"
