@@ -23,6 +23,7 @@ from .counting import (
     CountTable,
     dyadic_average,
     j2_reference_ratio,
+    j2_reference_ratios,
     jr_congruence,
     jr_equation,
     moment_check,

@@ -252,7 +252,7 @@ class CharWeightVector(_SortedWeights):
 WEIGHT_KINDS = ("const", "pm1", "unit", "zero")
 
 
-def make_weights(keys, kind: str, seed: int) -> np.ndarray:
+def make_weights(keys, kind: str, seed) -> np.ndarray:
     """Deterministic complex128 weight values for the given ordered keys.
 
     Kinds: ``const`` (all 1), ``pm1`` (random signs from the top bit),
@@ -260,19 +260,27 @@ def make_weights(keys, kind: str, seed: int) -> np.ndarray:
     53 bits over 2^53), ``zero`` (all 0, for trivial-case tests).  Value i
     comes from output i+1 of one SplitMix64 stream seeded with ``seed``, so
     every run is reproducible cross-platform.
+
+    ``seed`` may also be a sequence of S seeds, drawn as one SplitMix64
+    block: the values then have shape (len(keys), S), one row per key as
+    for one seed, and column s is bit for bit the values of ``seed[s]``.
     """
     if kind not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
-    n = len(keys)
+    one = isinstance(seed, (int, np.integer))
+    shape = (len(keys),) if one else (len(seed), len(keys))
     if kind == "const":
-        return np.ones(n, dtype=np.complex128)
-    if kind == "zero":
-        return np.zeros(n, dtype=np.complex128)
-    bits = splitmix64_block(seed, n)
-    if kind == "pm1":
-        return np.where(bits >> np.uint64(63), -1.0, 1.0).astype(np.complex128)
-    angles = TWO_PI * ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
-    return np.exp(1j * angles)
+        values = np.ones(shape, dtype=np.complex128)
+    elif kind == "zero":
+        values = np.zeros(shape, dtype=np.complex128)
+    else:
+        bits = splitmix64_block(seed, len(keys))
+        if kind == "pm1":
+            values = np.where(bits >> np.uint64(63), -1.0, 1.0).astype(np.complex128)
+        else:
+            angles = TWO_PI * ((bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
+            values = np.exp(1j * angles)
+    return values if one else values.T
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +346,7 @@ def dyadic_scale(q: int, N, x):
 _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
 
-#: a block of the character-sum kernel holds max(1, _BLOCK_ENTRIES // q) weights
+#: a tile of the character-sum kernel holds max(2, _BLOCK_ENTRIES // M) units for M weights
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -396,25 +404,31 @@ def _outer_sums(J: Interval, f_rows, entry_errs) -> list[SumResult]:
 def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
     """f(x) = sum_i w_i psi_i(x) for every unit x, aligned with unit_residues(q).
 
-    ``numerators(keys)`` gives the angle numerators, reduced mod len(roots),
-    of a block of support keys at every unit, one row per key; psi_i(x) is
-    ``roots`` read at them.  A block of at most max(1, _BLOCK_ENTRIES // q)
-    weights reads its values into rows 1.. of one buffer whose row 0 is the
-    running total.  The weight is the left operand, and one reduction over
-    axis 0 adds the rows in support order: bit for bit the sequential sum
-    of w_i * psi_i, for Gauss weights the sum of ``w * char_values(q, row)``.
+    ``numerators(keys, tile)`` gives the angle numerators, reduced mod
+    len(roots), of every support key at the units in the slice ``tile`` of
+    unit_residues(q), one row per key; psi_i(x) is ``roots`` read at them.
+    A tile holds max(2, _BLOCK_ENTRIES // M) units for M weights (all of
+    them if fewer), and its values fill one M-row buffer.  The weight is the
+    left operand, and one reduction over axis 0 adds the rows in support
+    order, from zero, into the tile's part of the result: bit for bit the
+    sequential sum of w_i * psi_i, for Gauss weights the sum of
+    ``w * char_values(q, row)``.  A one-column reduction would be pairwise,
+    so no tile is narrower than two units: the last one ends at phi(q) and
+    may recompute units of the one before, to the same bits.
     """
-    mod = weights.modulus
+    phi = weights.modulus.phi
     keys, coeffs = weights.support(), weights.coefficients()
-    rows = max(1, min(_BLOCK_ENTRIES // mod.q, coeffs.size))
-    block = np.zeros((rows + 1, mod.phi), dtype=np.complex128)
-    for start in range(0, coeffs.size, rows):
-        t = numerators(keys[start : start + rows])
-        psi = block[1 : len(t) + 1]
-        np.take(roots, t, out=psi, mode="wrap")  # t < len(roots) already; "wrap" avoids a buffer
-        np.multiply(coeffs[start : start + rows, None], psi, out=psi)
-        block[0] = np.add.reduce(block[: len(t) + 1], axis=0)
-    return block[0].copy()
+    width = min(max(2, _BLOCK_ENTRIES // coeffs.size), phi)
+    total = np.empty(phi, dtype=np.complex128)
+    psi = np.empty((coeffs.size, width), dtype=np.complex128)
+    for start in range(0, phi, width):
+        lo = min(start, phi - width)
+        tile = slice(lo, lo + width)
+        # t < len(roots) already; "wrap" avoids a buffer
+        np.take(roots, numerators(keys, tile), out=psi, mode="wrap")
+        np.multiply(coeffs[:, None], psi, out=psi)
+        np.add.reduce(psi, axis=0, out=total[tile], initial=0)
+    return total
 
 
 def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
@@ -476,15 +490,15 @@ def _bilinear_sums(
         if family == "kloosterman":
             powers, roots = _inverse_powers(mod, k), roots_of_unity(mod.q)
 
-            def numerators(ms: np.ndarray) -> np.ndarray:  # m (x^-1)^k mod q
-                t = ms[:, None] * powers  # below q^2 <= 2^46
+            def numerators(ms: np.ndarray, tile: slice) -> np.ndarray:  # m (x^-1)^k mod q
+                t = ms[:, None] * powers[tile]  # below q^2 <= 2^46
                 return np.remainder(t, mod.q, out=t)
 
         else:
             logs, roots = mod.logs[unit_residues(mod)], roots_of_unity(mod.carmichael)
 
-            def numerators(rows: np.ndarray) -> np.ndarray:
-                return angle_numerators(mod, rows, logs)
+            def numerators(rows: np.ndarray, tile: slice) -> np.ndarray:
+                return angle_numerators(mod, rows, logs[tile])
 
         # each direct inner sum carries (M + 4) eps * ||w||_1; one row at a time
         errs = [(w.support_size + 4) * MACHINE_EPS * w.norm1 for w in live]

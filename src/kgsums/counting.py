@@ -10,7 +10,10 @@ routes give the congruence counts:
   transform on the lattice Z/o_1 x .. x Z/o_k it lives on (`_lattice`:
   Z/q for inverse sums, the unit group through its discrete logs for
   products), rounded only under an a priori bound on the rounding error
-  (see `_convolution_power`) and checked against the exact mass.
+  (see `_convolution_power`) and checked against the exact mass.  The
+  padding depends on the lattice and r alone, so several point sets of one
+  modulus (several K) share one pass: they are stacked on a leading batch
+  axis, and each keeps its own certificate, mass check and sum(T**2).
 * ``"convolution"``, the exact fold on the same lattice: it rotates the
   count array by every base point and sums the results with whole-array
   numpy calls (`_rotation_sum`).  Its (r - 1) * |X| * q adds, each a
@@ -195,16 +198,20 @@ def _fft_refusal(shape: tuple[int, ...], r: int, size: int) -> str | None:
 
 
 def _convolution_power(
-    points: np.ndarray, shape: tuple[int, ...], r: int
-) -> tuple[np.ndarray, int]:
-    """The exact r-fold cyclic self-convolution T of a point set, and sum(T**2).
+    point_sets: list[np.ndarray], shape: tuple[int, ...], r: int
+) -> list[tuple[np.ndarray, int]]:
+    """The exact r-fold cyclic self-convolution T of each point set, and sum(T**2).
 
-    ``points`` holds one row of coordinates per distinct point of the
-    lattice Z/o_1 x .. x Z/o_k with ``shape`` (o_1, .., o_k), as `_lattice`
-    places them.  Each axis is zero-padded to a power of two
+    Each entry of ``point_sets`` holds one row of coordinates per distinct
+    point of the lattice Z/o_1 x .. x Z/o_k with ``shape`` (o_1, .., o_k),
+    as `_lattice` places them.  Each axis is zero-padded to a power of two
     >= r*(o_j - 1) + 1, so ``irfftn(rfftn(a) ** r)`` is the linear r-fold
     sum; it is rounded, each axis is wrapped mod o_j, and the mass
-    sum(T) = |X|**r is checked exactly.
+    sum(T) = |X|**r of each set is checked exactly.  The padding depends on
+    the shape and r only, so the sets share it: they are stacked on a
+    leading batch axis and transformed together, at most
+    FFT_SIZE_CAP // (padded size) sets per pass, and each entry of the
+    batch is what its set gives alone.
 
     Rounding certificate, a priori (Percival, "Rapid multiplication modulo
     the sum and difference of highly composite numbers", Math. Comp. 72,
@@ -230,40 +237,50 @@ def _convolution_power(
     With k replaced by max(k, 1) (the r - 1 products still round when
     n = 1), the result is accepted only when c r k eps |X|^r < 1/4; the
     observed distance from the integers is never consulted.  Under the
-    certificate |X|^r < 2^47, so the rounded counts fit int64.
+    certificate |X|^r < 2^47, so the rounded counts fit int64.  The bound
+    is per set: a batched transform is the same transform of each set.
 
     sum(T**2) is an int64 dot while max(T) |X|^r, which bounds it, is
     below the overflow line, and a Python-int dot above.  The caller has
-    checked `_fft_refusal` before building ``points``.
+    checked `_fft_refusal` for every set before building it.
     """
-    size = points.shape[0]
     padded = _fft_padding(shape, r)
-    axes = tuple(range(len(shape)))
-    a = np.zeros(padded)
-    a[tuple(points.T)] = 1.0
-    spec = np.fft.rfftn(a, axes=axes)
-    del a  # work arrays reach 2^21 entries: each is freed once it is spent
-    power = spec
-    for _ in range(r - 1):
-        power = power * spec  # the r - 1 products the certificate counts
-    approx = np.fft.irfftn(power, s=padded, axes=axes)
-    del spec, power
-    counts = np.rint(approx, out=approx).astype(np.int64)
-    del approx
-    for axis, o in enumerate(shape):
-        # wrap the axis mod o: zero-fill it to whole periods, add the periods
-        whole = counts.shape[:axis] + (-(-padded[axis] // o) * o,) + counts.shape[axis + 1 :]
-        folded = np.zeros(whole, dtype=np.int64)
-        folded[tuple(map(slice, counts.shape))] = counts
-        counts = folded.reshape(whole[:axis] + (-1, o) + whole[axis + 1 :]).sum(axis)
-    mass = int(counts.sum())
-    if mass != size**r:
-        raise VerificationError(f"FFT counts have mass {mass}, expected |X|**r = {size ** r}")
-    # sum(T**2) <= max(T) * sum(T): an int64 dot below the overflow line
-    flat = counts.ravel()
-    if int(flat.max()) * mass >= _INT64_SAFE:
-        flat = flat[flat != 0].astype(object)
-    return counts, int(flat @ flat)
+    axes = tuple(range(1, len(shape) + 1))
+    per_pass = max(1, FFT_SIZE_CAP // math.prod(padded))
+    results = []
+    for start in range(0, len(point_sets), per_pass):
+        batch = point_sets[start : start + per_pass]
+        a = np.zeros((len(batch),) + padded)
+        for i, points in enumerate(batch):
+            a[(i, *points.T)] = 1.0
+        spec = np.fft.rfftn(a, axes=axes)
+        del a  # work arrays reach 2^21 entries: each is freed once it is spent
+        power = spec
+        for _ in range(r - 1):
+            power = power * spec  # the r - 1 products the certificate counts
+        approx = np.fft.irfftn(power, s=padded, axes=axes)
+        del spec, power
+        counts = np.rint(approx, out=approx).astype(np.int64)
+        del approx
+        for axis, o in enumerate(shape, start=1):
+            # wrap the axis mod o: zero-fill it to whole periods, add the periods
+            periods = -(-counts.shape[axis] // o)
+            whole = counts.shape[:axis] + (periods * o,) + counts.shape[axis + 1 :]
+            folded = np.zeros(whole, dtype=np.int64)
+            folded[tuple(map(slice, counts.shape))] = counts
+            counts = folded.reshape(whole[:axis] + (-1, o) + whole[axis + 1 :]).sum(axis)
+        for points, table in zip(batch, counts):
+            size, mass = len(points), int(table.sum())
+            if mass != size**r:
+                raise VerificationError(
+                    f"FFT counts have mass {mass}, expected |X|**r = {size ** r}"
+                )
+            # sum(T**2) <= max(T) * sum(T): an int64 dot below the overflow line
+            flat = table.ravel()
+            if int(flat.max()) * mass >= _INT64_SAFE:
+                flat = flat[flat != 0].astype(object)
+            results.append((table, int(flat @ flat)))
+    return results
 
 
 def _check_tuple_cap(size: int, r: int) -> None:
@@ -326,37 +343,51 @@ def product_table(q: "Modulus | int", K: int, r: int) -> CountTable:
 _COUNT_METHODS = ("fft", "convolution", "exhaustive")
 
 
-def _congruence_count(
-    q: "Modulus | int", K: int, r: int, method: str | None, reciprocal: bool
-) -> int:
-    """Pairs of r-tuples of admissible x <= K whose inverse sums
-    (``reciprocal``) or products agree mod q.
+def _congruence_counts(
+    q: "Modulus | int", Ks: list[int], r: int, method: str | None, reciprocal: bool
+) -> list[int]:
+    """For each K in ``Ks``, the pairs of r-tuples of admissible x <= K whose
+    inverse sums (``reciprocal``) or products agree mod q.
 
-    ``method`` None runs "fft" when `_fft_refusal` lets it, else "convolution".
+    ``method`` None runs "fft" for every K that `_fft_refusal` lets it, all
+    of them in one `_convolution_power` call on the shared lattice, and
+    "convolution" for the others.  Every K's route and caps are decided
+    before anything is allocated.
     """
     mod = Modulus.of(q)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if method not in (None, *_COUNT_METHODS):
         raise ValueError(f"method must be one of {_COUNT_METHODS} or None, got {method!r}")
-    size = _admissible_count(mod, K)
+    sizes = [_admissible_count(mod, K) for K in Ks]
     if method == "exhaustive":
-        _check_tuple_cap(size, r)
-        # its own residues and inverses: independent of the routes' tables
-        xs = [x for x in range(1, K + 1) if math.gcd(x, mod.q) == 1]
-        vals = [pow(x, -1, mod.q) for x in xs] if reciprocal else xs
+        for size in sizes:
+            _check_tuple_cap(size, r)
         op = np.add if reciprocal else np.multiply
-        return _exhaustive_pair_count(np.array(vals, dtype=np.int64), mod.q, r, op)
+        counts = []
+        for K in Ks:
+            # its own residues and inverses: independent of the routes' tables
+            xs = [x for x in range(1, K + 1) if math.gcd(x, mod.q) == 1]
+            vals = [pow(x, -1, mod.q) for x in xs] if reciprocal else xs
+            counts.append(_exhaustive_pair_count(np.array(vals, dtype=np.int64), mod.q, r, op))
+        return counts
     shape, place = _lattice(mod, reciprocal)
-    reason = _fft_refusal(shape, r, size)
-    if method is None:
-        method = "convolution" if reason else "fft"
-    if method == "fft":
-        if reason:
-            raise ResourceLimit(reason)
-        return _convolution_power(place(_admissible(mod, K)), shape, r)[1]
-    table = reciprocal_table(mod, K, r) if reciprocal else product_table(mod, K, r)
-    return sum(c * c for c in table.counts)
+    reasons = [_fft_refusal(shape, r, size) for size in sizes]
+    refused = next(filter(None, reasons), None)
+    if method == "fft" and refused:
+        raise ResourceLimit(refused)
+    by_fft = [method != "convolution" and not reason for reason in reasons]
+    for size, fft in zip(sizes, by_fft):
+        if not fft:
+            _check_q_cap(mod.q)
+            _check_fold_cost(mod.q, size, r)
+    sets = [place(_admissible(mod, K)) for K, fft in zip(Ks, by_fft) if fft]
+    energies = iter([energy for _, energy in _convolution_power(sets, shape, r)])
+    table = reciprocal_table if reciprocal else product_table
+    return [
+        next(energies) if fft else sum(c * c for c in table(mod, K, r).counts)
+        for K, fft in zip(Ks, by_fft)
+    ]
 
 
 def jr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None) -> int:
@@ -367,7 +398,7 @@ def jr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None)
     where its certificate holds and "convolution" otherwise.  An explicit
     "fft" that cannot be certified raises ResourceLimit.
     """
-    return _congruence_count(q, K, r, method, reciprocal=True)
+    return _congruence_counts(q, [K], r, method, reciprocal=True)[0]
 
 
 def rr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None) -> int:
@@ -377,7 +408,7 @@ def rr_congruence(q: "Modulus | int", K: int, r: int, method: str | None = None)
     ``method`` as for :func:`jr_congruence`; the FFT route runs on the unit
     group Z/o_1 x .. x Z/o_k, with each x placed at its discrete logs.
     """
-    return _congruence_count(q, K, r, method, reciprocal=False)
+    return _congruence_counts(q, [K], r, method, reciprocal=False)[0]
 
 
 def _equation_count(vals: list[int], r: int, op: np.ufunc, wide: bool) -> int:
@@ -498,12 +529,19 @@ def dyadic_average(
     return mean, per_q
 
 
-def j2_reference_ratio(q: "Modulus | int", K: int) -> float:
-    """Observed J_2(q; K) divided by K^(7/2) q^(-1/2) + K^2.
+def j2_reference_ratios(q: "Modulus | int", Ks: list[int]) -> list[float]:
+    """Observed J_2(q; K) divided by K^(7/2) q^(-1/2) + K^2, for each K in ``Ks``.
 
-    Used by the regression grid; only frozen baselines are asserted since
-    the comparison formula carries an unspecified sub-polynomial factor.
+    Used by the regression grid, which asks for all its K of a modulus in
+    one call, so they share one FFT pass; only frozen baselines are
+    asserted since the comparison formula carries an unspecified
+    sub-polynomial factor.
     """
     mod = Modulus.of(q)
-    count = jr_congruence(mod, K, 2)
-    return count / (K**3.5 / math.sqrt(mod.q) + K**2)
+    counts = _congruence_counts(mod, Ks, 2, None, reciprocal=True)
+    return [count / (K**3.5 / math.sqrt(mod.q) + K**2) for K, count in zip(Ks, counts)]
+
+
+def j2_reference_ratio(q: "Modulus | int", K: int) -> float:
+    """The one-K case of :func:`j2_reference_ratios`."""
+    return j2_reference_ratios(q, [K])[0]

@@ -11,8 +11,9 @@ for the Gauss family); the seed drives only the weight values, so two seeds
 share bound values and differ in the measured sum.
 
 One pass per modulus: the seeds of one (q, M, N, L) share everything but
-their weight values, so :func:`run_experiments` runs them together.  Each
-route evaluates all their weight vectors in one call
+their weight values, so :func:`run_experiments` runs them together.  It
+reads the support keys once and draws every seed's values in one
+SplitMix64 block; each route evaluates all their weight vectors in one call
 (``bilinear._bilinear_sums``: one gamma_x table, one batched DFT), and
 each seed keeps its own weights, cross-check, trivial-bound assert and
 records, equal to what :func:`run_experiment` gives it alone.  The
@@ -40,7 +41,7 @@ from .bilinear import (
     make_weights,
 )
 from .bounds import BoundSpec, bound_value
-from .counting import j2_reference_ratio
+from .counting import j2_reference_ratios
 from .errors import VerificationError
 from .expsums import (
     SumResult,
@@ -166,15 +167,21 @@ def _default_bounds(family: str, prime: bool) -> list[BoundSpec]:
     return specs
 
 
+def _support_keys(mod: Modulus, M: int, family: str) -> np.ndarray:
+    """The first M units in ascending order (Kloosterman family) or the first
+    M primitive characters in enumeration order (Gauss family)."""
+    keys = unit_residues(mod) if family == "kloosterman" else primitive_characters(mod)
+    if not 0 <= M <= len(keys):
+        raise ValueError(f"support size M must lie in [0, {len(keys)}] for q = {mod.q}, got {M}")
+    return keys[:M]
+
+
 def build_weight_vector(
     q: "Modulus | int", M: int, weight_kind: str, seed: int
 ) -> WeightVector:
     """Weights on the first M units in ascending order."""
     mod = Modulus.of(q)
-    units = unit_residues(mod)
-    if not 0 <= M <= units.size:
-        raise ValueError(f"support size M must lie in [0, {units.size}], got {M}")
-    keys = units[:M]
+    keys = _support_keys(mod, M, "kloosterman")
     return WeightVector(mod, keys, make_weights(keys, weight_kind, seed))
 
 
@@ -183,12 +190,7 @@ def build_char_weight_vector(
 ) -> CharWeightVector:
     """Weights on the first M primitive characters in enumeration order."""
     mod = Modulus.of(q)
-    prim = primitive_characters(mod)
-    if not 0 <= M <= len(prim):
-        raise ValueError(
-            f"support size M must lie in [0, {len(prim)}] for q = {mod.q}, got {M}"
-        )
-    keys = prim[:M]
+    keys = _support_keys(mod, M, "gauss")
     return CharWeightVector(mod, keys, make_weights(keys, weight_kind, seed))
 
 
@@ -233,10 +235,12 @@ def run_experiments(
     only when a ``trivial`` record reports it or the sum misses the
     closed-form :func:`max_kloosterman_floor`, which lies below that
     maximum; the verdict is the same either way.  The seeds share the
-    interval and each route's pass (:func:`bilinear._bilinear_sums`), and
-    each seed's records equal what it gives alone, but for
-    ``wall_time_seconds``: the call's elapsed time split evenly over its
-    seeds.
+    support keys, one SplitMix64 draw of their weight values
+    (:func:`bilinear.make_weights`), the interval and each route's pass
+    (:func:`bilinear._bilinear_sums`); each seed builds and checks its own
+    weight vector, and each seed's records equal what it gives alone, but
+    for ``wall_time_seconds``: the call's elapsed time split evenly over
+    its seeds.
     """
     mod = Modulus.of(q)
     if family not in FAMILIES:
@@ -247,9 +251,11 @@ def run_experiments(
     J = Interval.of(mod, L, N)
 
     specs = bounds if bounds is not None else _default_bounds(family, mod.is_prime())
-    build = build_weight_vector if family == "kloosterman" else build_char_weight_vector
+    weight_class = WeightVector if family == "kloosterman" else CharWeightVector
     start = time.perf_counter()
-    vectors = [build(mod, M, weight_kind, seed) for seed in seeds]
+    keys = _support_keys(mod, M, family)
+    # every seed's values from one draw; each seed builds and checks its own vector
+    vectors = [weight_class(mod, keys, v) for v in make_weights(keys, weight_kind, seeds).T]
     by_method = [_evaluate(family, vectors, J, m) for m in methods]
     max_terms = []
     for weights, results in zip(vectors, zip(*by_method)):
@@ -388,8 +394,8 @@ def grid_ks(q: int) -> list[int]:
 
 
 def j2_ratio_grid() -> Iterator[float]:
-    """The J_2 regression grid: `j2_reference_ratio` at every grid prime and
-    its `grid_ks`.  The frozen baseline is the largest ratio."""
+    """The J_2 regression grid: `j2_reference_ratios` at every grid prime for
+    its `grid_ks`, one call (one FFT pass) per prime.  The frozen baseline
+    is the largest ratio."""
     for p in primes_in_range(GRID_PRIME_LO, GRID_PRIME_HI):
-        for K in grid_ks(p):
-            yield j2_reference_ratio(p, K)
+        yield from j2_reference_ratios(p, grid_ks(p))

@@ -12,9 +12,9 @@ identical weights on any platform or Python build:
 The state after k steps is seed + k * 0x9E3779B97F4A7C15 mod 2^64, so output
 k is mix(seed + k * gamma) with no dependence on earlier outputs: SplitMix64
 is counter-based (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
-Generators", OOPSLA 2014).  :func:`splitmix64_block` draws a whole stream in
-one wrapping uint64 numpy pass; the sequential :class:`SplitMix64` is the
-reference it is tested against.
+Generators", OOPSLA 2014).  :func:`splitmix64_block` draws a whole stream, or
+the streams of several seeds, in one wrapping uint64 numpy pass; the
+sequential :class:`SplitMix64` is the reference it is tested against.
 
 ``uniform01`` maps the top 53 output bits onto [0, 1).  Per-modulus streams
 for sweeps are derived via :func:`derive_seed`.
@@ -48,18 +48,31 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
 
-def splitmix64_block(seed: int, n: int) -> np.ndarray:
-    """Outputs 1..n of ``SplitMix64(seed)`` as one uint64 array."""
-    with np.errstate(over="ignore"):
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(seed & _MASK64)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-    return z
+#: the stream's constants as uint64 scalars, for :func:`splitmix64_block`
+_U64_GAMMA = np.uint64(_GAMMA)
+_U64_MIX1, _U64_MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def splitmix64_block(seed, n: int) -> np.ndarray:
+    """Outputs 1..n of ``SplitMix64(seed)`` as one uint64 array.
+
+    ``seed`` may also be a sequence of S seeds: the block then has shape
+    (S, n), row s the outputs of ``SplitMix64(seed[s])``.  Every entry takes
+    the same wrapping uint64 operations (numpy arrays wrap without a
+    warning), so each row is bit for bit the block of its seed alone.
+    """
+    one = isinstance(seed, (int, np.integer))
+    seeds = np.array([int(s) & _MASK64 for s in ([seed] if one else seed)], dtype=np.uint64)
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _U64_GAMMA
+    z = z + seeds[:, None]
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    return z[0] if one else z
 
 
 def derive_seed(seed: int, salt: int) -> int:

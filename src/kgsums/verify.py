@@ -1,10 +1,11 @@
 """The structural invariants, each defined once, behind the ``verify`` CLI command.
 
 Every check is a function of the grid it runs on (a required argument) and
-returns a `Check`: the measured quantity, the verdict and a detail line.
-Its tolerance is stated once, inside it.  ``kgsums verify`` runs each check
-on its condensed grid in `CONDENSED_GRIDS`; the acceptance and unit tests
-run the same functions on their full grids.
+returns a `Check`: its name, the verdict and a detail line, which states
+the quantity the check measures.  Its tolerance is stated once, inside it.
+``kgsums verify`` runs each check on its condensed grid in
+`CONDENSED_GRIDS`; the acceptance and unit tests run the same functions on
+their full grids.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .prng import SplitMix64
 class Check(NamedTuple):
     name: str
     passed: bool
-    measured: float
     detail: str
 
 
@@ -61,9 +61,9 @@ def check_inverses(qs: Sequence[int]) -> Check:
         units = unit_residues(mod)
         for x, xb in zip(units.tolist(), inverse_table(mod)[units].tolist()):
             if mod_inv(x, mod) != xb or x * xb % q != 1 or mod_inv(xb, mod) != x:
-                return Check(name, False, pairs, f"failed at q={q}, x={x}")
+                return Check(name, False, f"failed at q={q}, x={x}")
             pairs += 1
-    return Check(name, True, pairs, f"{pairs} units")
+    return Check(name, True, f"{pairs} units")
 
 
 def check_identity(primes: Sequence[int]) -> Check:
@@ -79,7 +79,7 @@ def check_identity(primes: Sequence[int]) -> Check:
             worst = max(worst, dev)
             ok = ok and dev <= 1e-9
     detail = f"max deviation {worst:.2e}"
-    return Check("multiplicative shift identity", ok, worst, detail)
+    return Check("multiplicative shift identity", ok, detail)
 
 
 def check_row_consistency(qs: Sequence[int]) -> Check:
@@ -94,7 +94,7 @@ def check_row_consistency(qs: Sequence[int]) -> Check:
         gap = float(np.max(np.abs(kloosterman_row(mod, 1) - direct)))
         worst = max(worst, gap)
         ok = ok and gap <= q * 2**-45
-    return Check("row vs direct sums", ok, worst, f"max gap {worst:.2e}")
+    return Check("row vs direct sums", ok, f"max gap {worst:.2e}")
 
 
 def check_weil(qs: Sequence[int]) -> Check:
@@ -121,7 +121,7 @@ def check_weil(qs: Sequence[int]) -> Check:
         cap = math.prod(e + 1 for _, e in mod.factors) * math.sqrt(q)
         worst = max(worst, top / cap)
         ok = ok and max_kloosterman_floor(mod) <= top <= cap + dft_entry_error(q, mod.phi)
-    return Check("Weil bound", ok, worst, f"max |K| / (tau(q) sqrt(q)) = {worst:.5f}")
+    return Check("Weil bound", ok, f"max |K| / (tau(q) sqrt(q)) = {worst:.5f}")
 
 
 def check_gauss_modulus(qs: Sequence[int]) -> Check:
@@ -145,7 +145,7 @@ def check_gauss_modulus(qs: Sequence[int]) -> Check:
     detail = f"max | |G| - sqrt(q) | = {worst:.2e} over {checked} values"
     if spot > 1e-9:
         detail += f"; row off the direct sum by {spot:.2e}"
-    return Check("primitive Gauss magnitude", ok, worst, detail)
+    return Check("primitive Gauss magnitude", ok, detail)
 
 
 def check_paths(seed: int, count: int) -> Check:
@@ -178,8 +178,8 @@ def check_paths(seed: int, count: int) -> Check:
             gap, budget = abs(a.value - b.value), a.error_bound + b.error_bound
             worst = max(worst, gap / budget)
             ok = ok and gap <= budget
-    detail = f"{count} instances, naive checked on {naive}"
-    return Check("bilinear path agreement", ok, worst, detail)
+    detail = f"{count} instances, naive checked on {naive}, max gap/budget {worst:.3f}"
+    return Check("bilinear path agreement", ok, detail)
 
 
 #: gamma values (lengths x units) per kernel call of `check_gamma_dyadic`
@@ -208,7 +208,7 @@ def check_gamma_dyadic(qs: Sequence[int]) -> Check:
             within = (mags <= caps + 1e-9) & (mags <= GAMMA_SCALE_C * decay + 1e-9)
             ok = ok and bool(np.all(within))
     detail = f"max excess over the bound {worst:.2e}, max |gamma| e^i / N = {ratio:.4f}"
-    return Check("gamma bound per dyadic scale", ok, worst, detail)
+    return Check("gamma bound per dyadic scale", ok, detail)
 
 
 def check_moment(qs: Sequence[int], max_size: int, seed: int, count: int) -> Check:
@@ -245,7 +245,7 @@ def check_moment(qs: Sequence[int], max_size: int, seed: int, count: int) -> Che
         ok = ok and rel <= 1e-6
         cases += 1
     detail = f"max rel gap {worst:.2e} over {cases} cases"
-    return Check("moment identity", ok, worst, detail)
+    return Check("moment identity", ok, detail)
 
 
 def check_counting(qs: Sequence[int], k_max: int) -> Check:
@@ -259,9 +259,9 @@ def check_counting(qs: Sequence[int], k_max: int) -> Check:
             for r in (1, 2):
                 for count in (jr_congruence, rr_congruence):
                     if len({count(q, K, r, m) for m in ("exhaustive", "convolution", "fft")}) != 1:
-                        return Check(name, False, cases, f"{count.__name__} q={q}, K={K}, r={r}")
+                        return Check(name, False, f"{count.__name__} q={q}, K={K}, r={r}")
                     cases += 1
-    return Check(name, True, cases, f"{cases} counts equal on fft, fold and exhaustive")
+    return Check(name, True, f"{cases} counts equal on fft, fold and exhaustive")
 
 
 def check_region(points: Sequence[tuple[tuple[float, float], str]]) -> Check:
@@ -271,9 +271,9 @@ def check_region(points: Sequence[tuple[tuple[float, float], str]]) -> Check:
     for (mu, nu), label in points:
         got = improvement_region(mu, nu)
         if got != label:
-            return Check(name, False, 0, f"({mu}, {nu}) is {got}, expected {label}")
+            return Check(name, False, f"({mu}, {nu}) is {got}, expected {label}")
     labels = Counter(label for _, label in points)
-    return Check(name, True, len(points), ", ".join(f"{n} {label}" for label, n in labels.items()))
+    return Check(name, True, ", ".join(f"{n} {label}" for label, n in labels.items()))
 
 
 def check_csv_roundtrip(records: Sequence[ExperimentRecord]) -> Check:
@@ -287,7 +287,7 @@ def check_csv_roundtrip(records: Sequence[ExperimentRecord]) -> Check:
         parsed = parse_csv(path)
     keys = [(rec.q, rec.bound_name) for rec in parsed]
     ok = render_csv(parsed) == text and len(parsed) == len(records) and keys == sorted(keys)
-    return Check("CSV round trip", ok, len(records), f"{len(records)} records")
+    return Check("CSV round trip", ok, f"{len(records)} records")
 
 
 #: ``kgsums verify``'s grid for each check, smaller than the tests' full grids

@@ -20,6 +20,8 @@ from kgsums import (
     VerificationError,
     dyadic_average,
     inverse_table,
+    j2_reference_ratio,
+    j2_reference_ratios,
     jr_congruence,
     jr_equation,
     moment_check,
@@ -28,7 +30,7 @@ from kgsums import (
     rr_congruence,
     rr_equation,
 )
-from kgsums.experiments import j2_ratio_grid
+from kgsums.experiments import GRID_PRIME_LO, grid_ks, j2_ratio_grid, primes_in_range
 
 BASELINES = json.loads((Path(__file__).parent / "baselines.json").read_text())
 
@@ -287,12 +289,13 @@ def test_fft_tables_match_fold_on_group_shapes(q, K, depths):
     mod = Modulus.of(q)
     base = np.array(_admissible(q, K), dtype=np.int64)
     for r in depths:
-        recip, energy = counting._convolution_power(inverse_table(mod)[base][:, None], (q,), r)
+        recips = [inverse_table(mod)[base][:, None]]
+        [(recip, energy)] = counting._convolution_power(recips, (q,), r)
         assert tuple(recip.tolist()) == reciprocal_table(q, K, r).counts
         assert energy == jr_congruence(q, K, r, method="convolution")
         # the lattice table read at the logs of every unit is the fold's table
         shape, place = counting._lattice(mod, reciprocal=False)
-        prod, energy = counting._convolution_power(place(base), shape, r)
+        [(prod, energy)] = counting._convolution_power([place(base)], shape, r)
         assert prod.shape == (mod.group.orders or (1,))  # q = 2: one point
         folded = np.array(product_table(q, K, r).counts)
         assert np.all(prod[tuple(place(mod.units).T)] == folded[mod.units])
@@ -346,9 +349,66 @@ def test_fft_refusal_precedes_any_transform(monkeypatch, knob, value):
 
 
 def test_fft_mass_check_is_live():
-    # a repeated point has mass 1 on the lattice, not |X|**r = 4
-    with pytest.raises(VerificationError):
-        counting._convolution_power(np.array([[3], [3]]), (7,), 2)
+    # a repeated point has mass 1 on the lattice, not |X|**r = 4, alone or
+    # stacked after a set whose mass is right: each set is checked
+    good, repeated = np.array([[1], [2]]), np.array([[3], [3]])
+    assert counting._convolution_power([good], (7,), 2)[0][1] == 6
+    for stack in ([repeated], [good, repeated]):
+        with pytest.raises(VerificationError):
+            counting._convolution_power(stack, (7,), 2)
+
+
+def _count_transforms(monkeypatch):
+    """Patch np.fft.rfftn to count its calls; returns the list it appends to."""
+    calls = []
+    real = np.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    return calls
+
+
+def test_grid_counts_batched_equal_one_k_at_a_time(monkeypatch):
+    # each grid prime's K share one FFT pass and give the counts and ratios
+    # of one K at a time
+    for p in primes_in_range(GRID_PRIME_LO, 401):
+        Ks = grid_ks(p)
+        alone = [jr_congruence(p, K, 2) for K in Ks]
+        ratios = [j2_reference_ratio(p, K) for K in Ks]
+        with monkeypatch.context() as patch:
+            calls = _count_transforms(patch)
+            assert counting._congruence_counts(p, Ks, 2, None, True) == alone, p
+            assert j2_reference_ratios(p, Ks) == ratios, p
+        assert [shape[0] for shape in calls] == [len(Ks)] * 2, p
+
+
+@pytest.mark.parametrize(
+    "q, r, Ks, refused",
+    [(720, 6, [10, 100, 390, 720], [720]), (5040, 3, [10, 300, 2000, 5040], [])],
+)
+def test_rr_counts_batched_on_many_axes(monkeypatch, q, r, Ks, refused):
+    # the K the FFT refuses takes the fold, and the others stay in one pass;
+    # with the padded-size cap at one set's padding, each set takes its own
+    mod = Modulus.of(q)
+    shape, _ = counting._lattice(mod, reciprocal=False)
+    sizes = {K: counting._admissible_count(mod, K) for K in Ks}
+    assert [K for K in Ks if counting._fft_refusal(shape, r, sizes[K])] == refused
+    folds = [rr_congruence(q, K, r, "convolution") for K in Ks]
+    assert [rr_congruence(q, K, r) for K in Ks] == folds
+    padded = math.prod(counting._fft_padding(shape, r))
+    batched = len(Ks) - len(refused)
+    for cap, passes in ((counting.FFT_SIZE_CAP, [batched]), (padded, [1] * batched)):
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "FFT_SIZE_CAP", cap)
+            calls = _count_transforms(patch)
+            assert counting._congruence_counts(q, Ks, r, None, False) == folds
+        assert [shape[0] for shape in calls] == passes
+    if refused:
+        with pytest.raises(ResourceLimit):
+            counting._congruence_counts(q, Ks, r, "fft", False)
 
 
 def test_jr_equation_big_integer_path():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -36,10 +37,11 @@ from kgsums import (
     save_config,
 )
 from kgsums import experiments
+from kgsums.bilinear import WEIGHT_KINDS, make_weights
 from kgsums.csvio import CSV_HEADER
 from kgsums.errors import VerificationError
 from kgsums.experiments import max_kloosterman_floor
-from kgsums.prng import SplitMix64
+from kgsums.prng import SplitMix64, splitmix64_block
 from kgsums import verify
 from kgsums.verify import (
     check_csv_roundtrip,
@@ -253,6 +255,31 @@ def test_thm21_grid_settles_every_trivial_check_by_the_floor(monkeypatch):
     want = [r for recs in full for r in recs]
     assert _record_bits(records) == _record_bits(want)
     assert worst == max(r.ratio for r in want)
+
+
+@pytest.mark.parametrize("family, q, M", [("kloosterman", 101, 40), ("gauss", 105, 12)])
+def test_one_draw_gives_each_seed_its_own_values(monkeypatch, family, q, M):
+    # every seed's values come from one SplitMix64 block, and each column is
+    # bit for bit the values of its seed drawn alone, for every kind and S
+    mod = Modulus.of(q)
+    keys = experiments._support_keys(mod, M, family)
+    for kind in WEIGHT_KINDS:
+        for seeds in ((7,), (7, 2**64 - 1), (1, 2, 3, 4, 5)):
+            block = make_weights(keys, kind, seeds)
+            assert block.shape == (M, len(seeds))
+            for seed, column in zip(seeds, block.T):
+                alone = make_weights(keys, kind, seed)
+                assert np.array_equal(column.view(np.uint64), alone.view(np.uint64))
+    for seed, row in zip((3, 2**64 - 1), splitmix64_block((3, 2**64 - 1), 6)):
+        rng = SplitMix64(seed)
+        assert row.tolist() == [rng.next_u64() for _ in range(6)]
+    # run_experiments draws once per call, whatever the number of seeds
+    draws = []
+    real = experiments.make_weights
+    monkeypatch.setattr(experiments, "make_weights", lambda *a: draws.append(a[2]) or real(*a))
+    for seeds in ((4,), (1, 2, 3, 4, 5)):
+        run_experiments(mod, M, 10, 0, "pm1", seeds, family=family)
+    assert draws == [(4,), (1, 2, 3, 4, 5)]
 
 
 def test_experiment_trivial_bound_hard_assertion():
@@ -548,11 +575,16 @@ def test_runplan_validates():
 
 
 def _run_cli(*args):
+    # the child imports kgsums from this checkout's src, as conftest.py has the
+    # suite do, ahead of any PYTHONPATH it inherits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "kgsums.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
