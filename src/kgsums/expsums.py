@@ -247,7 +247,9 @@ def angle_numerators(mod: Modulus, rows, logs: np.ndarray) -> np.ndarray:
     """
     orders = np.array(mod.group.orders, dtype=np.int64)
     weights = np.asarray(rows, dtype=np.int64) * (mod.carmichael // orders)
-    return weights @ logs.T % mod.carmichael
+    t = weights @ logs.T
+    t %= mod.carmichael  # in place: no second array the size of the product
+    return t
 
 
 def roots_of_unity(lam: int) -> np.ndarray:
