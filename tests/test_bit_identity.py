@@ -28,6 +28,11 @@ CASES = {
                     "--family", "gauss"],
     "bilinear-100003": ["bilinear", "--q", "100003", "--M", "300", "--N", "300",
                         "--weights", "pm1", "--seed", "1", "--method", "fast,transformed"],
+    # the benchmark's many-factor and Bluestein-length moduli
+    "bilinear-720720": ["bilinear", "--q", "720720", "--M", "1000", "--N", "1000",
+                        "--weights", "pm1", "--seed", "1", "--method", "fast"],
+    "bilinear-1000003": ["bilinear", "--q", "1000003", "--M", "1000", "--N", "1000",
+                         "--weights", "pm1", "--seed", "1", "--method", "fast"],
 }
 
 
