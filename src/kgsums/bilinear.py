@@ -68,6 +68,7 @@ from .modmath import (
     TWO_PI,
     Modulus,
     _shared,
+    floor_mod,
     inverse_table,
     pow_mod,
     unit_residues,
@@ -204,7 +205,7 @@ class WeightVector(_SortedWeights):
         modulus = Modulus.of(modulus)
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         values = _weight_values(keys.size, values)
-        reduced = keys % modulus.q
+        reduced = floor_mod(keys, modulus.q)
         gcds = np.gcd(reduced, modulus.q)
         bad = np.flatnonzero(gcds != 1)
         if bad.size:
@@ -295,30 +296,55 @@ GAMMA_EVAL_ERR = 32.0
 def _centered(v, m: int):
     """v mod m in (-m/2, m/2], for a Python int or elementwise on an int64 array."""
     h = (m - 1) // 2
-    return (v + h) % m - h
+    t = floor_mod(v + h, m)
+    t -= h
+    return t
 
 
-def _gamma_at(q: int, L, N, r):
+def _gamma_at(q: int, L, N, r, out=None):
     """gamma_x over {L+1, ..., L+N} mod q at centered representatives r != 0 of x.
 
     Python ints, or int64 arrays that broadcast (N as a column gives a row
     per length); each entry is the same elementwise arithmetic at any shape.
     Angles are integer multiples of pi/q reduced exactly into (-q, q], so the
     rounding error stays below GAMMA_EVAL_ERR * eps * N uniformly in x (an
-    unreduced phase N*x*pi/q would lose ~eps*q*N near x = q).
+    unreduced phase N*x*pi/q would lose ~eps*q*N near x = q).  ``out``, when
+    given, receives the values.
     """
     num_t = _centered(N * r, 2 * q)
     # a numpy value even for a scalar: Python's complex division by q rounds
     # differently from numpy's, so a scalar would drift from the array values
     phase_t = np.asarray(_centered((2 * L + N + 1) * r, 2 * q))
     ratio = np.sin(np.pi * num_t / q) / np.sin(np.pi * r / q)
-    return np.exp(1j * np.pi * phase_t / q) * ratio
+    return np.multiply(np.exp(1j * np.pi * phase_t / q), ratio, out=out)
 
 
 def _gamma_over_units(J: Interval) -> np.ndarray:
-    """gamma_x for every unit x, aligned with unit_residues(q)."""
-    q = J.modulus.q
-    return _gamma_at(q, J.L, J.N, _centered(unit_residues(q), q))
+    """gamma_x for every unit x, aligned with unit_residues(q): bit for bit
+    :func:`_gamma_at` at their centered representatives, evaluated on half.
+
+    For q > 2 the ascending units pair off as x and q - x: the first half
+    lies below q/2 and is its own representatives r, the second half is -r
+    in reverse order.  At -r both reduced numerators of :func:`_gamma_at`
+    change sign, and gamma_{-r} = conj(gamma_r) bit for bit, given that
+    numpy's sin is odd and exp(conj(z)) = conj(exp(z)) (both hold for numpy
+    2.4; the digests of ``tests/test_bit_identity.py`` pin the values).
+    So the mirror half is one conjugate of the first half read backwards.
+    A numerator at 0 or q mod 2q keeps its sign at -r, and there the
+    conjugate differs (in a zero's sign, or exp(i*pi) at both r and -r).
+    The length numerator N*r is never 0 mod q, since r is a unit and
+    0 < N < q; the phase numerator (2L + N + 1)*r is, at every unit at once,
+    when q divides 2L + N + 1.  Those intervals, and q = 2, take the direct
+    call.
+    """
+    q, units = J.modulus.q, unit_residues(J.modulus)
+    if q == 2 or (2 * J.L + J.N + 1) % q == 0:
+        return _gamma_at(q, J.L, J.N, _centered(units, q))
+    half = units.size // 2
+    gam = np.empty(units.size, dtype=np.complex128)
+    _gamma_at(q, J.L, J.N, units[:half], out=gam[:half])
+    np.conjugate(gam[half - 1 :: -1], out=gam[half:])
+    return gam
 
 
 def dyadic_scale(q: int, N, x):
@@ -491,8 +517,7 @@ def _bilinear_sums(
             powers, roots = _inverse_powers(mod, k), roots_of_unity(mod.q)
 
             def numerators(ms: np.ndarray, tile: slice) -> np.ndarray:  # m (x^-1)^k mod q
-                t = ms[:, None] * powers[tile]  # below q^2 <= 2^46
-                return np.remainder(t, mod.q, out=t)
+                return floor_mod(ms[:, None] * powers[tile], mod.q)  # below q^2 <= 2^46
 
         else:
             logs, roots = mod.logs[unit_residues(mod)], roots_of_unity(mod.carmichael)

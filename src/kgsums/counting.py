@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import DomainRestriction, ResourceLimit, VerificationError
-from .modmath import MACHINE_EPS, Modulus, inverse_table
+from .modmath import MACHINE_EPS, Modulus, floor_mod, inverse_table
 
 #: the exhaustive oracle (counts and moment rhs) refuses past this many comparisons
 EXHAUSTIVE_TUPLE_CAP = 10**8
@@ -301,7 +301,7 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weigh
     """
     folded, prods = vals, weights
     for _ in range(r - 1):
-        folded = op.outer(folded, vals).reshape(-1) % q
+        folded = floor_mod(op.outer(folded, vals).reshape(-1), q)
         if weights is not None:
             prods = np.multiply.outer(prods, weights).reshape(-1)
     conj = None if weights is None else np.conj(prods)

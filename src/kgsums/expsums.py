@@ -36,7 +36,9 @@ import numpy as np
 from .errors import ResourceLimit
 from .modmath import (
     MACHINE_EPS,
+    TWO_PI,
     Modulus,
+    floor_mod,
     inverse_table,
     unit_residues,
 )
@@ -140,9 +142,19 @@ def _sum_terms(terms: np.ndarray) -> SumResult:
 
 
 def _unit_angles(q: int, coeff: int, residues: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i * coeff*residues / q) with exact integer reduction."""
-    red = (coeff % q) * residues % q
-    return np.exp(2j * np.pi * red / q)
+    """exp(2*pi*i * coeff*residues / q) for int64 residues in [0, q), with
+    exact integer reduction; bit for bit ``np.exp(2j * np.pi * red / q)``.
+
+    numpy forms that argument by a complex product and a complex division
+    whose imaginary part is exactly (2*pi*red) * (1/q) and whose real part
+    is +0, so the angles are written as reals into a zeroed complex array
+    and exponentiated in place.  coeff = 1 mod q needs no reduction.
+    """
+    c = coeff % q
+    red = residues if c == 1 else floor_mod(c * residues, q)
+    z = np.zeros(red.shape, dtype=np.complex128)
+    np.multiply(TWO_PI * red, 1.0 / q, out=z.imag)
+    return np.exp(z, out=z)
 
 
 def kloosterman(q: "Modulus | int", m: int, n: int) -> SumResult:
@@ -154,8 +166,8 @@ def kloosterman(q: "Modulus | int", m: int, n: int) -> SumResult:
     mod = Modulus.of(q)
     units = unit_residues(mod)
     inv = inverse_table(mod)
-    phase = ((m % mod.q) * units + (n % mod.q) * inv[units]) % mod.q
-    return _sum_terms(np.exp(2j * np.pi * phase / mod.q))
+    phase = floor_mod((m % mod.q) * units + (n % mod.q) * inv[units], mod.q)
+    return _sum_terms(_unit_angles(mod.q, 1, phase))
 
 
 def kloosterman_row(q: "Modulus | int", n: int) -> np.ndarray:
@@ -223,7 +235,7 @@ def conductors(mod: Modulus, rows: np.ndarray) -> np.ndarray:
         cap = e - 1 if n_g == 1 else e - 3
         v = np.zeros(len(rows), dtype=np.int64)
         for i in range(1, cap + 1):
-            v += k % p**i == 0
+            v += floor_mod(k, p**i) == 0
         local = p ** (e - v)
         if n_g == 1:
             local = np.where(k == 0, 1, local)
@@ -247,14 +259,12 @@ def angle_numerators(mod: Modulus, rows, logs: np.ndarray) -> np.ndarray:
     """
     orders = np.array(mod.group.orders, dtype=np.int64)
     weights = np.asarray(rows, dtype=np.int64) * (mod.carmichael // orders)
-    t = weights @ logs.T
-    t %= mod.carmichael  # in place: no second array the size of the product
-    return t
+    return floor_mod(weights @ logs.T, mod.carmichael)
 
 
 def roots_of_unity(lam: int) -> np.ndarray:
     """exp(2*pi*i * k / lam) for k in [0, lam): the values every character takes."""
-    return np.exp(2j * np.pi * np.arange(lam, dtype=np.int64) / lam)
+    return _unit_angles(lam, 1, np.arange(lam, dtype=np.int64))
 
 
 def character(q: "Modulus | int", exponents) -> np.ndarray:

@@ -40,8 +40,15 @@ from .experiments import (
     primes_in_range,
     run_experiment,
 )
-from .expsums import dft_entry_error, gauss, gauss_row, kloosterman_row, primitive_characters
-from .modmath import Modulus, inverse_table, mod_inv, unit_residues
+from .expsums import (
+    dft_entry_error,
+    gauss,
+    gauss_row,
+    kloosterman_row,
+    primitive_characters,
+    roots_of_unity,
+)
+from .modmath import Modulus, floor_mod, inverse_table, mod_inv, unit_residues
 from .prng import SplitMix64
 
 
@@ -75,7 +82,7 @@ def check_identity(primes: Sequence[int]) -> Check:
         ms = np.arange(1, p)
         for n in range(1, p):
             row_n = kloosterman_row(p, n)
-            dev = float(np.max(np.abs(row_n[1:] - row1[ms * n % p])))
+            dev = float(np.max(np.abs(row_n[1:] - row1[floor_mod(ms * n, p)])))
             worst = max(worst, dev)
             ok = ok and dev <= 1e-9
     detail = f"max deviation {worst:.2e}"
@@ -89,8 +96,9 @@ def check_row_consistency(qs: Sequence[int]) -> Check:
     for q in qs:
         mod = Modulus.of(q)
         units = unit_residues(mod)
-        roots = np.exp(2j * np.pi * np.arange(q) / q)  # e_q(t) at t = 0 .. q-1
-        direct = roots[np.outer(np.arange(q), units) % q] @ roots[inverse_table(mod)[units]]
+        roots = roots_of_unity(q)  # e_q(t) at t = 0 .. q-1
+        exps = floor_mod(np.outer(np.arange(q), units), q)
+        direct = roots[exps] @ roots[inverse_table(mod)[units]]
         gap = float(np.max(np.abs(kloosterman_row(mod, 1) - direct)))
         worst = max(worst, gap)
         ok = ok and gap <= q * 2**-45

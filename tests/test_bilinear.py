@@ -400,6 +400,27 @@ def test_gamma_kernel_broadcasts_over_lengths_bit_for_bit():
                 assert row.tobytes() == per_n.tobytes(), f"q={q}, L={L}, N={N}"
 
 
+def test_centered_matches_remainder_form():
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 7, 64, 2000006, 2**46 + 1):
+        v = rng.integers(-(2**62), 2**62, 500)
+        h = (m - 1) // 2
+        assert np.array_equal(bilinear._centered(v, m), (v + h) % m - h), m
+        assert bilinear._centered(int(v[0]), m) == (int(v[0]) + h) % m - h
+
+
+@pytest.mark.parametrize("q", [1000003, 2**20, 10**6, 720720])
+def test_gamma_over_units_at_the_benchmark_moduli(q):
+    # the half-unit evaluation and its conjugate mirror give the bytes of
+    # the kernel at every unit's centered representative
+    from kgsums.bilinear import _centered, _gamma_at, _gamma_over_units
+
+    r = _centered(unit_residues(q), q)
+    for L, N in ((0, 1000), (q // 3, 1000)):
+        direct = _gamma_at(q, L, N, r)
+        assert _gamma_over_units(Interval.of(q, L, N)).tobytes() == direct.tobytes(), (q, L)
+
+
 # ---------------------------------------------------------------------------
 # dyadic scales
 # ---------------------------------------------------------------------------

@@ -132,6 +132,18 @@ def test_sum_result_dominates_partial_sums():
         assert res.error_bound >= res.terms * eps * worst
 
 
+@pytest.mark.parametrize("q", [13, 720720, 1000003])
+def test_unit_angles_match_the_complex_division(q):
+    # the angles written as reals give the bytes of numpy's complex product
+    # and division, on the units and on their inverses (the row's input)
+    units = unit_residues(q)
+    for residues in (units, inverse_table(q)[units]):
+        for coeff in (1, 2, q - 1, 10**12 + 3):
+            red = (coeff % q) * residues % q
+            old = np.exp(2j * np.pi * red / q)
+            assert expsums._unit_angles(q, coeff, residues).tobytes() == old.tobytes(), coeff
+
+
 @given(
     q=st.integers(2, 300),
     m=st.integers(-500, 500),

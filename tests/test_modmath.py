@@ -17,7 +17,14 @@ from kgsums import (
     unit_mask,
     unit_residues,
 )
-from kgsums.modmath import TABLE_Q_CAP, TRIAL_DIVISION_BOUND, _modulus, _powers, pow_mod
+from kgsums.modmath import (
+    TABLE_Q_CAP,
+    TRIAL_DIVISION_BOUND,
+    _modulus,
+    _powers,
+    floor_mod,
+    pow_mod,
+)
 from kgsums.verify import check_inverses
 
 moduli = st.integers(min_value=2, max_value=600)
@@ -202,3 +209,33 @@ def test_table_length_cap():
     assert Modulus.of(TABLE_Q_CAP)._table_length() == TABLE_Q_CAP
     with pytest.raises(ResourceLimit, match="capped"):
         Modulus.of(TABLE_Q_CAP + 1).mask
+
+
+@given(
+    v=st.lists(st.integers(-(2**62) + 1, 2**62 - 1), min_size=1, max_size=64),
+    m=st.integers(1, 2**46),
+)
+@settings(max_examples=200)
+def test_floor_mod_matches_remainder(v, m):
+    arr = np.array(v, dtype=np.int64)
+    out = floor_mod(arr, m)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, arr % m)
+    assert out.tolist() == [x % m for x in v]
+
+
+def test_floor_mod_out_and_python_ints():
+    rng = np.random.default_rng(5)
+    v = rng.integers(-(2**62), 2**62, 1000)
+    expected = v % 1000003
+    # out=v aliases the input: the remainder overwrites it in place
+    assert floor_mod(v, 1000003, out=v) is v
+    assert v.dtype == np.int64 and np.array_equal(v, expected)
+    # int64 extremes, where the product of quotient and modulus wraps
+    ends = np.array([-(2**63), -(2**63) + 1, 2**63 - 1, -1, 0], dtype=np.int64)
+    for m in (1, 2, 3, 1000003, 2**46, 2**62 + 1):
+        assert np.array_equal(floor_mod(ends, m), ends % m), m
+    # a Python int goes through %, also past int64
+    for x in (-7, 0, 10**30 + 1, -(10**30)):
+        r = floor_mod(x, 97)
+        assert type(r) is int and r == x % 97
