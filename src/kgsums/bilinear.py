@@ -334,11 +334,11 @@ def _gamma_over_units(J: Interval) -> np.ndarray:
     conjugate differs (in a zero's sign, or exp(i*pi) at both r and -r).
     The length numerator N*r is never 0 mod q, since r is a unit and
     0 < N < q; the phase numerator (2L + N + 1)*r is, at every unit at once,
-    when q divides 2L + N + 1.  Those intervals, and q = 2, take the direct
-    call.
+    when q divides 2L + N + 1.  Those intervals take the direct call, and
+    so does q = 2, whose one interval {1} is among them.
     """
     q, units = J.modulus.q, unit_residues(J.modulus)
-    if q == 2 or (2 * J.L + J.N + 1) % q == 0:
+    if (2 * J.L + J.N + 1) % q == 0:
         return _gamma_at(q, J.L, J.N, _centered(units, q))
     half = units.size // 2
     gam = np.empty(units.size, dtype=np.complex128)

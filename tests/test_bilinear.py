@@ -409,14 +409,15 @@ def test_centered_matches_remainder_form():
         assert bilinear._centered(int(v[0]), m) == (int(v[0]) + h) % m - h
 
 
-@pytest.mark.parametrize("q", [1000003, 2**20, 10**6, 720720])
+@pytest.mark.parametrize("q", [2, 1000003, 2**20, 10**6, 720720])
 def test_gamma_over_units_at_the_benchmark_moduli(q):
     # the half-unit evaluation and its conjugate mirror give the bytes of
-    # the kernel at every unit's centered representative
+    # the kernel at every unit's centered representative; q = 2 has one
+    # unit, and its one interval takes the direct call
     from kgsums.bilinear import _centered, _gamma_at, _gamma_over_units
 
     r = _centered(unit_residues(q), q)
-    for L, N in ((0, 1000), (q // 3, 1000)):
+    for L, N in sorted({(0, min(1000, q - 1)), (q // 3, min(1000, q - 1 - q // 3))}):
         direct = _gamma_at(q, L, N, r)
         assert _gamma_over_units(Interval.of(q, L, N)).tobytes() == direct.tobytes(), (q, L)
 
