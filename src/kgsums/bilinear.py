@@ -323,9 +323,9 @@ def _gamma_over_units(J: Interval) -> np.ndarray:
     """gamma_x for every unit x, aligned with unit_residues(q): bit for bit
     :func:`_gamma_at` at their centered representatives, evaluated on half.
 
-    For q > 2 the ascending units pair off as x and q - x: the first half
-    lies below q/2 and is its own representatives r, the second half is -r
-    in reverse order.  At -r both reduced numerators of :func:`_gamma_at`
+    For q > 2 the ascending units pair off as x and q - x: those of the
+    first half lie below q/2 and are their own representatives r, those of
+    the second half are -r in reverse order.  At -r both reduced numerators of :func:`_gamma_at`
     change sign, and gamma_{-r} = conj(gamma_r) bit for bit, given that
     numpy's sin is odd and exp(conj(z)) = conj(exp(z)) (both hold for numpy
     2.4; the digests of ``tests/test_bit_identity.py`` pin the values).
