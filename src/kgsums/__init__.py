@@ -32,16 +32,7 @@ from .counting import (
     rr_congruence,
     rr_equation,
 )
-from .csvio import (
-    CSV_HEADER,
-    RunPlan,
-    default_plan,
-    emit_csv,
-    load_config,
-    parse_csv,
-    render_csv,
-    save_config,
-)
+from .csvio import CSV_HEADER, emit_csv, parse_csv, render_csv
 from .errors import (
     ConfigError,
     DomainRestriction,

@@ -250,7 +250,7 @@ class CharWeightVector(_SortedWeights):
     norm_inf = _norm(2, "max of |w|")
 
 
-WEIGHT_KINDS = ("const", "pm1", "unit", "zero")
+WEIGHT_KINDS = ("const", "pm1", "unit")
 
 
 def make_weights(keys, kind: str, seed) -> np.ndarray:
@@ -258,9 +258,8 @@ def make_weights(keys, kind: str, seed) -> np.ndarray:
 
     Kinds: ``const`` (all 1), ``pm1`` (random signs from the top bit),
     ``unit`` (random points on the unit circle, angle 2 pi times the top
-    53 bits over 2^53), ``zero`` (all 0, for trivial-case tests).  Value i
-    comes from output i+1 of one SplitMix64 stream seeded with ``seed``, so
-    every run is reproducible cross-platform.
+    53 bits over 2^53).  Value i comes from output i+1 of one SplitMix64
+    stream seeded with ``seed``, so every run is reproducible cross-platform.
 
     ``seed`` may also be a sequence of S seeds, drawn as one SplitMix64
     block: the values then have shape (len(keys), S), one row per key as
@@ -272,8 +271,6 @@ def make_weights(keys, kind: str, seed) -> np.ndarray:
     shape = (len(keys),) if one else (len(seed), len(keys))
     if kind == "const":
         values = np.ones(shape, dtype=np.complex128)
-    elif kind == "zero":
-        values = np.zeros(shape, dtype=np.complex128)
     else:
         bits = splitmix64_block(seed, len(keys))
         if kind == "pm1":

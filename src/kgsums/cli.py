@@ -3,7 +3,12 @@
 Subcommands: kloosterman, gauss, bilinear, count, region, sweep, verify,
 plan.  Exit code 0 on success; failures print a machine-readable JSON error
 on stderr and exit with a category-specific code (2 invalid input, 3
-resource limit, 4 I/O, 5 verification, 1 anything else).
+resource limit, 4 I/O, 5 verification, 1 anything else): a `KgsumsError`
+carries its own, and bad arguments and I/O failures get 2 and 4.
+
+The parser is the one definition of the commands: a JSON run plan names a
+command other than ``plan`` and some of its long options, which take the
+parser's defaults.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
+from pathlib import Path
 
-from .bilinear import _KLOOSTERMAN_METHODS, Interval, bilinear_kloosterman
+from .bilinear import _KLOOSTERMAN_METHODS, WEIGHT_KINDS, Interval, bilinear_kloosterman
 from .bounds import improvement_region
 from .counting import (
     _COUNT_METHODS,
@@ -22,9 +29,10 @@ from .counting import (
     rr_congruence,
     rr_equation,
 )
-from .csvio import emit_csv, load_config, save_config, default_plan
+from .csvio import emit_csv
 from .errors import ConfigError, DomainRestriction, KgsumsError, VerificationError
 from .experiments import (
+    FAMILIES,
     average_sweep,
     build_weight_vector,
     cross_check,
@@ -35,19 +43,6 @@ from .expsums import character_at, conductors, gauss, kloosterman
 from .modmath import Modulus
 from .verify import run_verify
 
-_EXIT_CODES = {
-    "not_a_unit": 2,
-    "domain_restriction": 2,
-    "invalid_weight": 2,
-    "modulus_mismatch": 2,
-    "config_error": 2,
-    "invalid_input": 2,
-    "resource_limit": 3,
-    "io_error": 4,
-    "verification_failed": 5,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises on bad arguments, in its subparsers too, so `main` reports invalid_input."""
 
@@ -55,12 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
+    """The parser; its ``commands`` maps each subcommand to its own parser."""
     parser = _Parser(
         prog="kgsums",
         description="Kloosterman/Gauss sums, bilinear forms, and cancellation measurement",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("kloosterman", help="one complete Kloosterman sum")
     p.add_argument("--q", type=int, required=True)
@@ -77,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True, help="weight support size")
     p.add_argument("--N", type=int, required=True, help="interval length")
     p.add_argument("--L", type=int, default=0, help="interval offset")
-    p.add_argument("--weights", choices=("const", "pm1", "unit"), default="const")
+    p.add_argument("--weights", choices=WEIGHT_KINDS, default="const")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--method",
@@ -85,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated evaluation methods (default: the family's route)",
     )
     p.add_argument("--k", type=int, default=1, help="inverse-power kernel exponent")
-    p.add_argument("--family", choices=("kloosterman", "gauss"), default="kloosterman")
+    p.add_argument("--family", choices=FAMILIES, default="kloosterman")
     p.add_argument("--out", default=None, help="write records as CSV")
 
     p = sub.add_parser("count", help="congruence / equation solution counts")
@@ -114,9 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--weights", choices=("const", "pm1", "unit"), default="pm1")
+    p.add_argument("--weights", choices=WEIGHT_KINDS, default="pm1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--family", choices=("kloosterman", "gauss"), default="kloosterman")
+    p.add_argument("--family", choices=FAMILIES, default="kloosterman")
     p.add_argument("--out", default=None)
 
     sub.add_parser("verify", help="run the condensed invariant suite")
@@ -125,6 +122,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="path of the plan to execute")
     p.add_argument("--emit-defaults", default=None, help="write the default plan here")
     return parser
+
+
+def _plan_defaults(command: str) -> dict:
+    """The keys a run plan of ``command`` may set: its long options, with their defaults."""
+    commands = _build_parser().commands
+    if command not in commands or command == "plan":
+        raise ConfigError(f"unknown command {command!r}")
+    return {
+        opt[2:]: action.default
+        for action in commands[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+    }
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """A CLI invocation captured as structured data."""
+
+    command: str
+    options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        allowed = _plan_defaults(self.command)
+        for key in self.options:
+            if key not in allowed:
+                raise ConfigError(f"unknown config key {key!r} for command {self.command!r}")
+
+
+def default_plan() -> RunPlan:
+    """``bilinear`` at q = 101, M = N = 10 and seed 1, its other options at their defaults."""
+    options = {**_plan_defaults("bilinear"), "q": 101, "M": 10, "N": 10, "seed": 1}
+    return RunPlan("bilinear", options)
+
+
+def save_config(plan: RunPlan, path: str | Path) -> None:
+    payload = {"command": plan.command, **plan.options}
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def load_config(path: str | Path) -> RunPlan:
+    """Load a JSON run plan; unknown keys are rejected by name."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read config from {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    if "command" not in raw:
+        raise ConfigError(f"config {path} is missing the 'command' key")
+    command = raw.pop("command")
+    return RunPlan(command=command, options=raw)
 
 
 def _cmd_kloosterman(args) -> int:
@@ -280,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.command](args)
     except KgsumsError as exc:
         print(json.dumps({"category": exc.category, "message": str(exc)}), file=sys.stderr)
-        return _EXIT_CODES.get(exc.category, 1)
+        return exc.exit_code
     except (ValueError, KeyError) as exc:
         print(json.dumps({"category": "invalid_input", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -120,6 +120,12 @@ def _rotation_sum(
     return out
 
 
+def _check_depth(r: int) -> None:
+    """Refuse a depth r < 1: every table, count and moment needs r >= 1."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def _check_q_cap(q: int) -> None:
     """Refuse a length-q table route (the fold, moment_check) above CONVOLUTION_Q_CAP.
 
@@ -318,6 +324,7 @@ def _exhaustive_pair_count(vals: np.ndarray, q: int, r: int, op: np.ufunc, weigh
 
 def _table(q: "Modulus | int", K: int, r: int, reciprocal: bool) -> CountTable:
     """The fold's distribution of r-fold inverse sums or products of admissible x <= K."""
+    _check_depth(r)
     mod = Modulus.of(q)
     _check_q_cap(mod.q)
     _check_fold_cost(mod.q, _admissible_count(mod, K), r)
@@ -354,9 +361,8 @@ def _congruence_counts(
     "convolution" for the others.  Every K's route and caps are decided
     before anything is allocated.
     """
+    _check_depth(r)
     mod = Modulus.of(q)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
     if method not in (None, *_COUNT_METHODS):
         raise ValueError(f"method must be one of {_COUNT_METHODS} or None, got {method!r}")
     sizes = [_admissible_count(mod, K) for K in Ks]
@@ -476,9 +482,8 @@ def moment_check(
     route's cap and CONVOLUTION_Q_CAP, which the lhs needs as well, are
     checked before any length-q array is built.
     """
+    _check_depth(r)
     mod = Modulus.of(q)
-    if r < 1:
-        raise ValueError(f"moment order r must be >= 1, got {r}")
     xs = sorted({int(x) % mod.q for x in X})
     for x in xs:
         if math.gcd(x, mod.q) != 1:

@@ -1,4 +1,4 @@
-"""Flat-file I/O: the experiment CSV schema and JSON run plans.
+"""Flat-file I/O: the experiment CSV schema.
 
 CSV contract: the exact header below, floats rendered with 17 significant
 digits (full float64 round trip, so emit -> parse -> emit is byte
@@ -7,9 +7,8 @@ identical), rows ordered by (q, bound_name).
 
 from __future__ import annotations
 
-import json
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -65,76 +64,3 @@ def parse_csv(path: str | Path) -> list[ExperimentRecord]:
             raise ConfigError(f"malformed CSV row in {path}: {ln!r}")
         out.append(ExperimentRecord(**{name: typ(v) for (name, typ), v in zip(_COLUMNS, parts)}))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Run plans
-# ---------------------------------------------------------------------------
-
-#: flags accepted per command; config keys must mirror them exactly
-PLAN_SCHEMAS: dict[str, tuple[str, ...]] = {
-    "kloosterman": ("q", "m", "n"),
-    "gauss": ("q", "chi", "n"),
-    "bilinear": ("q", "M", "N", "L", "weights", "seed", "method", "k", "family", "out"),
-    "count": ("kind", "q", "K", "r", "Q", "method"),
-    "region": ("mu", "nu"),
-    "sweep": ("Q", "N", "r", "epsilon", "weights", "seed", "family", "out"),
-    "verify": (),
-}
-
-
-@dataclass(frozen=True)
-class RunPlan:
-    """A CLI invocation captured as structured data."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in PLAN_SCHEMAS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        allowed = PLAN_SCHEMAS[self.command]
-        for key in self.options:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown config key {key!r} for command {self.command!r}"
-                )
-
-
-def default_plan() -> RunPlan:
-    return RunPlan(
-        command="bilinear",
-        options={
-            "q": 101,
-            "M": 10,
-            "N": 10,
-            "L": 0,
-            "weights": "const",
-            "seed": 1,
-            "method": None,  # the family's route
-            "k": 1,
-            "family": "kloosterman",
-            "out": None,
-        },
-    )
-
-
-def save_config(plan: RunPlan, path: str | Path) -> None:
-    payload = {"command": plan.command, **plan.options}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_config(path: str | Path) -> RunPlan:
-    """Load a JSON run plan; unknown keys are rejected by name."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read config from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    if "command" not in raw:
-        raise ConfigError(f"config {path} is missing the 'command' key")
-    command = raw.pop("command")
-    return RunPlan(command=command, options=raw)

@@ -1,18 +1,19 @@
 """Exception types shared across the package.
 
-Each exception carries a short machine-readable ``category`` string; the CLI
-maps categories onto exit codes and emits them as JSON on stderr.
+Each exception carries a short machine-readable ``category`` string and the
+CLI's ``exit_code`` for it; the CLI emits the category as JSON on stderr and
+exits with the code.
 """
 
 
 class KgsumsError(Exception):
-    category = "error"
+    category, exit_code = "error", 1
 
 
 class NotAUnit(KgsumsError, ValueError):
     """A residue is not invertible for the given modulus."""
 
-    category = "not_a_unit"
+    category, exit_code = "not_a_unit", 2
 
     def __init__(self, x: int, q: int, gcd: int):
         super().__init__(f"{x} is not a unit modulo {q}: gcd({x}, {q}) = {gcd}")
@@ -24,34 +25,34 @@ class NotAUnit(KgsumsError, ValueError):
 class DomainRestriction(KgsumsError, ValueError):
     """Input lies outside the domain where the operation is defined."""
 
-    category = "domain_restriction"
+    category, exit_code = "domain_restriction", 2
 
 
 class InvalidWeight(KgsumsError, ValueError):
     """Weight vector keyed by a residue or character it must not contain."""
 
-    category = "invalid_weight"
+    category, exit_code = "invalid_weight", 2
 
 
 class ModulusMismatch(KgsumsError, ValueError):
     """Two objects that must share a modulus do not."""
 
-    category = "modulus_mismatch"
+    category, exit_code = "modulus_mismatch", 2
 
 
 class ResourceLimit(KgsumsError, RuntimeError):
     """An exact enumeration would exceed its documented cap."""
 
-    category = "resource_limit"
+    category, exit_code = "resource_limit", 3
 
 
 class ConfigError(KgsumsError, ValueError):
     """Malformed run-plan configuration."""
 
-    category = "config_error"
+    category, exit_code = "config_error", 2
 
 
 class VerificationError(KgsumsError, RuntimeError):
     """Two evaluation paths disagree beyond their combined error budget."""
 
-    category = "verification_failed"
+    category, exit_code = "verification_failed", 5

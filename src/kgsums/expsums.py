@@ -61,9 +61,6 @@ class SumResult:
     error_bound: float
     terms: int
 
-    def __abs__(self) -> float:
-        return abs(self.value)
-
 
 #: elements per block of :func:`exact_sum`; block limb sums stay far below 2**63
 _EXACT_BLOCK = 1 << 15

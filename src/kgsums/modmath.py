@@ -84,9 +84,6 @@ class Modulus:
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
-    def __int__(self) -> int:
-        return self.q
-
     def _table_length(self) -> int:
         """q, the length of every table over [0, q), once it is safe to build.
 

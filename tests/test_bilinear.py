@@ -146,7 +146,6 @@ def test_make_weights_deterministic():
     u = make_weights(keys, "unit", 7)
     assert all(abs(abs(v) - 1) < 1e-12 for v in u)
     assert np.array_equal(make_weights(keys, "const", 0), [1 + 0j] * 10)
-    assert np.array_equal(make_weights(keys, "zero", 0), [0j] * 10)
 
 
 _SEEDS = (0, 1, 2**64 - 1, 0x9E3779B97F4A7C15, derive_seed(1, 1000))
@@ -170,15 +169,13 @@ def _scalar_weights(n, kind, seed):
             out.append(1.0 + 0j)
         elif kind == "pm1":
             out.append(complex(1 if rng.next_u64() >> 63 == 0 else -1, 0.0))
-        elif kind == "unit":
-            out.append(cmath.exp(complex(0.0, 2.0 * math.pi * rng.uniform01())))
         else:
-            out.append(0j)
+            out.append(cmath.exp(complex(0.0, 2.0 * math.pi * rng.uniform01())))
     return out
 
 
 def test_make_weights_matches_scalar_reference():
-    for kind in ("const", "pm1", "unit", "zero"):
+    for kind in ("const", "pm1", "unit"):
         for seed in _SEEDS:
             for n in (0, 1, 1000):
                 got = make_weights(range(n), kind, seed)
@@ -847,9 +844,11 @@ def _batch_vectors(family, mod):
     keys = unit_residues(mod) if family == "kloosterman" else primitive_characters(mod)
     cls = WeightVector if family == "kloosterman" else CharWeightVector
     n = len(keys)
-    plan = [(0, n, "pm1"), (n // 3, n // 2, "unit"), (0, 0, "const"), (0, n, "zero"),
+    plan = [(0, n, "pm1"), (n // 3, n // 2, "unit"), (0, 0, "const"), (0, n, None),
             (n - 1, 1, "unit"), (1, min(7, n - 1), "const"), (n // 4, n // 4 + 1, "pm1")]
-    return [cls(mod, keys[s : s + m], make_weights(keys[s : s + m], kind, 11 + s))
+    # kind None: the full support at all-zero values
+    return [cls(mod, keys[s : s + m],
+                np.zeros(m) if kind is None else make_weights(keys[s : s + m], kind, 11 + s))
             for s, m, kind in plan]
 
 

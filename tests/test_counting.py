@@ -467,6 +467,19 @@ def test_refusals_precede_the_admissible_set(monkeypatch):
     assert jr_congruence(q, 5, 2, "exhaustive") == jr_equation(5, 2) == 45
 
 
+@pytest.mark.parametrize("table", [reciprocal_table, product_table])
+@pytest.mark.parametrize("r", [0, -1])
+def test_tables_refuse_depth_below_one(monkeypatch, table, r):
+    # a table's mass is base_size ** depth only for r >= 1; the refusal comes
+    # before the admissible set or any table is built
+    def no_tables(*args):
+        raise AssertionError("a table was built before the depth was checked")
+
+    monkeypatch.setattr(counting, "_admissible", no_tables)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        table(7, 3, r)
+
+
 def test_moment_identity_counts_with_unit_gamma():
     # gamma = 1 on the admissible x <= K turns the moment identity's rhs into
     # q * J_r(q; K), by both rhs routes and exactly

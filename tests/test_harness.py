@@ -18,15 +18,12 @@ from kgsums import (
     BoundSpec,
     ConfigError,
     Modulus,
-    RunPlan,
     SumResult,
     average_sweep,
     bound_value,
-    default_plan,
     exceptional_budget,
     kloosterman,
     kloosterman_row,
-    load_config,
     max_kloosterman_abs,
     parse_csv,
     improvement_region,
@@ -34,12 +31,20 @@ from kgsums import (
     region_slacks,
     run_experiment,
     run_experiments,
-    save_config,
 )
 from kgsums import experiments
 from kgsums.bilinear import WEIGHT_KINDS, make_weights
+from kgsums.cli import RunPlan, default_plan, load_config, save_config
 from kgsums.csvio import CSV_HEADER
-from kgsums.errors import VerificationError
+from kgsums.errors import (
+    DomainRestriction,
+    InvalidWeight,
+    KgsumsError,
+    ModulusMismatch,
+    NotAUnit,
+    ResourceLimit,
+    VerificationError,
+)
 from kgsums.experiments import max_kloosterman_floor
 from kgsums.prng import SplitMix64, splitmix64_block
 from kgsums import verify
@@ -431,12 +436,6 @@ def test_average_sweep_shape_and_consistency():
     assert exceptional_budget(16, 2, 0.1) == pytest.approx(16 ** (1 - 0.4))
 
 
-def test_average_sweep_zero_weights():
-    records, exceptional = average_sweep(16, 4, 2, 0.1, weight_kind="zero", seed=1)
-    assert exceptional == 0
-    assert all(r.ratio == 0.0 for r in records)
-
-
 def test_average_sweep_seed_invariance_of_bounds():
     a, _ = average_sweep(16, 4, 2, 0.1, weight_kind="pm1", seed=1)
     b, _ = average_sweep(16, 4, 2, 0.1, weight_kind="pm1", seed=2)
@@ -513,7 +512,7 @@ def test_csv_roundtrip_idempotent():
 
 
 def _nan_row(q, *_):
-    return np.full(int(q), math.nan + 0j)
+    return np.full(Modulus.of(q).q, math.nan + 0j)
 
 
 @pytest.mark.parametrize(
@@ -567,6 +566,36 @@ def test_runplan_validates():
     RunPlan("sweep", {"Q": 16, "N": 4})
     with pytest.raises(ConfigError):
         RunPlan("sweep", {"Q": 16, "banana": 1})
+    with pytest.raises(ConfigError, match="unknown command 'plan'"):
+        RunPlan("plan", {})
+
+
+def test_default_plan_is_bilinear_from_the_parser():
+    # the parser's bilinear defaults with q = 101, M = N = 10 and seed 1
+    assert default_plan() == RunPlan(
+        "bilinear",
+        {
+            "q": 101,
+            "M": 10,
+            "N": 10,
+            "L": 0,
+            "weights": "const",
+            "seed": 1,
+            "method": None,
+            "k": 1,
+            "family": "kloosterman",
+            "out": None,
+        },
+    )
+
+
+def test_import_leaves_the_cli_out():
+    # the library stays free of the parser and its run plans
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, kgsums; assert 'kgsums.cli' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -743,25 +772,33 @@ def test_cli_plan_roundtrip(tmp_path):
     assert "thm23" in proc.stdout
 
 
-def test_plan_schemas_match_the_parser():
-    # _cmd_plan turns each plan key into --{key}, so the keys are the long options
-    import argparse
+_DOCUMENTED_EXITS = {
+    KgsumsError: ("error", 1),
+    NotAUnit: ("not_a_unit", 2),
+    DomainRestriction: ("domain_restriction", 2),
+    InvalidWeight: ("invalid_weight", 2),
+    ModulusMismatch: ("modulus_mismatch", 2),
+    ConfigError: ("config_error", 2),
+    ResourceLimit: ("resource_limit", 3),
+    VerificationError: ("verification_failed", 5),
+}
 
+
+@pytest.mark.parametrize(
+    "cls", [KgsumsError, *KgsumsError.__subclasses__()], ids=lambda c: c.__name__
+)
+def test_cli_exit_code_of_every_error_class(monkeypatch, capsys, cls):
     from kgsums import cli
-    from kgsums.csvio import PLAN_SCHEMAS
 
-    parser = cli._build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(PLAN_SCHEMAS) == set(sub.choices) - {"plan"}
-    for command, keys in PLAN_SCHEMAS.items():
-        options = [
-            opt[2:]
-            for action in sub.choices[command]._actions
-            if not isinstance(action, argparse._HelpAction)
-            for opt in action.option_strings
-            if opt.startswith("--")
-        ]
-        assert len(set(keys)) == len(keys) and set(keys) == set(options), command
+    category, code = _DOCUMENTED_EXITS[cls]  # a new error class must be documented here
+
+    def fail(args):
+        raise cls(6, 12, 6) if cls is NotAUnit else cls("raised by the handler")
+
+    monkeypatch.setitem(cli._DISPATCH, "region", fail)
+    assert cli.main(["region", "--mu", "0.5", "--nu", "0.5"]) == code
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["category"] == category
 
 
 def test_cli_plan_unknown_key(tmp_path):
