@@ -25,7 +25,15 @@ does the same with its characters' exponent rows.  Both are read-only.
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
 per vector, bit for bit what the vector gives alone: the vectors share
-gamma_x and, on the fast route, one batched DFT.  The public functions are
+gamma_x and, on the fast route, one batched DFT.  Both routes hand their
+inner sums over as one (S, phi(q)) array, and one 2-D tail
+(:func:`_outer_sums`) takes it in tiles of rows: one product with gamma_x
+per tile, and sums, norms and exact sums along the rows.  A tile holds
+max(1, _BLOCK_ENTRIES // phi(q)) rows, all the seeds of a small modulus
+and one row at q ~ 10^6, so the tail's scratch does not grow with the
+seeds.  At a Bluestein length the batched DFT does: each row adds its own
+transform scratch (at q = 1000003, M = N = 1000, a run peaks at 176 MB
+with 1 seed, 255 MB with 2 and 289 MB with 5).  The public functions are
 its one-vector case.  All routes must agree within the sum of
 their error bounds; the cross-check is enforced by the experiment harness
 and the test suite.  Evaluation is pure and sequential with numpy's
@@ -61,6 +69,7 @@ from .expsums import (
     kloosterman,
     roots_of_unity,
     rows_in_range,
+    _sum_rows,
     _sum_terms,
 )
 from .modmath import (
@@ -369,7 +378,8 @@ def dyadic_scale(q: int, N, x):
 _KLOOSTERMAN_METHODS = ("naive", "transformed", "fast")
 _GAUSS_METHODS = ("naive", "transformed")
 
-#: a tile of the character-sum kernel holds max(2, _BLOCK_ENTRIES // M) units for M weights
+#: a tile of the character-sum kernel holds max(2, _BLOCK_ENTRIES // M) units for M
+#: weights; a tile of the outer sums holds max(1, _BLOCK_ENTRIES // phi(q)) rows
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -379,9 +389,9 @@ def _inverse_powers(mod: Modulus, inv_power: int) -> np.ndarray:
     return inv if inv_power == 1 else pow_mod(inv, inv_power, mod.q)
 
 
-def _fast_values(vectors: list, inv_power: int) -> list[np.ndarray]:
+def _fast_values(vectors: list, inv_power: int) -> np.ndarray:
     """f((x^-1)^k) for every unit x, one row per weight vector, the inner sums
-    done by one DFT over the rows.
+    done by one DFT over the rows: an (S, phi(q)) array for S vectors.
 
     Each row of the batched transform, scaled in place, is byte for byte the
     1-D ``q * ifft(row)``, so a vector's row does not depend on the others.
@@ -392,40 +402,43 @@ def _fast_values(vectors: list, inv_power: int) -> list[np.ndarray]:
         row[A.support()] = A.coefficients()
     np.fft.ifft(dense, axis=-1, out=dense)
     dense *= mod.q  # dense[s, t] = sum_m alpha_m e_q(m t) for vector s
-    powers = _inverse_powers(mod, inv_power)
-    return [row[powers] for row in dense]  # row by row: a 2-D gather costs more
+    return np.take(dense, _inverse_powers(mod, inv_power), axis=-1)
 
 
-def _outer_sums(J: Interval, f_rows, entry_errs) -> list[SumResult]:
-    """sum over units x of f_vals * gamma_x for each f_vals in ``f_rows``, with
-    the inner rounding propagated.
+def _outer_sums(J: Interval, f_vals: np.ndarray, entry_errs: list) -> list[SumResult]:
+    """sum over units x of f_vals[s] * gamma_x for each row s of ``f_vals``,
+    with the inner rounding propagated.
 
-    Every f_vals is aligned with unit_residues(q), and each of its entries
-    carries at most the aligned entry of ``entry_errs``; each gamma value
-    carries GAMMA_EVAL_ERR * eps * N.  gamma and its l1 norm are computed
-    once for all rows.
+    Every row is aligned with unit_residues(q), and each entry of row s
+    carries at most ``entry_errs[s]``; each gamma value carries
+    GAMMA_EVAL_ERR * eps * N.  gamma and its l1 norm are computed once for
+    all rows.  The rows go in tiles of max(1, _BLOCK_ENTRIES // phi(q)): a
+    tile takes one product with gamma, and its sums and l1 norms run along
+    the rows (:func:`_sum_rows`), bit for bit those of each row alone, so
+    the tail's scratch is one tile, one row at a large modulus.
     """
     gam = _gamma_over_units(J)
     gam_norm1 = np.sum(np.abs(gam))
+    height = max(1, _BLOCK_ENTRIES // gam.size)
     results = []
-    for f_vals, entry_err in zip(f_rows, entry_errs):
-        outer = _sum_terms(f_vals * gam)
-        err_inner = float(
-            entry_err * gam_norm1
-            + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * np.sum(np.abs(f_vals))
-        )
-        results.append(
-            SumResult(
-                value=outer.value,
-                error_bound=outer.error_bound + err_inner,
-                terms=outer.terms,
+    for start in range(0, len(f_vals), height):
+        tile = f_vals[start : start + height]
+        f_norm1 = np.sum(np.abs(tile), axis=-1).tolist()
+        for outer, f1, entry_err in zip(_sum_rows(tile * gam), f_norm1, entry_errs[start:]):
+            err_inner = float(entry_err * gam_norm1 + GAMMA_EVAL_ERR * MACHINE_EPS * J.N * f1)
+            results.append(
+                SumResult(
+                    value=outer.value,
+                    error_bound=outer.error_bound + err_inner,
+                    terms=outer.terms,
+                )
             )
-        )
     return results
 
 
-def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i w_i psi_i(x) for every unit x, aligned with unit_residues(q).
+def _character_sums(weights, numerators, roots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i w_i psi_i(x) for every unit x, aligned with unit_residues(q),
+    written into the phi(q) entries of ``out`` and returned.
 
     ``numerators(keys, tile)`` gives the angle numerators, reduced mod
     len(roots), of every support key at the units in the slice ``tile`` of
@@ -442,7 +455,6 @@ def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
     phi = weights.modulus.phi
     keys, coeffs = weights.support(), weights.coefficients()
     width = min(max(2, _BLOCK_ENTRIES // coeffs.size), phi)
-    total = np.empty(phi, dtype=np.complex128)
     psi = np.empty((coeffs.size, width), dtype=np.complex128)
     for start in range(0, phi, width):
         lo = min(start, phi - width)
@@ -450,8 +462,8 @@ def _character_sums(weights, numerators, roots: np.ndarray) -> np.ndarray:
         # t < len(roots) already; "wrap" avoids a buffer
         np.take(roots, numerators(keys, tile), out=psi, mode="wrap")
         np.multiply(coeffs[:, None], psi, out=psi)
-        np.add.reduce(psi, axis=0, out=total[tile], initial=0)
-    return total
+        np.add.reduce(psi, axis=0, out=out[tile], initial=0)
+    return out
 
 
 def _naive_double_sum(weights, J: Interval, scalar) -> SumResult:
@@ -522,9 +534,12 @@ def _bilinear_sums(
             def numerators(rows: np.ndarray, tile: slice) -> np.ndarray:
                 return angle_numerators(mod, rows, logs[tile])
 
-        # each direct inner sum carries (M + 4) eps * ||w||_1; one row at a time
+        # each direct inner sum carries (M + 4) eps * ||w||_1
         errs = [(w.support_size + 4) * MACHINE_EPS * w.norm1 for w in live]
-        sums = _outer_sums(J, (_character_sums(w, numerators, roots) for w in live), errs)
+        f_vals = np.empty((len(live), mod.phi), dtype=np.complex128)
+        for w, row in zip(live, f_vals):
+            _character_sums(w, numerators, roots, row)
+        sums = _outer_sums(J, f_vals, errs)
     sums = iter(sums)
     return [
         next(sums) if w.support_size else SumResult(value=0j, error_bound=0.0, terms=0)

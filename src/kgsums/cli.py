@@ -127,7 +127,8 @@ def _build_parser() -> _Parser:
 def _plan_defaults(command: str) -> dict:
     """The keys a run plan of ``command`` may set: its long options, with their defaults."""
     commands = _build_parser().commands
-    if command not in commands or command == "plan":
+    # a JSON list or object is no command, and is unhashable besides
+    if not isinstance(command, str) or command not in commands or command == "plan":
         raise ConfigError(f"unknown command {command!r}")
     return {
         opt[2:]: action.default

@@ -14,9 +14,10 @@ One pass per modulus: the seeds of one (q, M, N, L) share everything but
 their weight values, so :func:`run_experiments` runs them together.  It
 reads the support keys once and draws every seed's values in one
 SplitMix64 block; each route evaluates all their weight vectors in one call
-(``bilinear._bilinear_sums``: one gamma_x table, one batched DFT), and
-each seed keeps its own weights, cross-check, trivial-bound assert and
-records, equal to what :func:`run_experiment` gives it alone.  The
+(``bilinear._bilinear_sums``: one gamma_x table, one batched DFT, one
+outer-sum pass over tiles of their rows), and each seed keeps its own
+weights, cross-check, trivial-bound assert and records, equal to what
+:func:`run_experiment` gives it alone.  The
 bound-ratio grid makes one such call per prime.
 """
 
@@ -233,9 +234,9 @@ def run_experiments(
     first method.  The exact trivial bound is asserted unconditionally.
     For the Kloosterman family its max|K_q| comes from the length-q row
     only when a ``trivial`` record reports it or the sum misses the
-    closed-form :func:`max_kloosterman_floor`, which lies below that
-    maximum; the verdict is the same either way.  The seeds share the
-    support keys, one SplitMix64 draw of their weight values
+    closed-form :func:`max_kloosterman_floor`, evaluated once per call,
+    which lies below that maximum; the verdict is the same either way.
+    The seeds share the support keys, one SplitMix64 draw of their weight values
     (:func:`bilinear.make_weights`), the interval and each route's pass
     (:func:`bilinear._bilinear_sums`); each seed builds and checks its own
     weight vector, and each seed's records equal what it gives alone, but
@@ -257,6 +258,12 @@ def run_experiments(
     # every seed's values from one draw; each seed builds and checks its own vector
     vectors = [weight_class(mod, keys, v) for v in make_weights(keys, weight_kind, seeds).T]
     by_method = [_evaluate(family, vectors, J, m) for m in methods]
+    # the closed-form floor, for every seed, when no record reads the maximum
+    floor = (
+        max_kloosterman_floor(mod)
+        if family == "kloosterman" and all(spec.name != "trivial" for spec in specs)
+        else None
+    )
     max_terms = []
     for weights, results in zip(vectors, zip(*by_method)):
         cross_check(methods, list(results), mod.q)
@@ -264,9 +271,7 @@ def run_experiments(
         abs_sum = abs(primary.value)
         if family == "gauss":
             max_term = math.sqrt(mod.q)
-        elif all(spec.name != "trivial" for spec in specs) and (
-            abs_sum <= weights.norm1 * N * max_kloosterman_floor(mod) + primary.error_bound
-        ):
+        elif floor is not None and abs_sum <= weights.norm1 * N * floor + primary.error_bound:
             # the floor is below the computed maximum, so the assert below would
             # pass too, and no record reads the maximum; a sum that misses the
             # floor, or a NaN, takes the exact row

@@ -21,9 +21,10 @@ where the a_i are the summands.  Each summand is a unit-modulus exponential
 scaled by a weight and is computed to within ~4 eps relative error; naive or
 pairwise accumulation of ``terms`` values adds at most terms * eps * L1
 since every partial sum is bounded by L1 = sum |a_i|.  Sums of 1024 or more
-terms are correctly rounded from the exact sum (:func:`exact_sum`, equal to
+terms are correctly rounded from the exact sum (:func:`exact_sums`, equal to
 math.fsum bit for bit), which only tightens the true error; the reported
-bound keeps the uniform formula.
+bound keeps the uniform formula.  Several sums of one length share one
+pass (:func:`_sum_rows`), each row bit for bit what it gives alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .modmath import (
     unit_residues,
 )
 
-#: sums of this many terms or more are taken exactly and rounded once (exact_sum)
+#: sums of this many terms or more are taken exactly and rounded once (exact_sums)
 _EXACT_SUM_THRESHOLD = 1024
 
 
@@ -62,80 +63,124 @@ class SumResult:
     terms: int
 
 
-#: elements per block of :func:`exact_sum`; block limb sums stay far below 2**63
+#: entries per block of :func:`exact_sums`: as many whole rows as fit, or this many
+#: columns of one longer row
 _EXACT_BLOCK = 1 << 15
 
-#: most 32-bit limbs a block may need before :func:`exact_sum` defers to math.fsum
-_EXACT_LIMBS = 16
+#: widest span, in bits, of a block of a row before :func:`exact_sums` defers to math.fsum
+_EXACT_SPAN = 512
 
 
-def exact_sum(x: np.ndarray) -> float:
-    """The sum of a float64 array, correctly rounded; equal to ``math.fsum(x)``.
+def exact_sums(rows) -> list[float]:
+    """The sum of each of several float64 rows of one length, correctly
+    rounded: row for row the value (or the exception) of ``math.fsum``.
 
-    Each block of at most ``_EXACT_BLOCK`` entries is made an exact integer
-    sum.  Its nonzero entries are integer multiples of 2^lo, where lo is the
-    smallest entry exponent less 53, so ``ldexp(x, -lo)`` is exact and
-    integer-valued, and below 2^span with span = (largest exponent) - lo.
-    Splitting off 32 bits at a time with ``floor`` and power-of-two scaling
-    is exact too, giving ceil(span / 32) limbs: the lower ones in [0, 2^32),
-    the top one in [-2^32, 2^32].  Each limb is summed as int64, exact for
-    fewer than 2^31 entries and so for any block, and Python integers
-    combine the limbs and then the blocks.  The one rounding is CPython's
-    correctly rounded int true division by 2^-lo (a float conversion when
-    lo >= 0), round half to even: the value math.fsum returns, a sum of
-    -0.0 entries included (both give 0.0).
+    ``rows`` is a 2-D array or a sequence of 1-D arrays, views included.
+    They go in blocks of at most ``_EXACT_BLOCK`` entries: as many whole
+    rows as fit, or that many columns of one longer row.  Each block of a
+    row is made an exact integer sum.  Its nonzero entries are integer
+    multiples of 2^lo, where lo is the row's smallest entry exponent in the
+    block less 53, so ``ldexp(x, -lo)`` is exact and integer-valued, and
+    below 2^span with span = (largest exponent) - lo.  Each row keeps its
+    own lo, so a row of large entries does not widen the span of a row of
+    small ones.  Splitting off w bits at a time with ``floor`` and
+    power-of-two scaling is exact too: ceil(span / w) limbs for a row, and
+    every row of the block takes as many as the widest, the lower ones in
+    [0, 2^w), the top one in [-2^w, 2^w].  Each limb is summed along the
+    row as int64: for B columns, w = min(53, 62 - bit_length(B)) keeps
+    every limb sum below 2^62 and every lower limb an integer below 2^53,
+    which a double holds (w = 51 at 2002 columns, 46 at 2^15).  Python
+    integers combine the limbs and then the blocks.  The one rounding is
+    CPython's correctly rounded int true division by 2^-lo (a float
+    conversion when lo >= 0), round half to even: the value math.fsum
+    returns, a sum of -0.0 entries included (both give 0.0).
 
-    Non-finite entries, and entries of 2^960 or more, where math.fsum can
-    raise, go to math.fsum.  So does a block needing more than
-    ``_EXACT_LIMBS`` limbs: at 1024 terms math.fsum is faster from about 12
-    limbs on, at 10^5 terms and more this route stays faster past 30, and
-    the route data needs 3 or 4.
+    A row with non-finite entries, or entries of 2^960 or more, where
+    math.fsum can raise, goes to math.fsum, rows in order, so the first
+    such row that raises is the one whose exception propagates.  So does a
+    row whose block spans more than ``_EXACT_SPAN`` bits: from there on
+    math.fsum is as fast at 1024 terms (at 10^5 terms this route stays
+    six times faster), and the route data spans about 100.
     """
-    blocks = []
-    for start in range(0, x.size, _EXACT_BLOCK):
-        block = x[start : start + _EXACT_BLOCK]
-        mags = np.abs(block)
-        top = float(mags.max())
-        if not top:
-            continue
-        if not top < 2.0**960:  # also NaN and inf
-            return math.fsum(x)
-        lo = math.frexp(float(mags.min(initial=top, where=mags != 0)))[1] - 53
-        limbs = -(-(math.frexp(top)[1] - lo) // 32)
-        if limbs > _EXACT_LIMBS:
-            return math.fsum(x)
-        r = np.ldexp(block, -lo)
-        total = 0
-        for k in range(limbs - 1):
-            high = np.floor(r * 2.0**-32)
-            r -= high * 2.0**32
-            total += int(r.astype(np.int64).sum()) << (32 * k)
-            r = high
-        total += int(r.astype(np.int64).sum()) << (32 * (limbs - 1))
-        blocks.append((total, lo))
-    if not blocks:
-        return 0.0
-    lo = min(b for _, b in blocks)
-    total = sum(t << (b - lo) for t, b in blocks)
-    return total / (1 << -lo) if lo < 0 else float(total << lo)
+    count = len(rows)
+    n = len(rows[0]) if count else 0
+    fallback = np.zeros(count, dtype=bool)
+    blocks = [[] for _ in range(count)]  # (integer sum, lo) of each block of each row
+    height = max(1, _EXACT_BLOCK // max(n, 1))
+    for first in range(0, count, height):
+        chunk = rows[first : first + height]
+        fell = fallback[first : first + len(chunk)]
+        for start in range(0, n, _EXACT_BLOCK):
+            cols = slice(start, start + _EXACT_BLOCK)
+            # several rows are stacked into a new array, scaled in place below; a long
+            # row is read where it lies
+            copied = len(chunk) > 1
+            block = np.stack([row[cols] for row in chunk]) if copied else chunk[0][None, cols]
+            width = min(53, 62 - block.shape[-1].bit_length())
+            mags = np.abs(block)
+            top = mags.max(axis=-1)
+            low = mags.min(axis=-1, initial=np.inf, where=mags != 0)
+            lo = np.frexp(low)[1] - 53  # int32, as ldexp takes it fastest; -53 for a row of zeros
+            span = np.frexp(top)[1] - lo
+            fell |= ~(top < 2.0**960) | (span > _EXACT_SPAN)  # also NaN and inf
+            live = (top > 0) & ~fell
+            if not live.all():
+                if not live.any():
+                    continue
+                block, lo, span, copied = block[live], lo[live], span[live], True
+            r = np.ldexp(block, -lo[:, None], out=block if copied else None)
+            sums = np.empty((-(-int(span.max()) // width), lo.size), dtype=np.int64)
+            high = np.empty_like(r)
+            for k in range(len(sums) - 1):
+                np.floor(np.multiply(r, 2.0**-width, out=high), out=high)
+                r -= high * 2.0**width
+                sums[k] = r.astype(np.int64).sum(axis=-1)
+                r, high = high, r
+            sums[-1] = r.astype(np.int64).sum(axis=-1)
+            at = (np.flatnonzero(live) + first).tolist()
+            for i, b, limb_sums in zip(at, lo.tolist(), sums.T.tolist()):
+                blocks[i].append((sum(s << (width * k) for k, s in enumerate(limb_sums)), b))
+    out = []
+    for row, parts, fell in zip(rows, blocks, fallback.tolist()):
+        if fell:
+            out.append(math.fsum(row))
+        elif parts:
+            lo = min(b for _, b in parts)
+            total = sum(t << (b - lo) for t, b in parts)
+            out.append(total / (1 << -lo) if lo < 0 else float(total << lo))
+        else:
+            out.append(0.0)
+    return out
+
+
+def _sum_rows(terms: np.ndarray) -> list[SumResult]:
+    """Sum each row of a 2-D array of complex summands with the documented
+    error bound, one :class:`SumResult` per row.
+
+    A row's value and l1 norm are numpy's pairwise sums along the row, bit
+    for bit those of the row alone.  From 1024 terms on, the real and
+    imaginary parts of every row are each correctly rounded from their
+    exact sums by one :func:`exact_sums` pass, the values math.fsum gives.
+    """
+    rows, n = terms.shape
+    if n == 0:
+        return [SumResult(value=0j, error_bound=0.0, terms=0)] * rows
+    l1 = np.sum(np.abs(terms), axis=-1).tolist()
+    if n >= _EXACT_SUM_THRESHOLD:
+        # the real and the imaginary part of every row, in row order
+        parts = iter(exact_sums([p for row in terms for p in (row.real, row.imag)]))
+        values = [complex(re, im) for re, im in zip(parts, parts)]
+    else:
+        values = np.sum(terms, axis=-1).tolist()
+    return [
+        SumResult(value=v, error_bound=(n + 4) * MACHINE_EPS * a, terms=n)
+        for v, a in zip(values, l1)
+    ]
 
 
 def _sum_terms(terms: np.ndarray) -> SumResult:
-    """Sum an array of complex summands with the documented error bound.
-
-    From 1024 terms on, the real and imaginary parts are each correctly
-    rounded from their exact sums by :func:`exact_sum`, the same values
-    math.fsum gives.
-    """
-    n = int(terms.size)
-    if n == 0:
-        return SumResult(value=0j, error_bound=0.0, terms=0)
-    l1 = float(np.sum(np.abs(terms)))
-    if n >= _EXACT_SUM_THRESHOLD:
-        value = complex(exact_sum(terms.real), exact_sum(terms.imag))
-    else:
-        value = complex(np.sum(terms))
-    return SumResult(value=value, error_bound=(n + 4) * MACHINE_EPS * l1, terms=n)
+    """Sum a 1-D array of complex summands: the one-row case of :func:`_sum_rows`."""
+    return _sum_rows(terms[None])[0]
 
 
 def _unit_angles(q: int, coeff: int, residues: np.ndarray) -> np.ndarray:

@@ -857,8 +857,10 @@ def _result_bits(res):
 
 
 @pytest.mark.parametrize("family", ["kloosterman", "gauss"])
-@pytest.mark.parametrize("q", [13, 45, 64, 101, 105, 1009])
-def test_batch_core_equals_one_vector_at_a_time(family, q):
+@pytest.mark.parametrize("q", [13, 45, 64, 101, 105, 1009, 1031, 2003])
+def test_batch_core_equals_one_vector_at_a_time(monkeypatch, family, q):
+    # q = 1031 and 2003 have phi(q) >= 1024, so their outer sums are exact row sums;
+    # the batch runs at the default outer-sum tiles and at tiles of two rows
     mod = Modulus.of(q)
     J = Interval.of(mod, 3, min(9, q - 5))
     vectors = _batch_vectors(family, mod)
@@ -869,7 +871,11 @@ def test_batch_core_equals_one_vector_at_a_time(family, q):
     if q <= 105:
         methods.append(("naive", 1))
     for method, k in methods:
-        batch = bilinear._bilinear_sums(family, vectors, J, method, k)
+        with monkeypatch.context() as patch:
+            batch = bilinear._bilinear_sums(family, vectors, J, method, k)
+            patch.setattr(bilinear, "_BLOCK_ENTRIES", 3 * mod.phi - 1)
+            tiled = bilinear._bilinear_sums(family, vectors, J, method, k)
+        assert [_result_bits(r) for r in tiled] == [_result_bits(r) for r in batch]
         assert len(batch) == len(vectors)
         for got, w in zip(batch, vectors):
             alone = single(w, J, method, k) if family == "kloosterman" else single(w, J, method)

@@ -157,10 +157,14 @@ def test_kloosterman_argument_reduction(q, m, n):
 
 
 # ---------------------------------------------------------------------------
-# exact_sum: bit for bit the value (or the exception) of math.fsum
+# exact_sums: bit for bit the value (or the exception) of math.fsum, row by row
 # ---------------------------------------------------------------------------
 
 FSUM = math.fsum  # the oracle, kept before any test patches math.fsum
+
+
+def _exact_sum(x):
+    return expsums.exact_sums([x])[0]
 
 
 def _outcome(fn, xs):
@@ -172,10 +176,10 @@ def _outcome(fn, xs):
 
 def _assert_matches_fsum(xs):
     want = _outcome(FSUM, xs)
-    assert _outcome(expsums.exact_sum, xs) == want
+    assert _outcome(_exact_sum, xs) == want
     with pytest.MonkeyPatch.context() as mp:  # many blocks: per-block exponents combined
         mp.setattr(expsums, "_EXACT_BLOCK", 7)
-        assert _outcome(expsums.exact_sum, xs) == want
+        assert _outcome(_exact_sum, xs) == want
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200))
@@ -191,7 +195,7 @@ def test_exact_sum_matches_fsum_within_limb_budget(xs):
     # spans of at most 53 + 160 bits: the limb route, never the fallback
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
-        got = _outcome(expsums.exact_sum, xs)
+        got = _outcome(_exact_sum, xs)
     assert got == _outcome(FSUM, xs)
 
 
@@ -219,7 +223,7 @@ EXACT_SUM_CASES = {
 }
 
 
-#: the cases exact_sum hands to math.fsum
+#: the cases exact_sums hands to math.fsum
 FSUM_FALLBACK = {
     "past-limb-budget", "intermediate-overflow", "nan", "inf", "neg-inf", "inf-minus-inf",
 }
@@ -230,7 +234,7 @@ def test_exact_sum_adversarial(name, monkeypatch):
     _assert_matches_fsum(EXACT_SUM_CASES[name])
     calls = []
     monkeypatch.setattr(math, "fsum", lambda x: calls.append(x) or FSUM(x))
-    _outcome(expsums.exact_sum, EXACT_SUM_CASES[name])
+    _outcome(_exact_sum, EXACT_SUM_CASES[name])
     assert bool(calls) == (name in FSUM_FALLBACK)
 
 
@@ -246,8 +250,60 @@ def test_exact_sum_route_data_stays_off_fsum(monkeypatch):
     terms = _fast_values([A], 1)[0] * _gamma_over_units(Interval.of(q, 0, 100))
     want = (FSUM(terms.real), FSUM(terms.imag))
     monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
-    got = (expsums.exact_sum(terms.real), expsums.exact_sum(terms.imag))
+    got = expsums.exact_sums([terms.real, terms.imag])
     assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+    got = expsums._sum_terms(terms).value  # both parts in one pass, as views of the pairs
+    assert struct.pack("<2d", got.real, got.imag) == struct.pack("<2d", *want)
+
+
+#: the cases on which math.fsum raises; any row of them makes exact_sums raise
+FSUM_RAISES = {"intermediate-overflow", "inf-minus-inf"}
+
+
+def _rows(names):
+    """The named cases as the rows of one array, each padded with +0.0."""
+    rows = np.zeros((len(names), max(len(EXACT_SUM_CASES[n]) for n in names)))
+    for row, name in zip(rows, names):
+        row[: len(EXACT_SUM_CASES[name])] = EXACT_SUM_CASES[name]
+    return rows
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_exact_sums_of_rows_equal_fsum_of_each_row(block, monkeypatch):
+    # every case is one row among the others; blocks of 7 give many blocks per row
+    if block is not None:
+        monkeypatch.setattr(expsums, "_EXACT_BLOCK", block)
+    names = sorted(set(EXACT_SUM_CASES) - FSUM_RAISES)
+    rows = _rows(names)
+    calls = []
+    monkeypatch.setattr(math, "fsum", lambda x: calls.append(np.array(x)) or FSUM(x))
+    got = expsums.exact_sums(rows)
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", FSUM(r)) for r in rows]
+    fell_back = [n for n, r in zip(names, rows)
+                 if any(np.array_equal(r, c, equal_nan=True) for c in calls)]
+    assert len(calls) == len(fell_back) and set(fell_back) == FSUM_FALLBACK - FSUM_RAISES
+    for name in sorted(FSUM_RAISES):  # a raising row raises what math.fsum raises
+        want = _outcome(FSUM, EXACT_SUM_CASES[name])
+        assert want[0] == "raises"
+        with pytest.raises(want[1]):
+            expsums.exact_sums(_rows(names[:3] + [name] + names[3:]))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_exact_sums_keep_an_exponent_per_row(block, monkeypatch):
+    # rows 2^600 apart: one shared exponent would need some 20 limbs and fall
+    # back; each row's own exponent keeps every row on the limb route
+    if block is not None:
+        monkeypatch.setattr(expsums, "_EXACT_BLOCK", block)
+    rng = np.random.default_rng(7)
+    scales = 2.0 ** np.array([[300, -300], [0, 120], [-20, 500]])
+    z = rng.standard_normal((3, 2, 2000))
+    terms = (z * scales[:, :, None]).transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
+    parts = terms.view(np.float64).reshape(3, 2000, 2).transpose(0, 2, 1)  # (row, part, n)
+    want = [[FSUM(p) for p in row] for row in parts]
+    monkeypatch.setattr(math, "fsum", lambda _: pytest.fail("fell back to math.fsum"))
+    assert expsums.exact_sums([p for row in parts for p in row]) == sum(want, [])
+    assert [r.value for r in expsums._sum_rows(terms)] == [complex(*w) for w in want]
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,8 @@ def _record_bits(records):
     (64, 0, 9, 2, "pm1", ("transformed", "fast", "naive"), "kloosterman", None),
     (13, 3, 4, 1, "unit", ("naive", "transformed"), "gauss", None),
     (1009, 40, 33, 5, "const", None, "gauss", None),
+    # phi(q) >= 1024: exact row sums; thm21 alone: the floor settles the trivial check
+    (2003, 45, 45, 3, "unit", ("fast", "transformed"), "kloosterman", [BoundSpec("thm21")]),
 ])
 def test_run_experiments_equal_run_experiment_per_seed(q, M, N, L, kind, methods, family, bounds):
     seeds = (1, 2, 3, 7, 1)
@@ -809,6 +811,18 @@ def test_cli_plan_unknown_key(tmp_path):
     payload = json.loads(proc.stderr.strip().splitlines()[-1])
     assert payload["category"] == "config_error"
     assert "tau" in payload["message"]
+
+
+@pytest.mark.parametrize("command", [["bilinear"], {"name": "bilinear"}], ids=["list", "object"])
+def test_cli_plan_command_not_a_string(tmp_path, capsys, command):
+    from kgsums import cli
+
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({"command": command}))
+    assert cli.main(["plan", "--config", str(cfg)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["category"] == "config_error"
+    assert "unknown command" in payload["message"]
 
 
 def test_cli_bilinear_gauss_default_method():
