@@ -25,18 +25,13 @@ does the same with its characters' exponent rows.  Both are read-only.
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
 per vector, bit for bit what the vector gives alone: the vectors share
-gamma_x and, on the fast route, one batched DFT.  Both routes hand their
-inner sums over as one (S, phi(q)) array, and one 2-D tail
-(:func:`_outer_sums`) takes it in tiles of rows: one product with gamma_x
-per tile, and sums, norms and exact sums along the rows.  A tile holds
-max(1, _BLOCK_ENTRIES // phi(q)) rows, all the seeds of a small modulus
-and one row at q ~ 10^6, so the tail's scratch does not grow with the
-seeds.  At a Bluestein length the batched DFT does: each row adds its own
-transform scratch (at q = 1000003, M = N = 1000, a run peaks at 176 MB
-with 1 seed, 255 MB with 2 and 289 MB with 5).  The public functions are
-its one-vector case.  All routes must agree within the sum of
-their error bounds; the cross-check is enforced by the experiment harness
-and the test suite.  Evaluation is pure and sequential with numpy's
+gamma_x and, on the fast route, one batched DFT, whose Bluestein scratch
+grows with the vectors (at q = 1000003, M = N = 1000, a run peaks at
+176 MB with 1 seed, 255 MB with 2 and 289 MB with 5).  Both routes hand
+their inner sums to one 2-D tail, :func:`_outer_sums`, as an (S, phi(q))
+array.  The public functions are the core's one-vector case.  All routes
+must agree within the sum of their error bounds; the cross-check is
+enforced by the experiment harness and the test suite.  Evaluation is pure and sequential with numpy's
 deterministic pairwise reduction, so results are reproducible bit for bit;
 the x-loop partitions cleanly if a caller wants to parallelize by range.
 

@@ -17,8 +17,8 @@ SplitMix64 block; each route evaluates all their weight vectors in one call
 (``bilinear._bilinear_sums``: one gamma_x table, one batched DFT, one
 outer-sum pass over tiles of their rows), and each seed keeps its own
 weights, cross-check, trivial-bound assert and records, equal to what
-:func:`run_experiment` gives it alone.  The
-bound-ratio grid makes one such call per prime.
+:func:`run_experiment` gives it alone.  The bound-ratio grid makes one such
+call per prime.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def run_experiments(
     only when a ``trivial`` record reports it or the sum misses the
     closed-form :func:`max_kloosterman_floor`, evaluated once per call,
     which lies below that maximum; the verdict is the same either way.
-    The seeds share the support keys, one SplitMix64 draw of their weight values
-    (:func:`bilinear.make_weights`), the interval and each route's pass
+    The seeds share the support keys, one SplitMix64 draw of their weight
+    values (:func:`bilinear.make_weights`), the interval and each route's pass
     (:func:`bilinear._bilinear_sums`); each seed builds and checks its own
     weight vector, and each seed's records equal what it gives alone, but
     for ``wall_time_seconds``: the call's elapsed time split evenly over
