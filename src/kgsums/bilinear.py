@@ -119,10 +119,12 @@ def _checked_support(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     ``keys`` holds one key per entry of ``values`` (an int64 vector, or an
     int64 matrix with one row per key).  The keys of nonzero values must
     strictly increase (rows in lexicographic order); nothing is merged.
-    Adding 0j turns a -0.0 part into +0.0.
+    Adding 0j turns a -0.0 part into +0.0.  When no value is zero the keys
+    are stored as given, so they must be a new array that nothing else holds.
     """
     nonzero = values != 0
-    keys, values = keys[nonzero], values[nonzero]
+    if not nonzero.all():
+        keys, values = keys[nonzero], values[nonzero]
     i = _first_unordered(keys)
     if i is not None:
         raise InvalidWeight(f"weight keys must strictly increase: {keys[i].tolist()} "
@@ -146,14 +148,13 @@ def _first_unordered(keys: np.ndarray) -> int | None:
 
 
 def _norms(coeffs: np.ndarray) -> tuple[float, float, float]:
-    # np.hypot rounds as abs() does; np.abs on complex128 can differ in the last bit
+    """The three norms.  np.hypot rounds as abs() does (np.abs on complex128 can
+    differ in the last bit); fsum reads the floats through a memoryview, no list."""
     mags = np.hypot(coeffs.real, coeffs.imag)
-    if not mags.size:
-        return 0.0, 0.0, 0.0
     return (
-        math.fsum(mags.tolist()),
-        math.sqrt(math.fsum((mags * mags).tolist())),
-        float(mags.max()),
+        math.fsum(memoryview(mags)),
+        math.sqrt(math.fsum(memoryview(mags * mags))),
+        float(mags.max(initial=0.0)),
     )
 
 
@@ -198,9 +199,10 @@ class WeightVector(_SortedWeights):
     """Sparse complex weights on residues coprime to q.
 
     Built from residues ``keys`` with aligned ``values``.  Keys are reduced
-    mod q and must be units; exact zeros are dropped and the remaining keys
-    must strictly increase, so ``support()`` (sorted int64) and
-    ``coefficients()`` (complex128) hold the true support.
+    mod q and must be units of ``modulus.mask``, so a vector with keys and q
+    above TABLE_Q_CAP raises ResourceLimit; exact zeros are dropped and the
+    remaining keys must strictly increase, so ``support()`` (sorted int64)
+    and ``coefficients()`` (complex128) hold the true support.
     """
 
     __slots__ = ()
@@ -210,13 +212,10 @@ class WeightVector(_SortedWeights):
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         values = _weight_values(keys.size, values)
         reduced = floor_mod(keys, modulus.q)
-        gcds = np.gcd(reduced, modulus.q)
-        bad = np.flatnonzero(gcds != 1)
-        if bad.size:
-            i = bad[0]
-            raise InvalidWeight(
-                f"weight key {keys[i]} is not a unit mod {modulus.q} (gcd = {gcds[i]})"
-            )
+        if keys.size and not (unit := modulus.mask[reduced]).all():  # empty: no capped mask
+            i = int(np.argmin(unit))
+            g = math.gcd(int(reduced[i]), modulus.q)
+            raise InvalidWeight(f"weight key {keys[i]} is not a unit mod {modulus.q} (gcd = {g})")
         self._store(modulus, reduced, values)
 
     norm1 = _norm(0, "sum of |w|")
@@ -239,7 +238,7 @@ class CharWeightVector(_SortedWeights):
         modulus = Modulus.of(modulus)
         values = _weight_values(len(rows), values)
         orders = modulus.group.orders
-        rows = np.asarray(rows, dtype=np.int64).reshape(len(values), len(orders))
+        rows = np.array(rows, dtype=np.int64).reshape(len(values), len(orders))
         primitive = rows_in_range(modulus, rows) & (conductors(modulus, rows) == modulus.q)
         bad = np.flatnonzero(~primitive)
         if bad.size:

@@ -91,9 +91,9 @@ def _admissible_count(mod: Modulus, K: int) -> int:
 
 
 def _admissible(mod: Modulus, K: int) -> np.ndarray:
-    """X as an int64 array; callers size it with `_admissible_count` first."""
-    xs = np.arange(1, K + 1, dtype=np.int64)
-    return xs[np.gcd(xs, mod.q) == 1]
+    """X as an int64 array, read from the cached unit mask (K <= q, and q is
+    never a unit); callers size it with `_admissible_count` first."""
+    return np.flatnonzero(mod.mask[1 : K + 1]) + 1
 
 
 def _rotation_sum(

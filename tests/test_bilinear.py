@@ -218,6 +218,9 @@ def test_weight_vector_arrays():
     # the first key that is not a unit is named
     with pytest.raises(InvalidWeight, match=r"weight key 14 is not a unit mod 21 \(gcd = 7\)"):
         WeightVector(Modulus.of(21), [1, 14, 3], [1.0, 1.0, 1.0])
+    # a key above q is named as given, with the gcd of its residue
+    with pytest.raises(InvalidWeight, match=r"weight key 35 is not a unit mod 21 \(gcd = 7\)"):
+        WeightVector(Modulus.of(21), [1, 35], [1.0, 1.0])
     # no keys at all: empty vectors of either kind
     for cls in (WeightVector, CharWeightVector):
         none = cls(mod)
@@ -227,6 +230,52 @@ def test_weight_vector_arrays():
         WeightVector(mod, [1, 2], [1.0])
     with pytest.raises(ValueError, match="2 weight keys but 0 values"):
         WeightVector(mod, [1, 2])
+
+
+def test_weights_leave_the_callers_arrays_alone():
+    # keys, rows and values the caller owns stay writeable, and writing to them
+    # afterwards does not reach the vector, with and without zero weights
+    mod, cmod = Modulus.of(7), Modulus.of(45)
+    rows = np.array(primitive_characters(cmod))
+    for zero in (False, True):
+        keys = np.array([1, 2, 3, 4], dtype=np.int64)
+        vals = np.array([1.0, 0.0 if zero else 2.0, 3.0, 4.0j], dtype=np.complex128)
+        row_vals = make_weights(rows, "unit", 5)
+        if zero:
+            row_vals[1] = 0.0
+        for w, caller in ((WeightVector(mod, keys, vals), keys),
+                          (CharWeightVector(cmod, rows, row_vals), rows)):
+            support, coeffs = w.support().copy(), w.coefficients().copy()
+            for arr in (caller, vals, row_vals):
+                assert arr.flags.writeable
+                assert not np.shares_memory(arr, w.support())
+                assert not np.shares_memory(arr, w.coefficients())
+            caller += 1
+            vals[0] = row_vals[0] = 9.0
+            assert np.array_equal(w.support(), support)
+            assert np.array_equal(w.coefficients(), coeffs)
+            caller -= 1
+
+
+def test_norms_equal_fsum_of_lists_bit_for_bit():
+    # fsum over a memoryview sees the floats of the .tolist() copy
+    def listed(coeffs):
+        mags = np.hypot(coeffs.real, coeffs.imag)
+        return (math.fsum(mags.tolist()), math.sqrt(math.fsum((mags * mags).tolist())),
+                float(mags.max()) if mags.size else 0.0)
+
+    units = Modulus.of(1009).units
+    cases = {kind: make_weights(units, kind, 11) for kind in bilinear.WEIGHT_KINDS}
+    big, tiny = 2.0**600, 2.0**-600
+    cases["mixed"] = np.array(
+        [0.0, -0.0, complex(-0.0, 0.0), big, -big, tiny, -tiny, complex(tiny, -big),
+         complex(-tiny, tiny), 1.0, -1.0 + 1e-300j], dtype=np.complex128)
+    cases["small"] = cases["mixed"][[5, 6, 8, 9]]
+    cases["empty"] = np.zeros(0, dtype=np.complex128)
+    with np.errstate(over="ignore"):  # big squared is inf on both sides
+        for name, coeffs in cases.items():
+            got = [x.hex() for x in bilinear._norms(coeffs)]
+            assert got == [x.hex() for x in listed(coeffs)], name
 
 
 def _sorting_merge(keys, values):

@@ -39,6 +39,19 @@ def _admissible(q, K):
     return [x for x in range(1, K + 1) if math.gcd(x, q) == 1]
 
 
+def test_admissible_set_equals_the_gcd_filter():
+    # read from the unit mask: every K in [1, q] for q <= 300, a few K beyond
+    for q in range(2, 301):
+        mod, full = Modulus.of(q), _admissible(q, q)
+        for K in range(1, q + 1):
+            got = counting._admissible(mod, K)
+            assert got.dtype == np.int64 and got.tolist() == [x for x in full if x <= K], (q, K)
+    for q in (720720, 2**20):
+        for K in (1, 2, 1000, q // 2 + 1, q - 1, q):
+            xs = np.arange(1, K + 1, dtype=np.int64)
+            assert np.array_equal(counting._admissible(Modulus.of(q), K), xs[np.gcd(xs, q) == 1])
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 # ---------------------------------------------------------------------------

@@ -743,6 +743,22 @@ def test_table_cap_refuses_before_allocating(monkeypatch, capsys):
         assert str(modmath.TABLE_Q_CAP) in payload["message"]
 
 
+def test_weight_vector_above_table_cap_refused_before_allocating(monkeypatch):
+    # a one-key vector at q = 2^40 would reach a 16 TiB dense array on the fast
+    # route; it is refused where it is built, and an empty vector still builds
+    from kgsums import bilinear, modmath
+
+    mod = modmath.Modulus.of(2**40)
+    monkeypatch.setattr(modmath, "np", _NoTableNumpy())
+    monkeypatch.setattr(bilinear, "np", _NoTableNumpy())
+    with pytest.raises(ResourceLimit, match=str(modmath.TABLE_Q_CAP)):
+        bilinear.WeightVector(mod, [1], [1.0])
+    empty = bilinear.WeightVector(mod)
+    for method in ("fast", "transformed"):
+        res = bilinear.bilinear_kloosterman(empty, bilinear.Interval.of(mod, 0, 10), method)
+        assert res.value == 0 and res.terms == 0
+
+
 def test_huge_prime_refused_by_trial_division(capsys):
     # q = 2^61 - 1 is prime: trial division up to sqrt(q) would run for minutes
     from kgsums import cli
