@@ -2,11 +2,13 @@
 
 Factorization, modular inverses, unit-group generators and the additive
 character exp(2*pi*i*z/q).  Everything is pure.  All per-modulus state lives on
-:class:`Modulus`: ``Modulus.of`` caches one instance per integer q with
-``functools.cache``, and the unit group, unit tables and discrete logs are
-read-only cached properties of that instance, each built on first use by a
-single vectorized path for every q.  The module functions below are short
-reads of that state.
+:class:`Modulus`: ``Modulus.of`` hands out one live instance per integer q
+for as long as any caller holds it, and the unit group, unit tables and
+discrete logs are read-only cached properties of that instance, each built
+on first use by a single vectorized path for every q.  An instance no caller
+holds is freed with its tables, so a sweep over many moduli keeps only the
+ones it is working on.  The module functions below are short reads of that
+state.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -65,10 +68,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class Modulus:
     """A modulus q >= 2 with its factorization and unit-group order.
 
-    Construct through :meth:`Modulus.of`, which caches instances per q.
+    Construct through :meth:`Modulus.of`, which returns the live instance
+    of q while any caller holds one and builds a new one otherwise.
     Everything else known about q (unit group, unit tables, discrete logs)
-    is a read-only cached property, built on first use and held by the
-    cached instance.
+    is a read-only cached property, built on first use and freed with its
+    instance; a rebuilt instance builds the same tables again.
     """
 
     q: int
@@ -79,7 +83,13 @@ class Modulus:
     def of(cls, q: "Modulus | int") -> "Modulus":
         if isinstance(q, Modulus):
             return q
-        return _modulus(int(q))
+        q = int(q)
+        mod = _live.get(q)
+        if mod is None:
+            factors = tuple(factorize(q))
+            phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factors)
+            mod = _live[q] = cls(q=q, factors=factors, phi=phi)
+        return mod
 
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
@@ -132,9 +142,10 @@ class Modulus:
         (and -g^k when a = 2^e, e >= 3, with g = 3), so the inverse
         (+-g^k)^-1 = +-g^(o-k) is the power table of g read backwards
         (:func:`_prime_power_inverse`).  When q = a*b with b > 1, the inverse
-        mod b is the cached ``Modulus.of(b).inverse``, built the same way,
-        and the Chinese remainder theorem joins the two: with the idempotents
-        e_a = b*(b^-1 mod a) and e_b = a*(a^-1 mod b),
+        mod b is the table of the cofactor ``Modulus.of(b)``, built the same
+        way and kept by :func:`_cofactor`, and the Chinese remainder theorem
+        joins the two: with the idempotents e_a = b*(b^-1 mod a) and
+        e_b = a*(a^-1 mod b),
 
             inv[x] = e_a * inv_a[x mod a] + e_b * inv_b[x mod b]  (mod q)
 
@@ -143,8 +154,8 @@ class Modulus:
         square-and-multiply definition this replaces.  The int64 arithmetic
         is exact: each product is below q * max(a, b) and their sum below
         q * (a + b) <= q * q < 2**63 (:meth:`_table_length`).  Building the
-        table also caches ``Modulus.of(b)`` and its table, b <= q/2 entries
-        (and so on down the cofactors).
+        table also keeps ``Modulus.of(b)`` and its table, b <= q/2 entries
+        (and so on down the cofactors), for the life of the process.
         """
         q = self._table_length()
         top = max(self.group.components, key=lambda c: c.prime_power)
@@ -155,7 +166,7 @@ class Modulus:
         b = q // a
         inv = np.empty(q, dtype=np.int64)
         # x = i*b + j sits at [i, j] of the (a, b) view, so x mod b is its column
-        np.multiply(Modulus.of(b).inverse, a * pow(a, -1, b), out=inv.reshape(a, b))
+        np.multiply(_cofactor(b).inverse, a * pow(a, -1, b), out=inv.reshape(a, b))
         by_a = inv.reshape(b, a)  # ... and x mod a is the column of the (b, a) view
         by_a += inv_a * (b * pow(b, -1, a))
         floor_mod(inv, q, out=inv)
@@ -271,13 +282,13 @@ def _prime_power_inverse(comp: "UnitGroupComponent") -> np.ndarray:
     return inv
 
 
-@functools.cache
-def _modulus(q: int) -> Modulus:
-    factors = tuple(factorize(q))
-    phi = 1
-    for p, e in factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return Modulus(q=q, factors=factors, phi=phi)
+#: the instance of each q that some caller still holds
+_live: "weakref.WeakValueDictionary[int, Modulus]" = weakref.WeakValueDictionary()
+
+
+@functools.cache  # later moduli of a sweep share the cofactors, so they stay built
+def _cofactor(b: int) -> Modulus:
+    return Modulus.of(b)
 
 
 def mod_inv(x: int, q: "Modulus | int") -> int:

@@ -1,4 +1,11 @@
+import gc
+import json
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +27,6 @@ from kgsums import (
 from kgsums.modmath import (
     TABLE_Q_CAP,
     TRIAL_DIVISION_BOUND,
-    _modulus,
     _powers,
     floor_mod,
     pow_mod,
@@ -196,10 +202,10 @@ def _gathered_logs(mod):
 
 
 def test_logs_match_the_gather_oracle():
-    # the reshaped-view table against the gathers it replaced; instances are
-    # built uncached so the grid's tables are freed as it goes
+    # the reshaped-view table against the gathers it replaced; no caller
+    # holds an instance after its turn, so the grid's tables are freed as it goes
     for q in [*range(2, 3001), 720720, 10**6, 2**13 * 3**4, 2 * 3**11]:
-        mod = _modulus.__wrapped__(q)
+        mod = Modulus.of(q)
         assert np.array_equal(mod.logs, _gathered_logs(mod)), f"q={q}"
         assert not mod.logs.flags.writeable
 
@@ -209,6 +215,69 @@ def test_table_length_cap():
     assert Modulus.of(TABLE_Q_CAP)._table_length() == TABLE_Q_CAP
     with pytest.raises(ResourceLimit, match="capped"):
         Modulus.of(TABLE_Q_CAP + 1).mask
+
+
+def _run_python(code):
+    # a fresh interpreter importing kgsums from this checkout, with empty caches
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_sweeps_free_their_moduli():
+    # once a sweep returns, no Modulus of its range is left alive; the
+    # cofactors kept for later inverse tables all lie below the range
+    out = _run_python(
+        "import gc, json\n"
+        "from kgsums import Modulus, average_sweep\n"
+        "for family in ('kloosterman', 'gauss'):\n"
+        "    average_sweep(64, 8, 2, 0.1, family=family)\n"
+        "gc.collect()\n"
+        "print(json.dumps(sorted(o.q for o in gc.get_objects() if isinstance(o, Modulus))))\n"
+    )
+    alive = json.loads(out)
+    assert alive and not [q for q in alive if 64 <= q <= 128], alive
+
+
+def test_held_modulus_is_shared_and_a_rebuilt_one_is_equal():
+    tables = ("mask", "units", "inverse", "logs")
+    for q in (55440, 1009, 2**10, 2 * 3**5):
+        mod = Modulus.of(q)
+        assert Modulus.of(q) is mod
+        before = {name: getattr(mod, name).copy() for name in tables}
+        assert Modulus.of(q).inverse is mod.inverse  # the holder's table, not a new one
+        ref = weakref.ref(mod)
+        del mod
+        gc.collect()
+        assert ref() is None, f"q={q} outlived its last holder"
+        again = Modulus.of(q)
+        for name, old in before.items():
+            new = getattr(again, name)
+            assert not new.flags.writeable, (q, name)
+            assert (new.dtype, new.shape) == (old.dtype, old.shape), (q, name)
+            assert new.tobytes() == old.tobytes(), (q, name)
+
+
+def test_sweep_memory_stays_flat():
+    # a sweep four times longer, after a short one, leaves the peak where it
+    # was.  The child reads VmHWM, the peak RSS of its own address space: its
+    # ru_maxrss starts at the RSS of the process that spawned it, here the
+    # whole test session, which can hide the growth
+    out = _run_python(
+        "from kgsums import average_sweep\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
+        "average_sweep(256, 16, 2, 0.1)\n"
+        "peak()\n"
+        "average_sweep(1024, 16, 2, 0.1)\n"
+        "peak()\n"
+    )
+    short, long = (int(v) / 1024 for v in out.split())  # kB to MB
+    assert long - short < 8.0, f"peak RSS {short:.1f} -> {long:.1f} MB"
 
 
 @given(
