@@ -21,6 +21,8 @@ Weights are built from arrays and stored as arrays: :class:`WeightVector`
 takes strictly increasing residues with aligned values and holds an int64
 support with aligned complex128 coefficients; :class:`CharWeightVector`
 does the same with its characters' exponent rows.  Both are read-only.
+``from_columns`` builds one vector per column of an (M, S) value block,
+checking the keys once for all S.
 
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
@@ -143,46 +145,87 @@ def _first_unordered(keys: np.ndarray) -> int | None:
         col = np.argmax(later != earlier, axis=1)
         at = np.arange(len(col))
         later, earlier = later[at, col], earlier[at, col]
-    bad = np.flatnonzero(later <= earlier)
-    return int(bad[0]) + 1 if bad.size else None
+    bad = later <= earlier
+    return int(bad.argmax()) + 1 if bad.any() else None
 
 
-def _norms(coeffs: np.ndarray) -> tuple[float, float, float]:
-    """The three norms.  np.hypot rounds as abs() does (np.abs on complex128 can
-    differ in the last bit); fsum reads the floats through a memoryview, no list."""
+def _norms(coeffs: np.ndarray) -> list[tuple[float, float, float]]:
+    """The three norms of each row of the (S, M) ``coeffs``.
+
+    np.hypot rounds as abs() does (np.abs on complex128 can differ in the
+    last bit); fsum reads each row's floats through a memoryview, no list.
+    An exact zero adds nothing to any of the three, so a row's norms are
+    those of its nonzero entries.
+    """
     mags = np.hypot(coeffs.real, coeffs.imag)
-    return (
-        math.fsum(memoryview(mags)),
-        math.sqrt(math.fsum(memoryview(mags * mags))),
-        float(mags.max(initial=0.0)),
-    )
+    return [
+        (math.fsum(memoryview(row)), math.sqrt(math.fsum(memoryview(squares))), peak)
+        for row, squares, peak in zip(mags, mags * mags, mags.max(-1, initial=0.0).tolist())
+    ]
 
 
 def _norm(i: int, doc: str) -> property:
     return property(lambda self: self._norm_values[i], doc=doc)
 
 
-def _weight_values(n: int, values) -> np.ndarray:
-    """``values`` as complex128, checked to hold one weight for each of ``n`` keys."""
-    values = np.asarray(values, dtype=np.complex128).reshape(-1)
-    if values.size != n:
-        raise ValueError(f"{n} weight keys but {values.size} values")
+def _weight_values(n: int, values, columns: bool) -> np.ndarray:
+    """``values`` as complex128, checked to hold one weight for each of ``n``
+    keys: a vector, or with ``columns`` an (n, S) block, a column per vector."""
+    values = np.asarray(values, dtype=np.complex128)
+    if not columns:
+        values = values.reshape(-1)
+        if values.size != n:
+            raise ValueError(f"{n} weight keys but {values.size} values")
+    elif values.ndim != 2 or len(values) != n:
+        raise ValueError(f"{n} weight keys but a block of {values.shape} values")
     return values
+
+
+def _fill(vectors: list, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> None:
+    """Give each of ``vectors`` its row of ``values``, an (S, M) block of
+    weights on the M checked ``keys`` (a new array that nothing else holds).
+
+    The norms of every row come from one pass over the block.  When the
+    keys strictly increase, a row with no zero weight keeps ``keys`` and its
+    row of the block, read-only and shared; any other row goes through
+    :func:`_checked_support`, which drops its zeros and compares its keys.
+    """
+    keys = _shared(keys)
+    coeffs = _shared(values + 0j)  # a -0.0 part becomes +0.0
+    if _first_unordered(keys) is None:
+        whole = coeffs.all(-1).tolist()  # no weight is zero
+    else:
+        whole = [False] * len(vectors)
+    for w, row, kept, norms in zip(vectors, coeffs, whole, _norms(coeffs)):
+        w.modulus = modulus
+        w._support, w._coeffs = (keys, row) if kept else _checked_support(keys, row)
+        w._norm_values = norms
 
 
 class _SortedWeights:
     """Weights stored as sorted distinct keys and aligned coefficients.
 
+    Built in two steps: one check of the keys (``_checked_keys``), then
+    :func:`_fill`, which drops each vector's zero weights and takes its
+    norms; ``__init__`` is the one-vector case of :meth:`from_columns`.
     Both arrays are read-only and the norms are computed once, at
     construction, so an instance is immutable in practice.
     """
 
     __slots__ = ("modulus", "_support", "_coeffs", "_norm_values")
 
-    def _store(self, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> None:
-        self.modulus = modulus
-        self._support, self._coeffs = _checked_support(keys, values)
-        self._norm_values = _norms(self._coeffs)
+    @classmethod
+    def from_columns(cls, modulus: Modulus, keys, values) -> list:
+        """One vector per column of ``values``, an (M, S) block on the M ``keys``.
+
+        Vector s is bit for bit ``cls(modulus, keys, values[:, s])``, and
+        raises what that raises, but the keys are checked once for all S.
+        """
+        modulus = Modulus.of(modulus)
+        keys, values = cls._checked_keys(modulus, keys, values, True)
+        vectors = [cls.__new__(cls) for _ in range(values.shape[1])]
+        _fill(vectors, modulus, keys, values.T)
+        return vectors
 
     @property
     def support_size(self) -> int:
@@ -209,14 +252,21 @@ class WeightVector(_SortedWeights):
 
     def __init__(self, modulus: Modulus, keys=(), values=()):
         modulus = Modulus.of(modulus)
+        keys, values = self._checked_keys(modulus, keys, values, False)
+        _fill([self], modulus, keys, values[None])
+
+    @staticmethod
+    def _checked_keys(modulus: Modulus, keys, values, columns: bool):
+        """The keys reduced mod q into a new int64 vector, checked to be units,
+        and the values as :func:`_weight_values` gives them."""
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        values = _weight_values(keys.size, values)
+        values = _weight_values(keys.size, values, columns)
         reduced = floor_mod(keys, modulus.q)
         if keys.size and not (unit := modulus.mask[reduced]).all():  # empty: no capped mask
             i = int(np.argmin(unit))
             g = math.gcd(int(reduced[i]), modulus.q)
             raise InvalidWeight(f"weight key {keys[i]} is not a unit mod {modulus.q} (gcd = {g})")
-        self._store(modulus, reduced, values)
+        return reduced, values
 
     norm1 = _norm(0, "sum of |w|")
     norm2 = _norm(1, "sqrt of the sum of |w|^2")
@@ -236,7 +286,14 @@ class CharWeightVector(_SortedWeights):
 
     def __init__(self, modulus: Modulus, rows=(), values=()):
         modulus = Modulus.of(modulus)
-        values = _weight_values(len(rows), values)
+        rows, values = self._checked_keys(modulus, rows, values, False)
+        _fill([self], modulus, rows, values[None])
+
+    @staticmethod
+    def _checked_keys(modulus: Modulus, rows, values, columns: bool):
+        """The rows copied into a new int64 matrix, checked to be primitive,
+        and the values as :func:`_weight_values` gives them."""
+        values = _weight_values(len(rows), values, columns)
         orders = modulus.group.orders
         rows = np.array(rows, dtype=np.int64).reshape(len(values), len(orders))
         primitive = rows_in_range(modulus, rows) & (conductors(modulus, rows) == modulus.q)
@@ -246,7 +303,7 @@ class CharWeightVector(_SortedWeights):
                 f"exponent row {tuple(rows[bad[0]].tolist())} is not a primitive character "
                 f"mod {modulus.q} (generator orders {orders})"
             )
-        self._store(modulus, rows, values)
+        return rows, values
 
     norm1 = _norm(0, "sum of |w|")
     norm2 = _norm(1, "sqrt of the sum of |w|^2")

@@ -8,16 +8,13 @@ identical), rows ordered by (q, bound_name).
 from __future__ import annotations
 
 import typing
-from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .experiments import ExperimentRecord
 
 #: (name, type) of each CSV column: the fields of ExperimentRecord, in order
-_COLUMNS = tuple(
-    (f.name, typing.get_type_hints(ExperimentRecord)[f.name]) for f in fields(ExperimentRecord)
-)
+_COLUMNS = tuple(typing.get_type_hints(ExperimentRecord).items())
 
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,12 @@ from kgsums import (
 )
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
-from kgsums.experiments import build_char_weight_vector, build_weight_vector
+from kgsums.experiments import (
+    build_char_weight_vector,
+    build_weight_vector,
+    run_experiment,
+    run_experiments,
+)
 from kgsums.expsums import roots_of_unity
 from kgsums.verify import check_paths
 
@@ -255,6 +261,28 @@ def test_weights_leave_the_callers_arrays_alone():
             assert np.array_equal(w.support(), support)
             assert np.array_equal(w.coefficients(), coeffs)
             caller -= 1
+    # vectors built from one (M, S) block: without zeros they share one support
+    # array, read-only, and nothing they hold is the caller's
+    for cls, m, keys in ((WeightVector, mod, np.array([1, 2, 3, 4, 5, 6])),
+                         (CharWeightVector, cmod, rows)):
+        block = make_weights(keys, "unit", (1, 2, 3))
+        block_t = np.ascontiguousarray(block.T)
+        for values in (block, block_t.T, block_t.T.copy()):  # F- and C-ordered blocks
+            vectors = cls.from_columns(m, keys, values)
+            supports = {id(w.support()) for w in vectors}
+            assert len(supports) == 1
+            for w in vectors:
+                for arr in (w.support(), w.coefficients()):
+                    assert not arr.flags.writeable
+                    for caller in (keys, values):
+                        assert caller.flags.writeable and not np.shares_memory(caller, arr)
+                with pytest.raises(ValueError):
+                    w.support()[0] = 0
+            before = [_vector_bits(w) for w in vectors]
+            keys += 1
+            values *= 2
+            keys -= 1
+            assert [_vector_bits(w) for w in vectors] == before
 
 
 def test_norms_equal_fsum_of_lists_bit_for_bit():
@@ -274,8 +302,12 @@ def test_norms_equal_fsum_of_lists_bit_for_bit():
     cases["empty"] = np.zeros(0, dtype=np.complex128)
     with np.errstate(over="ignore"):  # big squared is inf on both sides
         for name, coeffs in cases.items():
-            got = [x.hex() for x in bilinear._norms(coeffs)]
+            got = [x.hex() for x in bilinear._norms(coeffs[None])[0]]
             assert got == [x.hex() for x in listed(coeffs)], name
+        # the rows of one block, each bit for bit its norms alone
+        block = np.stack([cases[kind] for kind in bilinear.WEIGHT_KINDS])
+        for got, coeffs in zip(bilinear._norms(block), block):
+            assert [x.hex() for x in got] == [x.hex() for x in listed(coeffs)]
 
 
 def _sorting_merge(keys, values):
@@ -310,7 +342,7 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
         assert got_keys.shape == ref_keys.shape and np.array_equal(got_keys, ref_keys), name
         # tobytes tells -0.0 from +0.0, which == does not
         assert got_coeffs.tobytes() == ref_coeffs.tobytes(), name
-        assert bilinear._norms(got_coeffs) == bilinear._norms(ref_coeffs), name
+        assert bilinear._norms(got_coeffs[None]) == bilinear._norms(ref_coeffs[None]), name
     # unsorted or repeated keys (or rows) are refused, naming the first that
     # does not exceed the nonzero key before it
     refused = {
@@ -348,6 +380,112 @@ def test_built_weights_pass_the_order_check():
         assert np.array_equal(w.support(), unit_residues(mod)), q
         c = build_char_weight_vector(mod, primitive_count(mod), "unit", q)
         assert np.array_equal(c.support(), primitive_characters(mod)), q
+
+
+def _vector_bits(w):
+    """Everything a weight vector holds, in bytes and hex: equal only when bit for bit."""
+    support, coeffs = w.support(), w.coefficients()
+    return (w.modulus.q, support.dtype.str, support.shape, support.tobytes(), coeffs.dtype.str,
+            coeffs.tobytes(), tuple(x.hex() for x in (w.norm1, w.norm2, w.norm_inf)))
+
+
+def _value_blocks(keys):
+    """(M, S) value blocks on ``keys``: each kind over five seeds, zeros (and -0.0)
+    at different keys in different seeds with one all-zero seed, and one seed."""
+    M = len(keys)
+    seeds = (1, 2, 3, 4, 5)
+    blocks = {kind: make_weights(keys, kind, seeds) for kind in bilinear.WEIGHT_KINDS}
+    zeros = make_weights(keys, "unit", seeds).copy()
+    for s in range(len(seeds)):
+        zeros[s::len(seeds) + s, s] = 0.0
+    zeros[M // 2 :, 1] = complex(-0.0, -0.0)
+    zeros[:, 3] = 0.0
+    blocks["zeros"] = zeros
+    blocks["one seed"] = make_weights(keys, "pm1", (7,))
+    return blocks
+
+
+@pytest.mark.parametrize("family", ["kloosterman", "gauss"])
+@pytest.mark.parametrize("q", [5, 45, 64, 101, 1009])
+def test_from_columns_equals_one_vector_per_column(family, q):
+    mod = Modulus.of(q)
+    cls = WeightVector if family == "kloosterman" else CharWeightVector
+    all_keys = unit_residues(mod) if family == "kloosterman" else primitive_characters(mod)
+    for M in sorted({0, 1, len(all_keys) // 2, len(all_keys)}):
+        keys = all_keys[:M]
+        for name, block in _value_blocks(keys).items():
+            vectors = cls.from_columns(mod, keys, block)
+            assert len(vectors) == block.shape[1], (M, name)
+            for s, w in enumerate(vectors):
+                assert type(w) is cls
+                alone = cls(mod, keys, block[:, s])
+                assert _vector_bits(w) == _vector_bits(alone), (M, name, s)
+
+
+def test_from_columns_checks_each_column_as_alone():
+    # keys out of order only under zero weights pass in the columns that zero
+    # them and fail in the first that does not, as one vector per column does
+    mod = Modulus.of(7)
+    keys = np.array([1, 2, 4, 3, 5])
+    block = np.ones((5, 3), dtype=np.complex128)
+    block[3, 0] = block[2, 2] = 0.0
+    for cols in ([0], [2], [0, 2]):
+        vectors = WeightVector.from_columns(mod, keys, block[:, cols])
+        for w, s in zip(vectors, cols):
+            assert _vector_bits(w) == _vector_bits(WeightVector(mod, keys, block[:, s]))
+    with pytest.raises(InvalidWeight, match="must strictly increase: 3 follows 4"):
+        WeightVector(mod, keys, block[:, 1])
+    with pytest.raises(InvalidWeight, match="must strictly increase: 3 follows 4"):
+        WeightVector.from_columns(mod, keys, block)
+    with pytest.raises(ValueError, match="5 weight keys but a block of"):
+        WeightVector.from_columns(mod, keys, block[:4])
+    with pytest.raises(ValueError, match="5 weight keys but a block of"):
+        WeightVector.from_columns(mod, keys, block[:, 0])
+
+
+def _message(build):
+    with pytest.raises(InvalidWeight) as info:
+        build()
+    return str(info.value)
+
+
+def test_from_columns_refuses_keys_as_one_vector_does():
+    m21, m8 = Modulus.of(21), Modulus.of(8)
+    bad_keys = np.array([1, 35, 3])  # 35 = 14 mod 21, gcd 7
+    bad_rows = np.array([[0, 1], [1, 1]])  # (1, 1) has conductor 4
+    cases = [(WeightVector, m21, bad_keys), (CharWeightVector, m8, bad_rows)]
+    for cls, mod, keys in cases:
+        block = make_weights(keys, "pm1", (1, 2, 3))
+        alone = _message(lambda: cls(mod, keys, block[:, 0]))
+        assert _message(lambda: cls.from_columns(mod, keys, block)) == alone
+        # the key check does not look at the values: all-zero columns are refused too
+        assert _message(lambda: cls.from_columns(mod, keys, np.zeros_like(block))) == alone
+    assert "weight key 35 is not a unit mod 21 (gcd = 7)" in _message(
+        lambda: WeightVector.from_columns(m21, bad_keys, np.ones((3, 2))))
+    assert "(1, 1) is not a primitive character mod 8" in _message(
+        lambda: CharWeightVector.from_columns(m8, bad_rows, np.ones((2, 2))))
+
+
+@pytest.mark.parametrize("family", ["kloosterman", "gauss"])
+def test_run_experiments_checks_the_keys_once(monkeypatch, family):
+    cls = WeightVector if family == "kloosterman" else CharWeightVector
+    check = cls._checked_keys
+    calls = []
+
+    def counted(mod, keys, values, columns):
+        calls.append(len(keys))
+        return check(mod, keys, values, columns)
+
+    monkeypatch.setattr(cls, "_checked_keys", staticmethod(counted))
+    q = 1009 if family == "kloosterman" else 101
+    outcomes = run_experiments(q, 32, 32, weight_kind="pm1", seeds=(1, 2, 3, 4, 5), family=family)
+    assert len(outcomes) == 5 and calls == [32]
+    for seed, records in zip((1, 2, 3, 4, 5), outcomes):
+        alone = run_experiment(q, 32, 32, weight_kind="pm1", seed=seed, family=family)
+        assert [replace(r, wall_time_seconds=0.0) for r in records] == [
+            replace(r, wall_time_seconds=0.0) for r in alone
+        ]
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
