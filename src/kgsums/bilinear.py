@@ -31,11 +31,13 @@ gamma_x and, on the fast route, one batched DFT, whose Bluestein scratch
 grows with the vectors (at q = 1000003, M = N = 1000, a run peaks at
 176 MB with 1 seed, 255 MB with 2 and 289 MB with 5).  Both routes hand
 their inner sums to one 2-D tail, :func:`_outer_sums`, as an (S, phi(q))
-array.  The public functions are the core's one-vector case.  All routes
-must agree within the sum of their error bounds; the cross-check is
-enforced by the experiment harness and the test suite.  Evaluation is pure and sequential with numpy's
-deterministic pairwise reduction, so results are reproducible bit for bit;
-the x-loop partitions cleanly if a caller wants to parallelize by range.
+array.  The public functions, which the CLI and `verify` call, are the
+core's one-vector case; the experiment harness calls the core itself for
+every number of seeds.  All routes must agree within the sum of their
+error bounds; the cross-check is enforced by the experiment harness and the
+test suite.  Evaluation is pure and sequential with numpy's deterministic
+pairwise reduction, so results are reproducible bit for bit; the x-loop
+partitions cleanly if a caller wants to parallelize by range.
 
 The interval sums gamma_x, one kernel for a residue or for every unit, are
 localized by the dyadic scale of the representative r in (-q/2, q/2]

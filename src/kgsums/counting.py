@@ -46,8 +46,8 @@ EXHAUSTIVE_TUPLE_CAP = 10**8
 #: the fold and moment_check build length-q tables; they refuse larger q
 CONVOLUTION_Q_CAP = 10**6
 
-#: the fold, and moment_check's convolution rhs on the same rotation sum,
-#: refuse more than this many adds, (r - 1) * |X| * q: every step rotates
+#: the fold, which moment_check's convolution rhs runs weighted by gamma,
+#: refuses more than this many adds, (r - 1) * |X| * q: every step rotates
 #: an array of at most q entries once per base point
 FOLD_COST_CAP = 10**9
 
@@ -164,18 +164,32 @@ def _lattice(mod: Modulus, reciprocal: bool) -> tuple[tuple[int, ...], Callable]
     return mod.group.orders, lambda xs: mod.logs[xs]
 
 
-def _fold(points: np.ndarray, shape: tuple[int, ...], r: int) -> np.ndarray:
+def _fold(
+    points: np.ndarray, shape: tuple[int, ...], r: int, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Counts of the r-fold sums of distinct ``points`` on the lattice ``shape``, exact.
 
     Each fold step is `_rotation_sum` of the count array by every point.
     Counts are at most len(points)**r, so they are int64 below the overflow
-    line and Python ints in an object array above it.
+    line and Python ints in an object array above it.  With complex
+    ``weights`` aligned with the points, an r-tuple adds the product of its
+    weights instead of 1, in complex128.
     """
-    acc = np.zeros(shape, dtype=np.int64 if len(points) ** r < _INT64_SAFE else object)
-    acc[tuple(points.T)] = 1
+    counts = np.int64 if len(points) ** r < _INT64_SAFE else object
+    acc = np.zeros(shape, dtype=counts if weights is None else np.complex128)
+    acc[tuple(points.T)] = 1 if weights is None else weights
     for _ in range(r - 1):
-        acc = _rotation_sum(acc, points)
+        acc = _rotation_sum(acc, points, weights)
     return acc
+
+
+def _energy(table: np.ndarray, mass: int) -> int:
+    """sum(T**2) of a count table T of total ``mass``: an int64 dot while max(T) * mass,
+    which bounds it, is below the overflow line, and a Python-int dot above."""
+    flat = table.ravel()
+    if int(flat.max()) * mass >= _INT64_SAFE:
+        flat = flat[flat != 0].astype(object)
+    return int(flat @ flat)
 
 
 def _fft_padding(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -246,9 +260,8 @@ def _convolution_power(
     certificate |X|^r < 2^47, so the rounded counts fit int64.  The bound
     is per set: a batched transform is the same transform of each set.
 
-    sum(T**2) is an int64 dot while max(T) |X|^r, which bounds it, is
-    below the overflow line, and a Python-int dot above.  The caller has
-    checked `_fft_refusal` for every set before building it.
+    sum(T**2) is `_energy`'s.  The caller has checked `_fft_refusal` for
+    every set before building it.
     """
     padded = _fft_padding(shape, r)
     axes = tuple(range(1, len(shape) + 1))
@@ -281,11 +294,7 @@ def _convolution_power(
                 raise VerificationError(
                     f"FFT counts have mass {mass}, expected |X|**r = {size ** r}"
                 )
-            # sum(T**2) <= max(T) * sum(T): an int64 dot below the overflow line
-            flat = table.ravel()
-            if int(flat.max()) * mass >= _INT64_SAFE:
-                flat = flat[flat != 0].astype(object)
-            results.append((table, int(flat @ flat)))
+            results.append((table, _energy(table, mass)))
     return results
 
 
@@ -389,10 +398,10 @@ def _congruence_counts(
             _check_fold_cost(mod.q, size, r)
     sets = [place(_admissible(mod, K)) for K, fft in zip(Ks, by_fft) if fft]
     energies = iter([energy for _, energy in _convolution_power(sets, shape, r)])
-    table = reciprocal_table if reciprocal else product_table
+    # the fold's lattice holds one point per unit, so sum(T**2) reads off it
     return [
-        next(energies) if fft else sum(c * c for c in table(mod, K, r).counts)
-        for K, fft in zip(Ks, by_fft)
+        next(energies) if fft else _energy(_fold(place(_admissible(mod, K)), shape, r), size**r)
+        for K, size, fft in zip(Ks, sizes, by_fft)
     ]
 
 
@@ -477,12 +486,14 @@ def moment_check(
     rhs = q * `jr_congruence`.
 
     ``method`` selects the rhs route: ``exhaustive``, the counts' oracle
-    weighted by gamma; ``convolution``, the fold's `_rotation_sum` weighted
-    by gamma, r - 1 times (cost (r-1)*|X|*q); ``auto`` picks by size.  The
-    route's cap and CONVOLUTION_Q_CAP, which the lhs needs as well, are
-    checked before any length-q array is built.
+    weighted by gamma; ``convolution``, the counts' `_fold` on Z/q weighted
+    by gamma (cost (r-1)*|X|*q); ``auto`` picks by size.  The method is
+    checked first, and the route's cap and CONVOLUTION_Q_CAP, which the lhs
+    needs as well, before any length-q array is built.
     """
     _check_depth(r)
+    if method not in ("auto", "exhaustive", "convolution"):
+        raise ValueError(f"unknown moment method {method!r}")
     mod = Modulus.of(q)
     xs = sorted({int(x) % mod.q for x in X})
     for x in xs:
@@ -494,25 +505,20 @@ def moment_check(
         method = "exhaustive" if len(xs) ** (2 * r) <= 250_000 else "convolution"
     if method == "exhaustive":
         _check_tuple_cap(len(xs), r)
-    elif method == "convolution":
-        _check_fold_cost(mod.q, len(xs), r)
     else:
-        raise ValueError(f"unknown moment method {method!r}")
+        _check_fold_cost(mod.q, len(xs), r)
     _check_q_cap(mod.q)
 
     g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
     xbars = inverse_table(mod)[np.array(xs, dtype=np.int64)]
-    h = np.zeros(mod.q, dtype=np.complex128)  # h[x^-1] = gamma_x
-    h[xbars] = g
+    h = _fold(xbars[:, None], (mod.q,), 1, g)  # h[x^-1] = gamma_x
     # q * ifft(h)[m] = sum_x gamma_x e_q(m x^-1)
     lhs = float(np.sum(np.abs(mod.q * np.fft.ifft(h)) ** (2 * r)))
 
     if method == "exhaustive":
         return lhs, float((mod.q * _exhaustive_pair_count(xbars, mod.q, r, np.add, g)).real)
-    # cyclic convolution with h: H <- sum_x gamma_x * (H rotated by x^-1)
-    H = h
-    for _ in range(r - 1):
-        H = _rotation_sum(H, xbars, g)
+    # the r-fold cyclic self-convolution of h, weighted by gamma
+    H = _fold(xbars[:, None], (mod.q,), r, g)
     return lhs, float(mod.q * np.sum(np.abs(H) ** 2))
 
 

@@ -37,8 +37,6 @@ from .bilinear import (
     Interval,
     WeightVector,
     _bilinear_sums,
-    bilinear_gauss,
-    bilinear_kloosterman,
     make_weights,
 )
 from .bounds import BoundSpec, bound_value
@@ -258,7 +256,7 @@ def run_experiments(
     keys = _support_keys(mod, M, family)
     # every seed's values from one draw, on keys checked once for all seeds
     vectors = weight_class.from_columns(mod, keys, make_weights(keys, weight_kind, seeds))
-    by_method = [_evaluate(family, vectors, J, m) for m in methods]
+    by_method = [_bilinear_sums(family, vectors, J, m) for m in methods]
     # the closed-form floor, for every seed, when no record reads the maximum
     floor = (
         max_kloosterman_floor(mod)
@@ -317,15 +315,6 @@ def run_experiments(
             )
         outcomes.append(records)
     return outcomes
-
-
-def _evaluate(family: str, vectors: list, J: Interval, method: str) -> list[SumResult]:
-    # one vector goes through its family's public entry, the name the bench
-    # tracer times; it is the one-vector case of the same core
-    if len(vectors) > 1:
-        return _bilinear_sums(family, vectors, J, method)
-    one = bilinear_kloosterman if family == "kloosterman" else bilinear_gauss
-    return [one(vectors[0], J, method)]
 
 
 def average_sweep(

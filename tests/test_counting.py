@@ -241,6 +241,22 @@ def test_product_table_matches_multiplication_fold(q, K, r):
     assert product_table(q, K, r).counts == tuple(acc.tolist())
 
 
+def test_fold_route_counts_equal_the_tables_energy():
+    # the fold route reads sum(T**2) off its lattice: Z/q for inverse sums,
+    # the unit group at the logs for products, one point per unit, so it is
+    # sum(c**2) over the tables' counts on Z/q
+    for q in range(2, 61):
+        for K in sorted({1, 2, q // 3 + 1, q // 2 + 1, q}):
+            for r in (1, 2, 3):
+                pairs = ((jr_congruence, reciprocal_table), (rr_congruence, product_table))
+                for count, table in pairs:
+                    energy = sum(c * c for c in table(q, K, r).counts)
+                    assert count(q, K, r, "convolution") == energy, (q, K, r, count)
+    # 32**13 >= 2**62: Python-int counts in an object array
+    energy = sum(c * c for c in product_table(64, 64, 13).counts)
+    assert rr_congruence(64, 64, 13, "convolution") == energy > 2**63
+
+
 def test_fold_cost_refusal_precedes_tables(monkeypatch):
     # the 60 units <= 60 mod 101 at depth 3: (r - 1) * |X| * q = 12120 adds
     monkeypatch.setattr(counting, "FOLD_COST_CAP", 12120)
@@ -450,6 +466,10 @@ def test_rejects_bad_inputs():
         jr_equation(100, 5)
     with pytest.raises(ResourceLimit):
         rr_equation(100, 5)
+    # the method is checked before anything else, an empty X included
+    for X in ([1, 2], []):
+        with pytest.raises(ValueError, match="unknown moment method"):
+            moment_check(7, X, {1: 1.0, 2: 1.0}, 2, method="bogus")
 
 
 def test_admissible_count_by_inclusion_exclusion():
@@ -507,6 +527,41 @@ def test_moment_identity_counts_with_unit_gamma():
                     assert moment_check(q, X, gamma, r, method)[1] == count, (q, K, r, method)
                     cases += 1
     assert cases == 2658
+
+
+def _moment_by_rotation_loop(q, X, gamma, r):
+    """Both sides of the moment identity by the convolution route's own loop:
+    h[x^-1] = gamma_x, the lhs from its DFT, and the rhs from r - 1 rotation
+    sums of h by every x^-1, weighted by gamma_x."""
+    mod = Modulus.of(q)
+    xs = sorted({x % q for x in X})
+    g = np.array([complex(gamma[x]) for x in xs], dtype=np.complex128)
+    xbars = inverse_table(mod)[np.array(xs, dtype=np.int64)]
+    h = np.zeros(q, dtype=np.complex128)
+    h[xbars] = g
+    lhs = float(np.sum(np.abs(q * np.fft.ifft(h)) ** (2 * r)))
+    H = h
+    for _ in range(r - 1):
+        H = counting._rotation_sum(H, xbars, g)
+    return lhs, float(q * np.sum(np.abs(H) ** 2))
+
+
+def test_moment_convolution_equals_the_rotation_loop_bytewise():
+    # moment_check builds h and its rhs with the counts' weighted fold; both
+    # sides must be the loop's floats bit for bit
+    rng = SplitMix64(30)
+    cases = 0
+    for q in (3, 7, 12, 31, 60, 64, 97):
+        units = _admissible(q, q)
+        for size in sorted({1, min(3, len(units)), len(units) // 2, len(units)}):
+            X = units[:: max(1, len(units) // size)][:size]
+            gamma = {x: complex(rng.uniform01() - 0.5, rng.uniform01() - 0.5) for x in X}
+            for r in (1, 2, 3, 4):
+                got = moment_check(q, X, gamma, r, method="convolution")
+                want = _moment_by_rotation_loop(q, X, gamma, r)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (q, size, r)
+                cases += 1
+    assert cases == 100
 
 
 # ---------------------------------------------------------------------------

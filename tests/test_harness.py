@@ -301,15 +301,16 @@ def test_experiment_trivial_bound_hard_assertion():
         assert trivial.abs_sum <= trivial.bound_value + trivial.error_bound
 
 
+def _nan_sums(family, vectors, J, method, k=1):
+    return [SumResult(complex(math.nan, 0.0), 1.0, 1) for _ in vectors]
+
+
 def test_nan_sum_fails_the_experiment(monkeypatch, capsys):
     # a NaN from a route must fail the trivial-bound assert (one route) and
     # the cross-check (two routes), not pass both comparisons as False
     from kgsums import cli, experiments
 
-    def nan_route(A, J, method="fast", k=1):
-        return SumResult(complex(math.nan, 0.0), 1.0, 1)
-
-    monkeypatch.setattr(experiments, "bilinear_kloosterman", nan_route)
+    monkeypatch.setattr(experiments, "_bilinear_sums", _nan_sums)
     for methods in (None, ("fast", "transformed")):
         with pytest.raises(VerificationError):
             run_experiment(101, 10, 10, weight_kind="pm1", seed=1, methods=methods)
@@ -413,8 +414,7 @@ def test_sum_above_the_floor_takes_the_exact_row(monkeypatch):
     # a NaN sum fails the floor as well, so it reaches the exact assert and fails there
     from kgsums import experiments
 
-    monkeypatch.setattr(experiments, "bilinear_kloosterman",
-                        lambda A, J, method="fast", k=1: SumResult(complex(math.nan, 0.0), 1.0, 1))
+    monkeypatch.setattr(experiments, "_bilinear_sums", _nan_sums)
     with pytest.raises(VerificationError, match="trivial bound"):
         run_experiment(101, 10, 10, weight_kind="pm1", seed=1, bounds=[BoundSpec("thm21")])
 
