@@ -21,8 +21,9 @@ Weights are built from arrays and stored as arrays: :class:`WeightVector`
 takes strictly increasing residues with aligned values and holds an int64
 support with aligned complex128 coefficients; :class:`CharWeightVector`
 does the same with its characters' exponent rows.  Both are read-only.
-``from_columns`` builds one vector per column of an (M, S) value block,
-checking the keys once for all S.
+Each key set is checked once, whatever its values, before any value is
+used, and ``from_columns`` builds one vector per column of an (M, S) value
+block on one key set.  Exact zeros are dropped after the check.
 
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
@@ -117,38 +118,14 @@ class Interval:
         return range(self.L + 1, self.L + self.N + 1)
 
 
-def _checked_support(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The keys and values of the nonzero weights, values plus 0j, as read-only arrays.
-
-    ``keys`` holds one key per entry of ``values`` (an int64 vector, or an
-    int64 matrix with one row per key).  The keys of nonzero values must
-    strictly increase (rows in lexicographic order); nothing is merged.
-    Adding 0j turns a -0.0 part into +0.0.  When no value is zero the keys
-    are stored as given, so they must be a new array that nothing else holds.
-    """
-    nonzero = values != 0
-    if not nonzero.all():
-        keys, values = keys[nonzero], values[nonzero]
-    i = _first_unordered(keys)
-    if i is not None:
+def _check_order(keys: np.ndarray, order: np.ndarray) -> None:
+    """Refuse ``keys`` unless ``order``, one int per key, strictly increases,
+    naming the first key that does not exceed the one before it."""
+    bad = order[1:] <= order[:-1]
+    if bad.any():
+        i = int(bad.argmax()) + 1
         raise InvalidWeight(f"weight keys must strictly increase: {keys[i].tolist()} "
                             f"follows {keys[i - 1].tolist()}")
-    return _shared(keys), _shared(values + 0j)
-
-
-def _first_unordered(keys: np.ndarray) -> int | None:
-    """Index of the first key (or row, compared lexicographically) that does
-    not exceed the one before it, or None when the keys strictly increase."""
-    if len(keys) < 2:
-        return None  # also rows with no columns (units mod 2), which argmax refuses
-    later, earlier = keys[1:], keys[:-1]
-    if keys.ndim > 1:
-        # rows compare at their first differing column; equal rows compare equal at column 0
-        col = np.argmax(later != earlier, axis=1)
-        at = np.arange(len(col))
-        later, earlier = later[at, col], earlier[at, col]
-    bad = later <= earlier
-    return int(bad.argmax()) + 1 if bad.any() else None
 
 
 def _norms(coeffs: np.ndarray) -> list[tuple[float, float, float]]:
@@ -187,27 +164,26 @@ def _fill(vectors: list, modulus: Modulus, keys: np.ndarray, values: np.ndarray)
     """Give each of ``vectors`` its row of ``values``, an (S, M) block of
     weights on the M checked ``keys`` (a new array that nothing else holds).
 
-    The norms of every row come from one pass over the block.  When the
-    keys strictly increase, a row with no zero weight keeps ``keys`` and its
-    row of the block, read-only and shared; any other row goes through
-    :func:`_checked_support`, which drops its zeros and compares its keys.
+    The norms of every row come from one pass over the block.  A row with
+    no zero weight keeps ``keys`` and its row of the block, read-only and
+    shared; any other row keeps the keys and weights where it is nonzero.
+    Both are in key order, which the key check has already seen.
     """
     keys = _shared(keys)
     coeffs = _shared(values + 0j)  # a -0.0 part becomes +0.0
-    if _first_unordered(keys) is None:
-        whole = coeffs.all(-1).tolist()  # no weight is zero
-    else:
-        whole = [False] * len(vectors)
-    for w, row, kept, norms in zip(vectors, coeffs, whole, _norms(coeffs)):
-        w.modulus = modulus
-        w._support, w._coeffs = (keys, row) if kept else _checked_support(keys, row)
-        w._norm_values = norms
+    for w, row, whole, norms in zip(vectors, coeffs, coeffs.all(-1).tolist(), _norms(coeffs)):
+        if whole:
+            w._support, w._coeffs = keys, row
+        else:
+            kept = row != 0
+            w._support, w._coeffs = _shared(keys[kept]), _shared(row[kept])
+        w.modulus, w._norm_values = modulus, norms
 
 
 class _SortedWeights:
     """Weights stored as sorted distinct keys and aligned coefficients.
 
-    Built in two steps: one check of the keys (``_checked_keys``), then
+    Built in two steps: one check of the keys alone (``_checked_keys``), then
     :func:`_fill`, which drops each vector's zero weights and takes its
     norms; ``__init__`` is the one-vector case of :meth:`from_columns`.
     Both arrays are read-only and the norms are computed once, at
@@ -221,7 +197,7 @@ class _SortedWeights:
         """One vector per column of ``values``, an (M, S) block on the M ``keys``.
 
         Vector s is bit for bit ``cls(modulus, keys, values[:, s])``, and
-        raises what that raises, but the keys are checked once for all S.
+        the keys are checked once for all S.
         """
         modulus = Modulus.of(modulus)
         keys, values = cls._checked_keys(modulus, keys, values, True)
@@ -244,10 +220,10 @@ class WeightVector(_SortedWeights):
     """Sparse complex weights on residues coprime to q.
 
     Built from residues ``keys`` with aligned ``values``.  Keys are reduced
-    mod q and must be units of ``modulus.mask``, so a vector with keys and q
-    above TABLE_Q_CAP raises ResourceLimit; exact zeros are dropped and the
-    remaining keys must strictly increase, so ``support()`` (sorted int64)
-    and ``coefficients()`` (complex128) hold the true support.
+    mod q, must be units of ``modulus.mask`` (so a vector with keys and q
+    above TABLE_Q_CAP raises ResourceLimit) and must strictly increase,
+    whatever their values; exact zeros are dropped, so ``support()``
+    (sorted int64) and ``coefficients()`` (complex128) hold the true support.
     """
 
     __slots__ = ()
@@ -259,8 +235,8 @@ class WeightVector(_SortedWeights):
 
     @staticmethod
     def _checked_keys(modulus: Modulus, keys, values, columns: bool):
-        """The keys reduced mod q into a new int64 vector, checked to be units,
-        and the values as :func:`_weight_values` gives them."""
+        """The keys reduced mod q into a new int64 vector, checked to be units
+        that strictly increase, and the values as :func:`_weight_values` gives them."""
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
         values = _weight_values(keys.size, values, columns)
         reduced = floor_mod(keys, modulus.q)
@@ -268,6 +244,7 @@ class WeightVector(_SortedWeights):
             i = int(np.argmin(unit))
             g = math.gcd(int(reduced[i]), modulus.q)
             raise InvalidWeight(f"weight key {keys[i]} is not a unit mod {modulus.q} (gcd = {g})")
+        _check_order(reduced, reduced)
         return reduced, values
 
     norm1 = _norm(0, "sum of |w|")
@@ -280,8 +257,8 @@ class CharWeightVector(_SortedWeights):
 
     Built from exponent ``rows``, shape (M, number of generators), with
     aligned ``values``.  Every row must lie in range and have conductor q
-    by :func:`conductors`, and the rows of nonzero weights must strictly
-    increase in lexicographic order, the order of :func:`primitive_characters`.
+    by :func:`conductors`, and the rows must strictly increase in the order
+    of :func:`primitive_characters`, whatever their values.
     """
 
     __slots__ = ()
@@ -293,8 +270,9 @@ class CharWeightVector(_SortedWeights):
 
     @staticmethod
     def _checked_keys(modulus: Modulus, rows, values, columns: bool):
-        """The rows copied into a new int64 matrix, checked to be primitive,
-        and the values as :func:`_weight_values` gives them."""
+        """The rows copied into a new int64 matrix, checked to be primitive and to
+        strictly increase by their index in :func:`characters` (lexicographic
+        order on rows in range), and the values as :func:`_weight_values` gives them."""
         values = _weight_values(len(rows), values, columns)
         orders = modulus.group.orders
         rows = np.array(rows, dtype=np.int64).reshape(len(values), len(orders))
@@ -305,6 +283,8 @@ class CharWeightVector(_SortedWeights):
                 f"exponent row {tuple(rows[bad[0]].tolist())} is not a primitive character "
                 f"mod {modulus.q} (generator orders {orders})"
             )
+        strides = [math.prod(orders[j + 1 :]) for j in range(len(orders))]
+        _check_order(rows, rows @ np.array(strides, dtype=np.int64))
         return rows, values
 
     norm1 = _norm(0, "sum of |w|")

@@ -119,13 +119,14 @@ def bound_value(
 
 def region_slacks(mu: float, nu: float) -> list[float]:
     """Signed slack of each polygon inequality at (mu, nu), in the order
-    2mu+7nu >= 4, 2mu+11nu >= 6, 1+mu >= 2nu, 3nu >= 2mu, 2mu >= nu."""
+    2mu+7nu >= 4, 2mu+11nu >= 6, 1+mu >= 2nu, 3nu >= 2mu, 2mu >= nu, mu <= 1."""
     return [
         2 * mu + 7 * nu - 4,
         2 * mu + 11 * nu - 6,
         1 + mu - 2 * nu,
         3 * nu - 2 * mu,
         2 * mu - nu,
+        1 - mu,
     ]
 
 

@@ -204,8 +204,10 @@ def _cmd_bilinear(args) -> int:
             raise DomainRestriction("--k applies to the kloosterman family only")
         if args.out:
             raise DomainRestriction("--k other than 1 has no bound records to write to --out")
+        if "naive" in methods:
+            raise DomainRestriction(f"the naive route needs k = 1, got k = {args.k}")
         # the requested routes first (the first one is reported), then every
-        # route the kernel has; bilinear_kloosterman refuses naive at k != 1
+        # route the kernel has
         methods += tuple(m for m in _KLOOSTERMAN_METHODS if m != "naive" and m not in methods)
         mod = Modulus.of(args.q)
         weights = build_weight_vector(mod, args.M, args.weights, args.seed)

@@ -203,10 +203,10 @@ def _reference_norms(values):
 
 def test_weight_vector_arrays():
     mod = Modulus.of(7)
-    # keys reduce mod q, and exact zeros drop before the order is checked:
-    # 3 and 9 = 2 mod 7 carry 0 and leave 1, 2, 4, 6
-    keys = [8, 2, 3, -3, 13, 9]
-    vals = [1e16, 0.25 - 0.5j, 0.0, 2j, -1.5, 0.0]
+    # keys reduce mod q, and exact zeros drop after the order is checked:
+    # 8 = 1, -3 = 4 and 13 = 6 mod 7; 3 and 5 carry 0 and leave 1, 2, 4, 6
+    keys = [8, 2, 3, -3, 5, 13]
+    vals = [1e16, 0.25 - 0.5j, 0.0, 2j, 0.0, -1.5]
     w = WeightVector(mod, keys, vals)
     ref = {1: 1e16, 2: 0.25 - 0.5j, 4: 2j, 6: -1.5}
     assert w.support().tolist() == list(ref) and w.coefficients().tolist() == list(ref.values())
@@ -221,6 +221,9 @@ def test_weight_vector_arrays():
         WeightVector(mod, [1, 8], [1e16, 1.0])
     with pytest.raises(InvalidWeight, match="must strictly increase: 2 follows 5"):
         WeightVector(mod, [1, 5, 2], [1.0, 1.0, 1.0])
+    # the reduced keys are compared, whatever their values: 9 = 2 follows 13 = 6
+    with pytest.raises(InvalidWeight, match="must strictly increase: 2 follows 6"):
+        WeightVector(mod, [8, 13, 9], [1.0, 1.0, 0.0])
     # the first key that is not a unit is named
     with pytest.raises(InvalidWeight, match=r"weight key 14 is not a unit mod 21 \(gcd = 7\)"):
         WeightVector(Modulus.of(21), [1, 14, 3], [1.0, 1.0, 1.0])
@@ -321,42 +324,47 @@ def _sorting_merge(keys, values):
 
 
 def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
+    # the constructors keep the nonzero weights on keys that strictly increase,
+    # bit for bit what sorting and merging them would give
     nz = -0.0
     values = np.array(
         [1.5, complex(nz, 2.0), complex(-3.0, nz), 0.0, complex(nz, nz), complex(0.0, nz),
          complex(nz, -1.0), 2.0 - 0.5j],
         dtype=np.complex128,
     )
-    rows = np.array([[0, 1], [0, 3], [1, 0], [1, 2], [2, 0], [2, 1], [3, 3], [4, 0]])
-    sorted_1d = np.array([1, 2, 4, 5, 7, 8, 10, 11])
-    nonzero = values != 0  # entries 3, 4 and 5 are exact zeros, and their keys are not compared
-    accepted = {
-        "sorted 1-D": sorted_1d,
-        "sorted rows": rows,
-        "unsorted only under zeros": np.array([1, 2, 4, 3, 0, 99, 10, 11]),
-    }
-    for name, keys in accepted.items():
-        assert bilinear._first_unordered(keys[nonzero]) is None, name
-        got_keys, got_coeffs = bilinear._checked_support(keys, values)
+    m13, m45 = Modulus.of(13), Modulus.of(45)
+    sorted_1d = np.array([1, 2, 4, 5, 7, 8, 10, 11])  # units mod 13
+    rows = primitive_characters(m45)[:8]
+    accepted = {"sorted 1-D": (WeightVector, m13, sorted_1d),
+                "sorted rows": (CharWeightVector, m45, rows)}
+    for name, (cls, mod, keys) in accepted.items():
+        w = cls(mod, keys, values)
         ref_keys, ref_coeffs = _sorting_merge(keys, values)
-        assert got_keys.shape == ref_keys.shape and np.array_equal(got_keys, ref_keys), name
+        assert w.support().shape == ref_keys.shape, name
+        assert np.array_equal(w.support(), ref_keys), name
         # tobytes tells -0.0 from +0.0, which == does not
-        assert got_coeffs.tobytes() == ref_coeffs.tobytes(), name
-        assert bilinear._norms(got_coeffs[None]) == bilinear._norms(ref_coeffs[None]), name
+        assert w.coefficients().tobytes() == ref_coeffs.tobytes(), name
+        assert (w.norm1, w.norm2, w.norm_inf) == bilinear._norms(ref_coeffs[None])[0], name
     # unsorted or repeated keys (or rows) are refused, naming the first that
-    # does not exceed the nonzero key before it
+    # does not exceed the key before it, whether or not either weighs zero
+    # (entries 3, 4 and 5 are exact zeros)
+    r = rows.tolist()
     refused = {
-        "unsorted 1-D": (np.array([5, 2, 4, 1, 7, 8, 10, 11]), "2 follows 5"),
-        "unsorted rows": (rows[[1, 0, 2, 3, 4, 5, 6, 7]], "[0, 1] follows [0, 3]"),
-        "duplicated 1-D": (np.array([1, 2, 2, 5, 7, 8, 10, 10]), "2 follows 2"),
-        "duplicated rows": (rows[[0, 1, 1, 3, 4, 5, 6, 6]], "[0, 3] follows [0, 3]"),
-        "duplicated across zeros": (np.array([1, 2, 4, 3, 0, 99, 4, 11]), "4 follows 4"),
+        "unsorted 1-D": (m13, np.array([5, 2, 4, 1, 7, 8, 10, 11]), "2 follows 5"),
+        "unsorted rows": (m45, rows[[1, 0, 2, 3, 4, 5, 6, 7]], f"{r[0]} follows {r[1]}"),
+        "duplicated 1-D": (m13, np.array([1, 2, 2, 5, 7, 8, 10, 10]), "2 follows 2"),
+        "duplicated rows": (m45, rows[[0, 1, 1, 3, 4, 5, 6, 6]], f"{r[1]} follows {r[1]}"),
+        "duplicated under a zero": (m13, np.array([1, 2, 4, 4, 5, 7, 10, 11]), "4 follows 4"),
+        "unsorted only under zeros": (m13, np.array([1, 2, 4, 3, 12, 9, 10, 11]), "3 follows 4"),
+        "unsorted rows under zeros": (
+            m45, rows[[0, 1, 2, 4, 3, 5, 6, 7]], f"{r[3]} follows {r[4]}"),
     }
-    for name, (keys, message) in refused.items():
+    for name, (mod, keys, message) in refused.items():
+        cls = WeightVector if keys.ndim == 1 else CharWeightVector
         with pytest.raises(InvalidWeight, match=re.escape(message)):
-            bilinear._checked_support(keys, values)
+            cls(mod, keys, values)
     # a sorted input's -0.0 parts come out +0.0, as 0 + v turns them
-    _, coeffs = bilinear._checked_support(sorted_1d, values)
+    coeffs = WeightVector(m13, sorted_1d, values).coefficients()
     assert np.signbit(coeffs.real).tolist() == [False, False, True, False, False]
     assert np.signbit(coeffs.imag).tolist() == [False, False, False, True, True]
     # the sweep's inputs: full-support units and primitive exponent rows
@@ -364,11 +372,13 @@ def test_merge_shortcut_matches_the_sorting_merge_bit_for_bit():
         mod = Modulus.of(q)
         units = unit_residues(mod)
         vals = make_weights(units, "pm1", q)
-        for got, ref in zip(bilinear._checked_support(units, vals), _sorting_merge(units, vals)):
+        w = WeightVector(mod, units, vals)
+        for got, ref in zip((w.support(), w.coefficients()), _sorting_merge(units, vals)):
             assert got.tobytes() == ref.tobytes()
         prim = primitive_characters(mod)
         vals = make_weights(prim, "unit", q)
-        for got, ref in zip(bilinear._checked_support(prim, vals), _sorting_merge(prim, vals)):
+        c = CharWeightVector(mod, prim, vals)
+        for got, ref in zip((c.support(), c.coefficients()), _sorting_merge(prim, vals)):
             assert got.tobytes() == ref.tobytes()
 
 
@@ -423,24 +433,55 @@ def test_from_columns_equals_one_vector_per_column(family, q):
 
 
 def test_from_columns_checks_each_column_as_alone():
-    # keys out of order only under zero weights pass in the columns that zero
-    # them and fail in the first that does not, as one vector per column does
-    mod = Modulus.of(7)
+    # key order is checked on the keys alone: keys out of order are refused
+    # with a zero weight at either of the two keys or with none, by one
+    # vector and by every block of columns, as one vector per column is
+    mod, cmod = Modulus.of(7), Modulus.of(45)
     keys = np.array([1, 2, 4, 3, 5])
+    rows = primitive_characters(cmod)[[0, 1, 3, 2, 4]]
     block = np.ones((5, 3), dtype=np.complex128)
-    block[3, 0] = block[2, 2] = 0.0
-    for cols in ([0], [2], [0, 2]):
-        vectors = WeightVector.from_columns(mod, keys, block[:, cols])
-        for w, s in zip(vectors, cols):
-            assert _vector_bits(w) == _vector_bits(WeightVector(mod, keys, block[:, s]))
-    with pytest.raises(InvalidWeight, match="must strictly increase: 3 follows 4"):
-        WeightVector(mod, keys, block[:, 1])
-    with pytest.raises(InvalidWeight, match="must strictly increase: 3 follows 4"):
-        WeightVector.from_columns(mod, keys, block)
+    block[3, 0] = block[2, 1] = 0.0  # column 0 zero at key 3, column 1 at key 4
+    cases = ((WeightVector, mod, keys, "3 follows 4"),
+             (CharWeightVector, cmod, rows, f"{rows[3].tolist()} follows {rows[2].tolist()}"))
+    for cls, m, k, message in cases:
+        refusal = re.escape(f"weight keys must strictly increase: {message}")
+        for s in range(3):
+            with pytest.raises(InvalidWeight, match=refusal):
+                cls(m, k, block[:, s])
+        for cols in ([0], [1], [2], [0, 1, 2], []):
+            with pytest.raises(InvalidWeight, match=refusal):
+                cls.from_columns(m, k, block[:, cols])
     with pytest.raises(ValueError, match="5 weight keys but a block of"):
         WeightVector.from_columns(mod, keys, block[:4])
     with pytest.raises(ValueError, match="5 weight keys but a block of"):
         WeightVector.from_columns(mod, keys, block[:, 0])
+
+
+def test_row_index_order_is_lexicographic_order():
+    # rows are compared by their index in characters(q); on primitive rows that
+    # accepts exactly what lexicographic order does, also where q has no
+    # generators (q = 2) or no primitive rows (q = 2 mod 4)
+    rng = np.random.default_rng(31)
+    for q in range(2, 301):
+        mod = Modulus.of(q)
+        prim = primitive_characters(mod)
+        assert CharWeightVector(mod, prim, np.ones(len(prim))).support_size == len(prim), q
+        assert len(CharWeightVector.from_columns(mod, prim, np.ones((len(prim), 2)))) == 2, q
+        if len(prim) < 2:
+            continue
+        for _ in range(4):
+            picks = rng.integers(len(prim), size=4)
+            # random rows, and the distinct ones in enumeration order
+            for rows in (prim[picks], prim[np.unique(picks)]):
+                lex = [tuple(r) for r in rows.tolist()]
+                first = next((i for i in range(1, len(lex)) if lex[i] <= lex[i - 1]), None)
+                if first is None:
+                    w = CharWeightVector(mod, rows, np.ones(len(rows)))
+                    assert w.support_size == len(rows), (q, lex)
+                else:
+                    message = f"{list(lex[first])} follows {list(lex[first - 1])}"
+                    with pytest.raises(InvalidWeight, match=re.escape(message)):
+                        CharWeightVector(mod, rows, np.ones(len(rows)))
 
 
 def _message(build):

@@ -132,7 +132,9 @@ def test_thm22_formula():
 
 
 def test_region_center_and_outside():
-    points = [((0.5, 0.5), "interior"), ((0.25, 0.5), "boundary"), ((0.1, 0.1), "outside")]
+    # mu <= 1 is a side of the polygon: on it thm21's exponent ties shpzha's
+    points = [((0.5, 0.5), "interior"), ((0.25, 0.5), "boundary"), ((0.1, 0.1), "outside"),
+              ((1.0, 0.8), "boundary"), ((1.2, 0.9), "outside")]
     res = check_region(points)
     assert res.passed, res.detail
 
@@ -887,6 +889,22 @@ def test_cli_generalized_kernel(monkeypatch, capsys, tmp_path):
     assert cli.main(["bilinear", "--q", "13", "--M", "3", "--N", "5", "--k", "2"]) == 5
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["category"] == "verification_failed"
+
+
+def test_cli_refuses_naive_at_k_before_any_route(monkeypatch, capsys):
+    # naive anywhere in --method is refused before weights are built
+    from kgsums import cli
+
+    def unbuilt(*args):
+        raise AssertionError("weights were built")
+
+    monkeypatch.setattr(cli, "build_weight_vector", unbuilt)
+    for method in ("naive", "naive,fast", "fast,naive", "transformed,naive"):
+        argv = ["bilinear", "--q", "1000003", "--M", "1000", "--N", "1000", "--k", "2",
+                "--method", method]
+        assert cli.main(argv) == 2, method
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["category"] == "domain_restriction", method
 
 
 def test_cli_verify():
