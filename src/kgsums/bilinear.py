@@ -21,9 +21,9 @@ Weights are built from arrays and stored as arrays: :class:`WeightVector`
 takes strictly increasing residues with aligned values and holds an int64
 support with aligned complex128 coefficients; :class:`CharWeightVector`
 does the same with its characters' exponent rows.  Both are read-only.
-Each key set is checked once, whatever its values, before any value is
-used, and ``from_columns`` builds one vector per column of an (M, S) value
-block on one key set.  Exact zeros are dropped after the check.
+Each public constructor checks its keys once, whatever the values, first;
+``_from_columns`` builds a vector per column of an (M, S) block on keys read
+off the modulus's tables, checked by construction.  Zeros are dropped last.
 
 One core, :func:`_bilinear_sums`, takes several weight vectors on one
 modulus, one interval and one route, and returns one :class:`SumResult`
@@ -147,16 +147,11 @@ def _norm(i: int, doc: str) -> property:
     return property(lambda self: self._norm_values[i], doc=doc)
 
 
-def _weight_values(n: int, values, columns: bool) -> np.ndarray:
-    """``values`` as complex128, checked to hold one weight for each of ``n``
-    keys: a vector, or with ``columns`` an (n, S) block, a column per vector."""
-    values = np.asarray(values, dtype=np.complex128)
-    if not columns:
-        values = values.reshape(-1)
-        if values.size != n:
-            raise ValueError(f"{n} weight keys but {values.size} values")
-    elif values.ndim != 2 or len(values) != n:
-        raise ValueError(f"{n} weight keys but a block of {values.shape} values")
+def _weight_values(n: int, values) -> np.ndarray:
+    """``values`` as a complex128 vector, checked to hold one weight for each of ``n`` keys."""
+    values = np.asarray(values, dtype=np.complex128).reshape(-1)
+    if values.size != n:
+        raise ValueError(f"{n} weight keys but {values.size} values")
     return values
 
 
@@ -167,7 +162,7 @@ def _fill(vectors: list, modulus: Modulus, keys: np.ndarray, values: np.ndarray)
     The norms of every row come from one pass over the block.  A row with
     no zero weight keeps ``keys`` and its row of the block, read-only and
     shared; any other row keeps the keys and weights where it is nonzero.
-    Both are in key order, which the key check has already seen.
+    Both are in key order, which the keys' check or source has ensured.
     """
     keys = _shared(keys)
     coeffs = _shared(values + 0j)  # a -0.0 part becomes +0.0
@@ -185,7 +180,7 @@ class _SortedWeights:
 
     Built in two steps: one check of the keys alone (``_checked_keys``), then
     :func:`_fill`, which drops each vector's zero weights and takes its
-    norms; ``__init__`` is the one-vector case of :meth:`from_columns`.
+    norms; :meth:`_from_columns` is the second step alone, for S vectors.
     Both arrays are read-only and the norms are computed once, at
     construction, so an instance is immutable in practice.
     """
@@ -193,16 +188,12 @@ class _SortedWeights:
     __slots__ = ("modulus", "_support", "_coeffs", "_norm_values")
 
     @classmethod
-    def from_columns(cls, modulus: Modulus, keys, values) -> list:
-        """One vector per column of ``values``, an (M, S) block on the M ``keys``.
-
-        Vector s is bit for bit ``cls(modulus, keys, values[:, s])``, and
-        the keys are checked once for all S.
-        """
-        modulus = Modulus.of(modulus)
-        keys, values = cls._checked_keys(modulus, keys, values, True)
+    def _from_columns(cls, modulus: Modulus, keys: np.ndarray, values: np.ndarray) -> list:
+        """One vector per column of ``values``, a complex128 (M, S) block, vector s bit for bit
+        ``cls(modulus, keys, values[:, s])``, on M keys taken as checked: units or primitive
+        rows in increasing order, as ``experiments._support_keys`` reads them off the tables."""
         vectors = [cls.__new__(cls) for _ in range(values.shape[1])]
-        _fill(vectors, modulus, keys, values.T)
+        _fill(vectors, modulus, np.array(keys, dtype=np.int64), values.T)
         return vectors
 
     @property
@@ -230,15 +221,15 @@ class WeightVector(_SortedWeights):
 
     def __init__(self, modulus: Modulus, keys=(), values=()):
         modulus = Modulus.of(modulus)
-        keys, values = self._checked_keys(modulus, keys, values, False)
+        keys, values = self._checked_keys(modulus, keys, values)
         _fill([self], modulus, keys, values[None])
 
     @staticmethod
-    def _checked_keys(modulus: Modulus, keys, values, columns: bool):
+    def _checked_keys(modulus: Modulus, keys, values):
         """The keys reduced mod q into a new int64 vector, checked to be units
         that strictly increase, and the values as :func:`_weight_values` gives them."""
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        values = _weight_values(keys.size, values, columns)
+        values = _weight_values(keys.size, values)
         reduced = floor_mod(keys, modulus.q)
         if keys.size and not (unit := modulus.mask[reduced]).all():  # empty: no capped mask
             i = int(np.argmin(unit))
@@ -265,15 +256,15 @@ class CharWeightVector(_SortedWeights):
 
     def __init__(self, modulus: Modulus, rows=(), values=()):
         modulus = Modulus.of(modulus)
-        rows, values = self._checked_keys(modulus, rows, values, False)
+        rows, values = self._checked_keys(modulus, rows, values)
         _fill([self], modulus, rows, values[None])
 
     @staticmethod
-    def _checked_keys(modulus: Modulus, rows, values, columns: bool):
+    def _checked_keys(modulus: Modulus, rows, values):
         """The rows copied into a new int64 matrix, checked to be primitive and to
         strictly increase by their index in :func:`characters` (lexicographic
         order on rows in range), and the values as :func:`_weight_values` gives them."""
-        values = _weight_values(len(rows), values, columns)
+        values = _weight_values(len(rows), values)
         orders = modulus.group.orders
         rows = np.array(rows, dtype=np.int64).reshape(len(values), len(orders))
         primitive = rows_in_range(modulus, rows) & (conductors(modulus, rows) == modulus.q)

@@ -10,15 +10,16 @@ ascending order (or the first M primitive characters in enumeration order
 for the Gauss family); the seed drives only the weight values, so two seeds
 share bound values and differ in the measured sum.
 
-One pass per modulus: the seeds of one (q, M, N, L) share everything but
-their weight values, so :func:`run_experiments` runs them together.  It
-reads and checks the support keys once and draws every seed's values in
-one SplitMix64 block; each route evaluates all their weight vectors in one call
-(``bilinear._bilinear_sums``: one gamma_x table, one batched DFT, one
-outer-sum pass over tiles of their rows), and each seed keeps its own
-weights, cross-check, trivial-bound assert and records, equal to what
-:func:`run_experiment` gives it alone.  The bound-ratio grid makes one such
-call per prime.
+One pass per modulus: the seeds of one (q, M, N, L) share everything but their
+weight values, so :func:`run_experiments` runs them together.  It reads the
+support keys once off the modulus's tables, checked by construction (the public
+weight constructors check theirs), and draws every seed's values in one
+SplitMix64 block; each route evaluates all their weight vectors in one call
+(``bilinear._bilinear_sums``: one gamma_x table, one batched DFT, one outer-sum
+pass over tiles of their rows), and each seed keeps its own weights,
+cross-check, trivial-bound assert and records, equal to what
+:func:`run_experiment` gives it alone.  The bound-ratio grid makes one such call
+per prime.
 """
 
 from __future__ import annotations
@@ -234,13 +235,12 @@ def run_experiments(
     only when a ``trivial`` record reports it or the sum misses the
     closed-form :func:`max_kloosterman_floor`, evaluated once per call,
     which lies below that maximum; the verdict is the same either way.
-    The seeds share the support keys, checked once for all of their weight
-    vectors (``from_columns``), one SplitMix64 draw of their weight values
+    The seeds share the support keys, checked by construction
+    (``_from_columns``), one SplitMix64 draw of their weight values
     (:func:`bilinear.make_weights`), the interval and each route's pass
-    (:func:`bilinear._bilinear_sums`); each seed's vector keeps its own
-    values and norms, and each seed's records equal what it gives alone,
-    but for ``wall_time_seconds``: the call's elapsed time split evenly
-    over its seeds.
+    (:func:`bilinear._bilinear_sums`); each seed's vector keeps its own values
+    and norms, and each seed's records equal what it gives alone, but for
+    ``wall_time_seconds``: the call's elapsed time split evenly over its seeds.
     """
     mod = Modulus.of(q)
     if family not in FAMILIES:
@@ -254,8 +254,8 @@ def run_experiments(
     weight_class = WeightVector if family == "kloosterman" else CharWeightVector
     start = time.perf_counter()
     keys = _support_keys(mod, M, family)
-    # every seed's values from one draw, on keys checked once for all seeds
-    vectors = weight_class.from_columns(mod, keys, make_weights(keys, weight_kind, seeds))
+    # every seed's values from one draw, on keys the tables give in order
+    vectors = weight_class._from_columns(mod, keys, make_weights(keys, weight_kind, seeds))
     by_method = [_bilinear_sums(family, vectors, J, m) for m in methods]
     # the closed-form floor, for every seed, when no record reads the maximum
     floor = (

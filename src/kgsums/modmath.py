@@ -182,22 +182,17 @@ class Modulus:
         non-units hold meaningless values and must be masked by callers.
         Each component's local table over [0, p^e) is written through the
         (q/p^e, p^e) view, whose column is x mod p^e, as in :attr:`inverse`.
+        A composite q reads them from the cache :func:`_component_logs` (each a
+        proper divisor's, at most q/2 rows); a prime power's is freed with it.
         """
         logs = np.empty((self._table_length(), len(self.group.orders)), dtype=np.int64)
+        local_logs = _component_logs.__wrapped__ if len(self.factors) == 1 else _component_logs
         col = 0
         for comp in self.group.components:
-            if not comp.generators:
-                continue  # units mod 2: the trivial group
-            pe = comp.prime_power
-            # local units as products of generator powers, in mesh order
-            res = np.ones(1, dtype=np.int64)
-            for g, o in zip(comp.generators, comp.orders):
-                res = floor_mod(res[:, None] * _powers(g, o, pe)[None, :], pe).reshape(-1)
-            n_g = len(comp.orders)
-            local = np.zeros((pe, n_g), dtype=np.int64)
-            local[res] = np.indices(comp.orders).reshape(n_g, -1).T
-            logs.reshape(self.q // pe, pe, -1)[:, :, col : col + n_g] = local
-            col += n_g
+            if comp.generators:  # units mod 2, the trivial group, have none
+                pe, n_g = comp.prime_power, len(comp.orders)
+                logs.reshape(self.q // pe, pe, -1)[:, :, col : col + n_g] = local_logs(comp)
+                col += n_g
         return _shared(logs)
 
 
@@ -280,6 +275,20 @@ def _prime_power_inverse(comp: "UnitGroupComponent") -> np.ndarray:
         if len(comp.generators) == 2:
             inv[pe - pw] = pe - inv[pw]
     return inv
+
+
+@functools.cache  # later composites of a sweep share the prime powers, so they stay built
+def _component_logs(comp: "UnitGroupComponent") -> np.ndarray:
+    """The read-only (p^e, n_g) logs of one component over [0, p^e) on its n_g generators."""
+    pe = comp.prime_power
+    # local units as products of generator powers, in mesh order
+    res = np.ones(1, dtype=np.int64)
+    for g, o in zip(comp.generators, comp.orders):
+        res = floor_mod(res[:, None] * _powers(g, o, pe)[None, :], pe).reshape(-1)
+    n_g = len(comp.orders)
+    local = np.zeros((pe, n_g), dtype=np.int64)
+    local[res] = np.indices(comp.orders).reshape(n_g, -1).T
+    return _shared(local)
 
 
 #: the instance of each q that some caller still holds

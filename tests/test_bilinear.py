@@ -45,6 +45,7 @@ from kgsums import (
 import kgsums.bilinear as bilinear
 import kgsums.counting as counting
 from kgsums.experiments import (
+    _support_keys,
     build_char_weight_vector,
     build_weight_vector,
     run_experiment,
@@ -271,7 +272,7 @@ def test_weights_leave_the_callers_arrays_alone():
         block = make_weights(keys, "unit", (1, 2, 3))
         block_t = np.ascontiguousarray(block.T)
         for values in (block, block_t.T, block_t.T.copy()):  # F- and C-ordered blocks
-            vectors = cls.from_columns(m, keys, values)
+            vectors = cls._from_columns(m, keys, values)
             supports = {id(w.support()) for w in vectors}
             assert len(supports) == 1
             for w in vectors:
@@ -424,7 +425,7 @@ def test_from_columns_equals_one_vector_per_column(family, q):
     for M in sorted({0, 1, len(all_keys) // 2, len(all_keys)}):
         keys = all_keys[:M]
         for name, block in _value_blocks(keys).items():
-            vectors = cls.from_columns(mod, keys, block)
+            vectors = cls._from_columns(mod, keys, block)
             assert len(vectors) == block.shape[1], (M, name)
             for s, w in enumerate(vectors):
                 assert type(w) is cls
@@ -434,8 +435,8 @@ def test_from_columns_equals_one_vector_per_column(family, q):
 
 def test_from_columns_checks_each_column_as_alone():
     # key order is checked on the keys alone: keys out of order are refused
-    # with a zero weight at either of the two keys or with none, by one
-    # vector and by every block of columns, as one vector per column is
+    # with a zero weight at either of the two keys or with none, by one vector
+    # per column (the builder of columns takes the harness's keys unchecked)
     mod, cmod = Modulus.of(7), Modulus.of(45)
     keys = np.array([1, 2, 4, 3, 5])
     rows = primitive_characters(cmod)[[0, 1, 3, 2, 4]]
@@ -448,13 +449,6 @@ def test_from_columns_checks_each_column_as_alone():
         for s in range(3):
             with pytest.raises(InvalidWeight, match=refusal):
                 cls(m, k, block[:, s])
-        for cols in ([0], [1], [2], [0, 1, 2], []):
-            with pytest.raises(InvalidWeight, match=refusal):
-                cls.from_columns(m, k, block[:, cols])
-    with pytest.raises(ValueError, match="5 weight keys but a block of"):
-        WeightVector.from_columns(mod, keys, block[:4])
-    with pytest.raises(ValueError, match="5 weight keys but a block of"):
-        WeightVector.from_columns(mod, keys, block[:, 0])
 
 
 def test_row_index_order_is_lexicographic_order():
@@ -466,7 +460,8 @@ def test_row_index_order_is_lexicographic_order():
         mod = Modulus.of(q)
         prim = primitive_characters(mod)
         assert CharWeightVector(mod, prim, np.ones(len(prim))).support_size == len(prim), q
-        assert len(CharWeightVector.from_columns(mod, prim, np.ones((len(prim), 2)))) == 2, q
+        ones = np.ones((len(prim), 2), dtype=np.complex128)
+        assert len(CharWeightVector._from_columns(mod, prim, ones)) == 2, q
         if len(prim) < 2:
             continue
         for _ in range(4):
@@ -490,43 +485,50 @@ def _message(build):
     return str(info.value)
 
 
-def test_from_columns_refuses_keys_as_one_vector_does():
+def test_one_vector_refuses_keys_whatever_its_values():
     m21, m8 = Modulus.of(21), Modulus.of(8)
     bad_keys = np.array([1, 35, 3])  # 35 = 14 mod 21, gcd 7
     bad_rows = np.array([[0, 1], [1, 1]])  # (1, 1) has conductor 4
-    cases = [(WeightVector, m21, bad_keys), (CharWeightVector, m8, bad_rows)]
-    for cls, mod, keys in cases:
+    cases = [(WeightVector, m21, bad_keys, "weight key 35 is not a unit mod 21 (gcd = 7)"),
+             (CharWeightVector, m8, bad_rows, "(1, 1) is not a primitive character mod 8")]
+    for cls, mod, keys, message in cases:
         block = make_weights(keys, "pm1", (1, 2, 3))
         alone = _message(lambda: cls(mod, keys, block[:, 0]))
-        assert _message(lambda: cls.from_columns(mod, keys, block)) == alone
-        # the key check does not look at the values: all-zero columns are refused too
-        assert _message(lambda: cls.from_columns(mod, keys, np.zeros_like(block))) == alone
-    assert "weight key 35 is not a unit mod 21 (gcd = 7)" in _message(
-        lambda: WeightVector.from_columns(m21, bad_keys, np.ones((3, 2))))
-    assert "(1, 1) is not a primitive character mod 8" in _message(
-        lambda: CharWeightVector.from_columns(m8, bad_rows, np.ones((2, 2))))
+        assert message in alone
+        # the key check does not look at the values: every column, and all zeros, is refused
+        for values in (*block.T, np.zeros(len(keys))):
+            assert _message(lambda: cls(mod, keys, values)) == alone
 
 
 @pytest.mark.parametrize("family", ["kloosterman", "gauss"])
-def test_run_experiments_checks_the_keys_once(monkeypatch, family):
+def test_run_experiments_takes_the_support_keys_as_checked(monkeypatch, family):
     cls = WeightVector if family == "kloosterman" else CharWeightVector
     check = cls._checked_keys
+    # what the harness skips: the check returns the tables' keys unchanged
+    for q in range(2, 301):
+        mod = Modulus.of(q)
+        n = mod.phi if family == "kloosterman" else primitive_count(mod)
+        for M in sorted({0, min(1, n), (n + 1) // 2, n}):
+            keys = _support_keys(mod, M, family)
+            checked, _ = check(mod, keys, np.ones(M))
+            assert checked.dtype == np.int64 and checked.shape == keys.shape, (q, M)
+            assert np.array_equal(checked, keys), (q, M)
     calls = []
 
-    def counted(mod, keys, values, columns):
+    def counted(mod, keys, values):
         calls.append(len(keys))
-        return check(mod, keys, values, columns)
+        return check(mod, keys, values)
 
     monkeypatch.setattr(cls, "_checked_keys", staticmethod(counted))
     q = 1009 if family == "kloosterman" else 101
     outcomes = run_experiments(q, 32, 32, weight_kind="pm1", seeds=(1, 2, 3, 4, 5), family=family)
-    assert len(outcomes) == 5 and calls == [32]
+    assert len(outcomes) == 5
     for seed, records in zip((1, 2, 3, 4, 5), outcomes):
         alone = run_experiment(q, 32, 32, weight_kind="pm1", seed=seed, family=family)
         assert [replace(r, wall_time_seconds=0.0) for r in records] == [
             replace(r, wall_time_seconds=0.0) for r in alone
         ]
-    assert len(calls) == 6
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

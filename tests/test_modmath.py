@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from kgsums import (
 from kgsums.modmath import (
     TABLE_Q_CAP,
     TRIAL_DIVISION_BOUND,
+    _component_logs,
     _powers,
     floor_mod,
     pow_mod,
@@ -210,6 +212,52 @@ def test_logs_match_the_gather_oracle():
         assert not mod.logs.flags.writeable
 
 
+def test_cached_component_logs_equal_cold_tables():
+    # a composite reads its prime powers' local log tables from a cache that
+    # earlier composites filled; every table built warm equals the one a fresh
+    # interpreter builds with that cache emptied before each q.  The builder
+    # is called directly, so no table comes from a live instance's property
+    cold = json.loads(_run_python(
+        "import hashlib, json\n"
+        "from kgsums.modmath import Modulus, _component_logs\n"
+        "build = vars(Modulus)['logs'].func\n"
+        "out = {}\n"
+        "for q in range(2, 401):\n"
+        "    _component_logs.cache_clear()\n"
+        "    t = build(Modulus.of(q))\n"
+        "    out[q] = [list(t.shape), hashlib.sha256(t.tobytes()).hexdigest()]\n"
+        "print(json.dumps(out))\n"
+    ))
+    build = vars(Modulus)["logs"].func
+    # a prime power keeps its own table out of the cache; a composite caches
+    # one table per component that has generators (none for units mod 2)
+    _component_logs.cache_clear()
+    for q in (397, 343, 256, 2):
+        build(Modulus.of(q))
+    assert _component_logs.cache_info().currsize == 0
+    for q, size in ((360, 3), (2 * 343, 1), (4 * 397, 2)):
+        build(Modulus.of(q))
+        assert _component_logs.cache_info().currsize == size, q
+        _component_logs.cache_clear()
+    for q in range(400, 1, -1):  # every composite's prime powers, cached
+        build(Modulus.of(q))
+    hits = _component_logs.cache_info().hits
+    for q in range(2, 401):
+        mod = Modulus.of(q)
+        logs = build(mod)
+        assert not logs.flags.writeable
+        assert [list(logs.shape), hashlib.sha256(logs.tobytes()).hexdigest()] == cold[str(q)], q
+        # x mod p^e is the product of the component's generator powers at its logs
+        units, col = mod.units.tolist(), 0
+        for comp in mod.group.components:
+            pe, n_g = comp.prime_power, len(comp.orders)
+            for x, exps in zip(units, logs[mod.units, col : col + n_g].tolist()):
+                back = math.prod(pow(g, e, pe) for g, e in zip(comp.generators, exps)) % pe
+                assert back == x % pe, (q, pe, x)
+            col += n_g
+    assert _component_logs.cache_info().hits > hits
+
+
 def test_table_length_cap():
     # the cap itself is admitted, one above it is refused
     assert Modulus.of(TABLE_Q_CAP)._table_length() == TABLE_Q_CAP
@@ -261,22 +309,36 @@ def test_held_modulus_is_shared_and_a_rebuilt_one_is_equal():
             assert new.tobytes() == old.tobytes(), (q, name)
 
 
-def test_sweep_memory_stays_flat():
-    # a sweep four times longer, after a short one, leaves the peak where it
-    # was.  The child reads VmHWM, the peak RSS of its own address space: its
-    # ru_maxrss starts at the RSS of the process that spawned it, here the
-    # whole test session, which can hide the growth
+def _peaks_mb(*calls):
+    """VmHWM in MB of one child after each of ``calls``, Python source run in turn.
+
+    VmHWM is the peak RSS of the child's own address space: its ru_maxrss
+    starts at the RSS of the process that spawned it, here the whole test
+    session, which can hide the growth.
+    """
     out = _run_python(
         "from kgsums import average_sweep\n"
         "def peak():\n"
         "    with open('/proc/self/status') as f:\n"
         "        print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))\n"
-        "average_sweep(256, 16, 2, 0.1)\n"
-        "peak()\n"
-        "average_sweep(1024, 16, 2, 0.1)\n"
-        "peak()\n"
+        + "".join(f"{call}\npeak()\n" for call in calls)
     )
-    short, long = (int(v) / 1024 for v in out.split())  # kB to MB
+    return [int(v) / 1024 for v in out.split()]  # kB to MB
+
+
+def test_sweep_memory_stays_flat():
+    # a sweep four times longer, after a short one, leaves the peak where it was
+    short, long = _peaks_mb("average_sweep(256, 16, 2, 0.1)", "average_sweep(1024, 16, 2, 0.1)")
+    assert long - short < 8.0, f"peak RSS {short:.1f} -> {long:.1f} MB"
+
+
+def test_gauss_sweep_memory_stays_flat():
+    # the character path's twin: the local log tables its composites keep
+    # cached do not grow the peak of a sweep four times longer
+    short, long = _peaks_mb(
+        'average_sweep(64, 8, 2, 0.1, family="gauss")',
+        'average_sweep(256, 8, 2, 0.1, family="gauss")',
+    )
     assert long - short < 8.0, f"peak RSS {short:.1f} -> {long:.1f} MB"
 
 
