@@ -5,10 +5,10 @@ character exp(2*pi*i*z/q).  Everything is pure.  All per-modulus state lives on
 :class:`Modulus`: ``Modulus.of`` hands out one live instance per integer q
 for as long as any caller holds it, and the unit group, unit tables and
 discrete logs are read-only cached properties of that instance, each built
-on first use by a single vectorized path for every q.  An instance no caller
-holds is freed with its tables, so a sweep over many moduli keeps only the
-ones it is working on.  The module functions below are short reads of that
-state.
+on first use by a single vectorized path for every q.  Every instance no
+caller holds is freed with its tables, so a sweep keeps only the moduli it is
+working on and small cached per-prime-power tables.  The module functions
+below are short reads of that state.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
@@ -72,7 +73,9 @@ class Modulus:
     of q while any caller holds one and builds a new one otherwise.
     Everything else known about q (unit group, unit tables, discrete logs)
     is a read-only cached property, built on first use and freed with its
-    instance; a rebuilt instance builds the same tables again.
+    instance once no caller holds it (no table holds another instance); a
+    rebuilt instance builds the same tables again.  q is read by
+    ``operator.index``, so a float or a string raises TypeError.
     """
 
     q: int
@@ -83,7 +86,7 @@ class Modulus:
     def of(cls, q: "Modulus | int") -> "Modulus":
         if isinstance(q, Modulus):
             return q
-        q = int(q)
+        q = operator.index(q)
         mod = _live.get(q)
         if mod is None:
             factors = tuple(factorize(q))
@@ -137,38 +140,35 @@ class Modulus:
     def inverse(self) -> np.ndarray:
         """inv over [0, q): inv[x] = x^-1 mod q at units, else 0.
 
-        Built from power tables, with no modular exponentiation.  Let a be
-        the largest prime-power factor of q.  Modulo a the units are g^k
-        (and -g^k when a = 2^e, e >= 3, with g = 3), so the inverse
-        (+-g^k)^-1 = +-g^(o-k) is the power table of g read backwards
-        (:func:`_prime_power_inverse`).  When q = a*b with b > 1, the inverse
-        mod b is the table of the cofactor ``Modulus.of(b)``, built the same
-        way and kept by :func:`_cofactor`, and the Chinese remainder theorem
-        joins the two: with the idempotents e_a = b*(b^-1 mod a) and
-        e_b = a*(a^-1 mod b),
+        Built from power tables, with no modular exponentiation.  Modulo
+        each prime power p^e of q the units are g^k (and -g^k when p^e = 2^e,
+        e >= 3), so the local inverse +-g^(o-k) is the power table of g read
+        backwards (:func:`_component_inverse`).  The Chinese remainder
+        theorem sums the local tables: with r = q/p^e,
 
-            inv[x] = e_a * inv_a[x mod a] + e_b * inv_b[x mod b]  (mod q)
+            inv[x] = sum over p^e || q of r * (r^-1 mod p^e) * inv_pe[x mod p^e]  (mod q),
 
-        is the one class that is x^-1 both mod a and mod b.  The inverse of
-        a unit is unique, so every entry equals x^(lambda(q) - 1) mod q, the
-        square-and-multiply definition this replaces.  The int64 arithmetic
-        is exact: each product is below q * max(a, b) and their sum below
-        q * (a + b) <= q * q < 2**63 (:meth:`_table_length`).  Building the
-        table also keeps ``Modulus.of(b)`` and its table, b <= q/2 entries
-        (and so on down the cofactors), for the life of the process.
+        each term added through the (q/p^e, p^e) view, whose column is
+        x mod p^e, as in :attr:`logs`.  The inverse of a unit is unique, so
+        every entry equals x^(lambda(q) - 1) mod q.  The int64 sum is exact:
+        each term is below q * p^e and the sum below q * q < 2**63
+        (:meth:`_table_length`).  The largest p^e's local table is built anew
+        and dropped; every smaller one, with (p^e)^2 < q, is read from the
+        cache, which so stays small (17 tables after a sweep over [512, 1024];
+        caching every component kept 116 and grew a long sweep's peak RSS).
+        A prime power's table is its local table.
         """
         q = self._table_length()
         top = max(self.group.components, key=lambda c: c.prime_power)
-        a = top.prime_power
-        inv_a = _prime_power_inverse(top)
-        if a == q:
-            return _shared(inv_a)
-        b = q // a
-        inv = np.empty(q, dtype=np.int64)
-        # x = i*b + j sits at [i, j] of the (a, b) view, so x mod b is its column
-        np.multiply(_cofactor(b).inverse, a * pow(a, -1, b), out=inv.reshape(a, b))
-        by_a = inv.reshape(b, a)  # ... and x mod a is the column of the (b, a) view
-        by_a += inv_a * (b * pow(b, -1, a))
+        if top.prime_power == q:
+            return _component_inverse.__wrapped__(top)
+        inv = np.zeros(q, dtype=np.int64)
+        for comp in self.group.components:
+            pe = comp.prime_power
+            local = (_component_inverse.__wrapped__ if comp is top else _component_inverse)(comp)
+            r = q // pe
+            view = inv.reshape(r, pe)
+            view += local * (r * pow(r, -1, pe))
         floor_mod(inv, q, out=inv)
         inv *= self.mask
         return _shared(inv)
@@ -258,8 +258,9 @@ def _powers(g: int, n: int, m: int) -> np.ndarray:
     return floor_mod(giant[:, None] * _geometric(g, c, m), m).reshape(-1)[:n]
 
 
-def _prime_power_inverse(comp: "UnitGroupComponent") -> np.ndarray:
-    """inv over [0, p^e) for one component: x^-1 mod p^e at units, else 0.
+@functools.cache  # later composites of a sweep share the small prime powers
+def _component_inverse(comp: "UnitGroupComponent") -> np.ndarray:
+    """The read-only inv over [0, p^e) of one component: x^-1 mod p^e at units, else 0.
 
     The units are g^k for k < o, where g is the component's last generator
     and o its order, times +-1 when p^e = 2^e with e >= 3 (generators -1
@@ -274,7 +275,7 @@ def _prime_power_inverse(comp: "UnitGroupComponent") -> np.ndarray:
         inv[pw[1:]] = pw[:0:-1]
         if len(comp.generators) == 2:
             inv[pe - pw] = pe - inv[pw]
-    return inv
+    return _shared(inv)
 
 
 @functools.cache  # later composites of a sweep share the prime powers, so they stay built
@@ -293,11 +294,6 @@ def _component_logs(comp: "UnitGroupComponent") -> np.ndarray:
 
 #: the instance of each q that some caller still holds
 _live: "weakref.WeakValueDictionary[int, Modulus]" = weakref.WeakValueDictionary()
-
-
-@functools.cache  # later moduli of a sweep share the cofactors, so they stay built
-def _cofactor(b: int) -> Modulus:
-    return Modulus.of(b)
 
 
 def mod_inv(x: int, q: "Modulus | int") -> int:
@@ -360,7 +356,7 @@ def _primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found for {p}")
 
 
-@functools.cache  # the cofactor moduli of inverse tables repeat the prime powers of q
+@functools.cache  # later moduli of a sweep repeat the prime powers
 def _component_generators(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     pe = p**e
     if p == 2:

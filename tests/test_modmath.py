@@ -17,9 +17,11 @@ from kgsums import (
     Modulus,
     NotAUnit,
     ResourceLimit,
+    average_sweep,
     eq_exp,
     factorize,
     inverse_table,
+    kloosterman,
     mod_inv,
     unit_group,
     unit_mask,
@@ -28,6 +30,7 @@ from kgsums import (
 from kgsums.modmath import (
     TABLE_Q_CAP,
     TRIAL_DIVISION_BOUND,
+    _component_inverse,
     _component_logs,
     _powers,
     floor_mod,
@@ -80,6 +83,17 @@ def test_modulus_invariants(q):
         phi = phi // p * (p - 1)
     assert mod.phi == phi
     assert mod.phi == len(unit_residues(mod))
+
+
+def test_modulus_of_takes_integers_only():
+    # numpy integers index like ints; a float or a string is refused, not truncated
+    mod = Modulus.of(np.int64(97))
+    assert mod is Modulus.of(97) and type(mod.q) is int
+    for bad in (7.9, 7.0, np.float64(7.0), "7"):
+        with pytest.raises(TypeError):
+            Modulus.of(bad)
+    with pytest.raises(TypeError):
+        kloosterman(7.9, 1, 1)
 
 
 def test_mod_inv_examples():
@@ -165,10 +179,11 @@ def test_inverse_table_and_mask():
                 assert x * int(inv[x]) % q == 1
             else:
                 assert inv[x] == 0
-    # each branch of the power-table construction: an odd prime, 2^e, a
-    # trivial mod-2 cofactor, 4 * odd, 8 * several odd primes, 2^e * 3^k
-    for q in (1000003, 2**20, 10**6, 720720, 3**12,
-              2 * 3**11, 4 * 5**6, 8 * 3**2 * 5 * 7 * 11, 2**13 * 3**4):
+    # every q <= 3000, and each shape of the CRT sum at scale: an odd prime,
+    # 2^e, a mod-2 component with no generators, 4 * odd, 8 * several odd
+    # primes, 2^e * 3^k
+    for q in [*range(2, 3001), 1000003, 2**20, 10**6, 720720, 3**12,
+              2 * 3**11, 4 * 5**6, 8 * 3**2 * 5 * 7 * 11, 2**13 * 3**4]:
         inv = inverse_table(q)
         mask = unit_mask(q)
         units = unit_residues(q)
@@ -212,50 +227,83 @@ def test_logs_match_the_gather_oracle():
         assert not mod.logs.flags.writeable
 
 
-def test_cached_component_logs_equal_cold_tables():
-    # a composite reads its prime powers' local log tables from a cache that
-    # earlier composites filled; every table built warm equals the one a fresh
-    # interpreter builds with that cache emptied before each q.  The builder
-    # is called directly, so no table comes from a live instance's property
+def _cached_tables_equal_cold_tables(prop, cache, sizes):
+    """Every q <= 400's ``prop`` table built warm, as (mod, table) pairs.
+
+    A composite reads prime powers' local tables from ``cache``, which earlier
+    composites filled; each table built warm must equal the one a fresh
+    interpreter builds with that cache emptied before each q.  The builder is
+    called directly, so no table comes from a live instance's property.  A
+    prime power adds nothing to the cache, and 360, 2 * 343 and 4 * 397 add
+    ``sizes`` tables.
+    """
     cold = json.loads(_run_python(
         "import hashlib, json\n"
-        "from kgsums.modmath import Modulus, _component_logs\n"
-        "build = vars(Modulus)['logs'].func\n"
+        f"from kgsums.modmath import Modulus, {cache.__name__} as cache\n"
+        f"build = vars(Modulus)[{prop!r}].func\n"
         "out = {}\n"
         "for q in range(2, 401):\n"
-        "    _component_logs.cache_clear()\n"
+        "    cache.cache_clear()\n"
         "    t = build(Modulus.of(q))\n"
         "    out[q] = [list(t.shape), hashlib.sha256(t.tobytes()).hexdigest()]\n"
         "print(json.dumps(out))\n"
     ))
-    build = vars(Modulus)["logs"].func
-    # a prime power keeps its own table out of the cache; a composite caches
-    # one table per component that has generators (none for units mod 2)
-    _component_logs.cache_clear()
+    build = vars(Modulus)[prop].func
+    cache.cache_clear()
     for q in (397, 343, 256, 2):
         build(Modulus.of(q))
-    assert _component_logs.cache_info().currsize == 0
-    for q, size in ((360, 3), (2 * 343, 1), (4 * 397, 2)):
+    assert cache.cache_info().currsize == 0
+    for q, size in zip((360, 2 * 343, 4 * 397), sizes):
         build(Modulus.of(q))
-        assert _component_logs.cache_info().currsize == size, q
-        _component_logs.cache_clear()
-    for q in range(400, 1, -1):  # every composite's prime powers, cached
+        assert cache.cache_info().currsize == size, q
+        cache.cache_clear()
+    for q in range(400, 1, -1):  # every composite's cached prime powers
         build(Modulus.of(q))
-    hits = _component_logs.cache_info().hits
+    hits = cache.cache_info().hits
+    warm = []
     for q in range(2, 401):
         mod = Modulus.of(q)
-        logs = build(mod)
-        assert not logs.flags.writeable
-        assert [list(logs.shape), hashlib.sha256(logs.tobytes()).hexdigest()] == cold[str(q)], q
+        table = build(mod)
+        assert not table.flags.writeable
+        assert [list(table.shape), hashlib.sha256(table.tobytes()).hexdigest()] == cold[str(q)], q
+        warm.append((mod, table))
+    assert cache.cache_info().hits > hits
+    return warm
+
+
+def test_cached_component_logs_equal_cold_tables():
+    # a composite caches one table per component that has generators (none
+    # for units mod 2)
+    for mod, logs in _cached_tables_equal_cold_tables("logs", _component_logs, (3, 1, 2)):
         # x mod p^e is the product of the component's generator powers at its logs
         units, col = mod.units.tolist(), 0
         for comp in mod.group.components:
             pe, n_g = comp.prime_power, len(comp.orders)
             for x, exps in zip(units, logs[mod.units, col : col + n_g].tolist()):
                 back = math.prod(pow(g, e, pe) for g, e in zip(comp.generators, exps)) % pe
-                assert back == x % pe, (q, pe, x)
+                assert back == x % pe, (mod.q, pe, x)
             col += n_g
-    assert _component_logs.cache_info().hits > hits
+
+
+def test_cached_component_inverses_equal_cold_tables():
+    # a composite caches every component but its largest prime power, the
+    # mod-2 one included
+    for mod, inv in _cached_tables_equal_cold_tables("inverse", _component_inverse, (2, 1, 1)):
+        units = mod.units
+        assert np.all(units * inv[units] % mod.q == 1), mod.q
+        assert not np.any(inv[~mod.mask]), mod.q
+
+
+def test_inverse_cache_keeps_only_small_prime_powers():
+    # each modulus of a sweep over [512, 1024] builds its largest prime power's
+    # inverse for itself; a smaller p^e, cached, has (p^e)^2 < q <= 1024.
+    # Caching every component would keep 116 tables here, and its peak RSS
+    # grew with the sweep's length
+    small = [n for n in range(2, 33) if len(factorize(n)) == 1]
+    assert len(small) == 18
+    _component_inverse.cache_clear()
+    average_sweep(512, 16, 2, 0.1)
+    assert 0 < _component_inverse.cache_info().currsize <= len(small)
 
 
 def test_table_length_cap():
@@ -276,8 +324,8 @@ def _run_python(code):
 
 
 def test_sweeps_free_their_moduli():
-    # once a sweep returns, no Modulus of its range is left alive; the
-    # cofactors kept for later inverse tables all lie below the range
+    # once a sweep returns, no Modulus at all is left alive: no table
+    # property keeps one, and the caches hold only per-prime-power tables
     out = _run_python(
         "import gc, json\n"
         "from kgsums import Modulus, average_sweep\n"
@@ -287,7 +335,7 @@ def test_sweeps_free_their_moduli():
         "print(json.dumps(sorted(o.q for o in gc.get_objects() if isinstance(o, Modulus))))\n"
     )
     alive = json.loads(out)
-    assert alive and not [q for q in alive if 64 <= q <= 128], alive
+    assert alive == [], alive
 
 
 def test_held_modulus_is_shared_and_a_rebuilt_one_is_equal():
